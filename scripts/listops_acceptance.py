@@ -10,10 +10,13 @@ With config names as arguments only those configs run (default: all three),
 so disjoint configs can run as separate processes. Each finished run re-reads
 the results file and replaces it atomically with its own record added, so
 neither a kill mid-write nor a concurrent process loses a finished run.
+Training progress (every 500th step's metrics) is printed as it happens,
+prefixed with the run key.
 """
 
 import fcntl
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -83,6 +86,10 @@ def main(argv: list[str]) -> int:
     train_ex = gen_listops(10000, max_depth=3, max_args=5, seed=100)
     valid_ex = gen_listops(2000, max_depth=3, max_args=5, seed=101)
     task = ListOpsTask(train_ex, valid_ex)
+    progress = logging.StreamHandler(sys.stdout)
+    training_log = logging.getLogger("switchlab.training")
+    training_log.addHandler(progress)
+    training_log.setLevel(logging.INFO)
     for config in configs:
         for seed in SEEDS:
             key = f"{config}/seed{seed}"
@@ -96,6 +103,7 @@ def main(argv: list[str]) -> int:
             run = TrainRun(spec, seed=seed, steps=STEPS, batch_size=16,
                            lr=2.5e-4, warmup_steps=400, clip_norm=1.0,
                            log_every=500)
+            progress.setFormatter(logging.Formatter(f"{key}: %(message)s"))
             t0 = time.time()
             model, metrics = train(run, task)
             summary = evaluate(model, task, "valid")

@@ -21,9 +21,9 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import (ConfigError, SelectionConfig, mixture_project,
                   override_gates, select)
 from .rng import uniform_init
-from .tensor import (ShapeError, Tensor, concat, constant, gather_mid,
-                     gather_rows, matmul, mul, reshape, softmax_last,
-                     take_last, transpose, tsum)
+from .tensor import (ShapeError, Tensor, concat, constant, expert_matmul,
+                     gather_mid, matmul, mul, reshape, softmax_last, take_last,
+                     transpose, tsum)
 
 NEG_INF = -1e30
 
@@ -493,37 +493,32 @@ def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
         cos, sin = rope_angles(T, dh)
         k = rope_rotate(k, cos, sin, counter)
 
+    # the k selected query/output experts are k attention matrices per
+    # token, batched on a slot axis against the shared keys and values
     n = B * T
-    xf = reshape(x, (n, 1, dm))
     idx = sel.indices.reshape(n, -1)
-    wf = reshape(sel.weights, (n, -1))
-    y = None
-    attn_maps = []
-    for slot in range(k_act):
-        q = matmul(xf, gather_rows(params["w_q"], idx[:, slot]), counter, term="projections")
-        q = reshape(q, (B, T, dh))
-        u = pos_term = None
-        if cfg.position == "xl_relative":
-            u = params["u"]
-            pos_term = _xl_pos_scores(q + params["v"], r_proj, cache_len, counter)
-        elif cfg.position == "rope":
-            q = rope_rotate(q, cos, sin, counter)
-        attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
-        if want_trace:
-            attn_maps.append(attn.data.copy())
-        avf = reshape(av, (n, 1, dh))
-        o = matmul(avf, gather_rows(params["w_o"], idx[:, slot]), counter,
-                   store=False, term="projections")
-        w_slot = reshape(wf[:, slot:slot + 1], (n, 1, 1))
-        o = mul(o, w_slot)
-        if counter.enabled:
-            counter.add_extra("selection", macs=n * dm)
-        y = o if y is None else y + o
-    y = reshape(y, (B, T, dm))
+    q = expert_matmul(reshape(x, (n, dm)), params["w_q"], idx, counter,
+                      term="projections")
+    counter.add(mem=q.size, term="projections")
+    q = transpose(reshape(q, (B, T, k_act, dh)), (0, 2, 1, 3))   # [B, k, T, dh]
+    k = reshape(k, (B, 1, S, dh))
+    v = reshape(v, (B, 1, S, dh))
+    u = pos_term = None
+    if cfg.position == "xl_relative":
+        u = params["u"]
+        pos_term = _xl_pos_scores(q + params["v"], r_proj, cache_len, counter)
+    elif cfg.position == "rope":
+        q = rope_rotate(q, cos, sin, counter)
+    attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
+    avf = reshape(transpose(av, (0, 2, 1, 3)), (n, k_act, dh))
+    o = expert_matmul(avf, params["w_o"], idx, counter, term="projections")
+    o = mul(o, reshape(sel.weights, (n, k_act, 1)))
+    counter.add_extra("selection", macs=n * k_act * dm)
+    y = reshape(tsum(o, axis=1), (B, T, dm))
 
     trace = AttentionTrace()
     if want_trace:
-        trace.attn = np.stack(attn_maps, axis=1)
+        trace.attn = attn.data.copy()
         trace.selections["router"] = (sel.indices.copy(), sel.weights.data.copy())
     return y, trace, new_cache
 

@@ -44,7 +44,10 @@ def load(path: str) -> Model:
     head, sep, payload = blob.partition(b"\n===\n")
     if not sep:
         raise CheckpointError("missing tensor payload marker")
-    text = head.decode()
+    try:
+        text = head.decode()
+    except UnicodeDecodeError:
+        raise CheckpointError("checkpoint header is not UTF-8 text") from None
     lines = text.split("\n")
     if lines[0] != MAGIC:
         raise CheckpointError(f"bad magic line {lines[0]!r}")
@@ -57,9 +60,11 @@ def load(path: str) -> Model:
     for line in lines[split + 1:]:
         if not line:
             continue
-        parts = line.split()
-        name, ndim = parts[0], int(parts[1])
-        shape = tuple(int(d) for d in parts[2:])
+        try:
+            name, ndim, *dims = line.split()
+            ndim, shape = int(ndim), tuple(int(d) for d in dims)
+        except ValueError:
+            raise CheckpointError(f"malformed index line {line!r}") from None
         if len(shape) != ndim:
             raise CheckpointError(f"index line for '{name}' is inconsistent")
         index.append((name, shape))
@@ -74,7 +79,10 @@ def load(path: str) -> Model:
             raise CheckpointError(f"truncated payload at tensor '{name}'")
         if model.params[name].shape != shape:
             raise CheckpointError(f"shape mismatch for '{name}'")
-        model.params[name].data = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"non-finite values in tensor '{name}'")
+        model.params[name].data = values.astype(np.float64)
         offset += n
     if offset * 8 != len(payload):
         raise CheckpointError("trailing bytes after last tensor")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (Tensor, argtopk_rows, constant, gather_rows, matmul, mul,
-                     relu, reshape, scatter_rows, sigmoid, softmax_last,
-                     take_last)
+from .tensor import (Tensor, argtopk_rows, constant, expert_matmul, matmul,
+                     mul, relu, reshape, sigmoid, softmax_last, take_last,
+                     tsum)
 
 
 class ConfigError(ValueError):
@@ -106,34 +106,18 @@ def mixture_project(x: Tensor, bank: Tensor, sel: ExpertSelection,
     n = int(np.prod(lead, dtype=np.int64))
     xf = reshape(x, (n, d_in))
     idx = sel.indices.reshape(n, -1)
-    wf = reshape(sel.weights, (n, -1))
     k = idx.shape[1]
-    out = None
-    # tokens routed to the same expert share one dense matmul; group sizes
-    # sum to n, so the counted MACs match the per-token formulation exactly
-    for slot in range(k):
-        w_slot = reshape(wf[:, slot:slot + 1], (n, 1))
-        if gate == "input":
-            src = mul(xf, w_slot)
-            if counter.enabled:
-                counter.add(macs=n * d_in, term=term)
-        else:
-            src = xf
-        y = None
-        for e in np.unique(idx[:, slot]):
-            rows = np.flatnonzero(idx[:, slot] == e)
-            ye = matmul(gather_rows(src, rows), bank[int(e)], counter,
-                        store=False, term=term)
-            piece = scatter_rows(ye, rows, n)
-            y = piece if y is None else y + piece
-        if gate != "input":
-            y = mul(y, w_slot)
-            if counter.enabled:
-                counter.add(macs=n * d_out, term=term)
-        out = y if out is None else out + y
-    if counter.enabled and store:
+    w = reshape(sel.weights, (n, k, 1))
+    if gate == "input":
+        y = expert_matmul(mul(reshape(xf, (n, 1, d_in)), w), bank, idx, counter,
+                          term=term)
+        counter.add(macs=n * k * d_in, term=term)
+    else:
+        y = mul(expert_matmul(xf, bank, idx, counter, term=term), w)
+        counter.add(macs=n * k * d_out, term=term)
+    if store:
         counter.add(mem=n * d_out, term=term)
-    return reshape(out, lead + (d_out,))
+    return reshape(tsum(y, axis=1), lead + (d_out,))
 
 
 def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
@@ -154,22 +138,11 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
         sel = override_gates(sel, gate_override)
     lead = x.shape[:-1]
     n = int(np.prod(lead, dtype=np.int64))
-    xf = reshape(x, (n, d_model))
     idx = sel.indices.reshape(n, -1)
-    wf = reshape(sel.weights, (n, -1))
-    out = None
-    for slot in range(idx.shape[1]):
-        w_slot = reshape(wf[:, slot:slot + 1], (n, 1))
-        y = None
-        for e in np.unique(idx[:, slot]):
-            rows = np.flatnonzero(idx[:, slot] == e)
-            h = relu(matmul(gather_rows(xf, rows), up_bank[int(e)], counter,
-                            store=False, term="mlp"))
-            ye = matmul(h, down_bank[int(e)], counter, store=False, term="mlp")
-            piece = scatter_rows(ye, rows, n)
-            y = piece if y is None else y + piece
-        y = mul(y, w_slot)
-        if counter.enabled:
-            counter.add(macs=n * d_model, term="mlp")
-        out = y if out is None else out + y
-    return reshape(out, lead + (d_model,))
+    k = idx.shape[1]
+    h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, idx, counter,
+                           term="mlp"))
+    y = mul(expert_matmul(h, down_bank, idx, counter, term="mlp"),
+            reshape(sel.weights, (n, k, 1)))
+    counter.add(macs=n * k * d_model, term="mlp")
+    return reshape(tsum(y, axis=1), lead + (d_model,))

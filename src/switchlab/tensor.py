@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff engine over float64 numpy arrays.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
-loss walks the tape in reverse topological order. Only ``matmul`` and
-``softmax_last`` consume an OpCounter (everything else is free in the MAC
-accounting convention used by the cost model; explicit elementwise costs are
-added by the callers that need them).
+loss walks the tape in reverse topological order and frees it as it goes.
+Only ``matmul``, ``expert_matmul`` and ``softmax_last`` consume an OpCounter
+(everything else is free in the MAC accounting convention used by the cost
+model; explicit elementwise costs are added by the callers that need them).
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g may alias an upstream grad or be a broadcast view: own a copy
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -105,11 +107,18 @@ class Tensor:
             else:
                 topo.append(node)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # free the tape as we go (a second backward needs a re-forward): a
+        # spent node drops its closure, its inputs and, unless it is a leaf,
+        # its grad, so activations die as soon as nothing upstream needs them
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
-                # free the tape as we go; a second backward needs a re-forward
-                node._backward = None
+                node.grad = None
+            node._backward = None
+            node._prev = ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -274,7 +283,14 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    data = np.matmul(a.data, b.data)
+    flat = b.data.ndim == 2 and a.data.ndim > 2
+    if flat:
+        # one GEMM over all leading rows instead of one per batch matrix
+        k_dim = a.data.shape[-1]
+        data = (a.data.reshape(-1, k_dim) @ b.data).reshape(
+            a.data.shape[:-1] + b.data.shape[-1:])
+    else:
+        data = np.matmul(a.data, b.data)
     if counter.enabled:
         k = a.data.shape[-1]
         macs = int(np.prod(data.shape, dtype=np.int64)) * k
@@ -285,6 +301,13 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
             counter.add(macs=macs, mem=mem, term=term)
 
     def bw(g):
+        if flat:
+            g2 = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                a._accum((g2 @ b.data.T).reshape(a.data.shape))
+            if b.requires_grad:
+                b._accum(a.data.reshape(-1, a.data.shape[-1]).T @ g2)
+            return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accum(_unbroadcast(ga, a.data.shape))
@@ -419,9 +442,9 @@ def slice_(x: Tensor, key) -> Tensor:
     """Basic (non-fancy) indexing with gradient."""
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        full[key] += g
-        x._accum(full)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[key] += g
 
     return _make(x.data[key], (x,), bw)
 
@@ -443,24 +466,6 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
             np.add.at(x.grad, flat_idx, flat_g)
 
     return _make(x.data[idx], (x,), bw)
-
-
-def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Place rows x[i] at positions idx[i] of a zero [n, ...] tensor.
-
-    ``idx`` must not repeat (each output row receives at most one input row);
-    the inverse of gather_rows on distinct indices.
-    """
-    idx = np.asarray(idx)
-    if idx.ndim != 1 or idx.size != x.data.shape[0]:
-        raise ShapeError(f"idx must be 1-D with one entry per row of x, got {idx.shape}")
-    data = np.zeros((n,) + x.data.shape[1:])
-    data[idx] = x.data
-
-    def bw(g):
-        x._accum(g[idx])
-
-    return _make(data, (x,), bw)
 
 
 def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -491,6 +496,64 @@ def gather_mid(x: Tensor, idx: np.ndarray) -> Tensor:
         x._accum(full)
 
     return _make(data, (x,), bw)
+
+
+def expert_matmul(x: Tensor, bank: Tensor, idx: np.ndarray,
+                  counter: OpCounter = NULL_COUNTER, *,
+                  term: str | None = None) -> Tensor:
+    """Per-assignment expert projection: out[i, j] = x[i] @ bank[idx[i, j]].
+
+    ``x`` is [n, d_in] (every slot reads the same row) or [n, k, d_in] (one
+    row per slot), ``bank`` is [E, d_in, d_out] and ``idx`` is [n, k]; the
+    result is [n, k, d_out]. The n*k assignments are sorted by expert once,
+    so each non-empty expert runs one contiguous matmul, and the results
+    are put back in token order through the inverse permutation. MACs are
+    n*k*d_in*d_out under ``term``; nothing is added to the stored floats.
+    """
+    idx = np.asarray(idx)
+    if idx.ndim != 2:
+        raise ShapeError(f"expert indices must be [n, k], got {idx.shape}")
+    n, k = idx.shape
+    if bank.ndim != 3:
+        raise ShapeError(f"expert bank must be [E, d_in, d_out], got {bank.shape}")
+    E, d_in, d_out = bank.shape
+    per_slot = x.ndim == 3
+    if x.shape != ((n, k, d_in) if per_slot else (n, d_in)):
+        raise ShapeError(f"input {x.shape} does not fit indices {idx.shape} "
+                         f"and bank {bank.shape}")
+    flat_idx = idx.reshape(-1)
+    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= E):
+        raise ShapeError(f"expert index out of range for a bank of {E}")
+    order = np.argsort(flat_idx, kind="stable")
+    counts = np.bincount(flat_idx, minlength=E)
+    ends = np.cumsum(counts)
+    segments = [(e, ends[e] - counts[e], ends[e]) for e in np.flatnonzero(counts)]
+    src = order if per_slot else order // k
+    xs = x.data.reshape(-1, d_in)[src]
+    ys = np.empty((n * k, d_out))
+    for e, lo, hi in segments:
+        np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
+    data = np.empty_like(ys)
+    data[order] = ys
+    counter.add(macs=n * k * d_in * d_out, term=term)
+
+    def bw(g):
+        gs = g.reshape(n * k, d_out)[order]
+        if bank.requires_grad:
+            gbank = np.zeros_like(bank.data)
+            for e, lo, hi in segments:
+                np.matmul(xs[lo:hi].T, gs[lo:hi], out=gbank[e])
+            bank._accum(gbank)
+        if x.requires_grad:
+            gxs = np.empty((n * k, d_in))
+            for e, lo, hi in segments:
+                np.matmul(gs[lo:hi], bank.data[e].T, out=gxs[lo:hi])
+            gx = np.empty_like(gxs)
+            gx[order] = gxs
+            gx = gx.reshape(n, k, d_in)
+            x._accum(gx if per_slot else gx.sum(axis=1))
+
+    return _make(data.reshape(n, k, d_out), (x, bank), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -8,6 +8,7 @@ random draw comes from a stream keyed by (seed, purpose, step).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +20,9 @@ from .model import Model, ModelSpec, build
 from .moe import ConfigError
 from .optim import Adam
 from .rng import rng_for
-from .tensor import cross_entropy
+from .tensor import Tensor, cross_entropy
+
+log = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
@@ -136,15 +139,23 @@ def train(run: TrainRun, task) -> tuple[Model, list[dict]]:
         loss.backward()
         stats = opt.step()
         if step % run.log_every == 0 or step == run.steps:
-            metrics.append({"step": step, "loss": float(loss.data),
-                            "lr": stats["lr"], "grad_norm": stats["grad_norm"],
-                            **extra})
+            record = {"step": step, "loss": float(loss.data),
+                      "lr": stats["lr"], "grad_norm": stats["grad_norm"], **extra}
+            metrics.append(record)
+            log.info("step %d/%d %s", step, run.steps,
+                     " ".join(f"{k}={v:.4g}" for k, v in record.items() if k != "step"))
     return model, metrics
 
 
 def evaluate(model: Model, task, split: str = "valid",
              batch_size: int = 64) -> dict:
-    """Frozen-model metrics: accuracy (classification) or bpc/perplexity (LM)."""
+    """Frozen-model metrics: accuracy (classification) or bpc/perplexity (LM).
+
+    The forward passes run on a view of the model whose parameters share
+    the same arrays but do not require grad, so no tape is recorded and the
+    live parameters' grads are left alone.
+    """
+    model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
     if task.kind == "classification":
         pool = task.splits[split]
         if not pool:

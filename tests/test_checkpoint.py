@@ -77,3 +77,39 @@ def test_trailing_bytes(tmp_path):
         f.write(b"\x00" * 8)
     with pytest.raises(CheckpointError):
         load(path)
+
+
+def _dense_checkpoint(tmp_path):
+    m = build(ModelSpec(1, 8, AttentionConfig(8, 1, 4, variant="dense"),
+                        MLPConfig("dense", 8), 9, T=4), 0)
+    path = tmp_path / "m.ckpt"
+    save(str(path), m)
+    return path
+
+
+@pytest.mark.parametrize("bad", [b"embed two 3", b"embed"])
+def test_malformed_index_line(tmp_path, bad):
+    path = _dense_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    start = blob.index(b"\nembed ") + 1
+    end = blob.index(b"\n", start)
+    path.write_bytes(blob[:start] + bad + blob[end:])
+    with pytest.raises(CheckpointError):
+        load(str(path))
+
+
+def test_non_utf8_header(tmp_path):
+    path = _dense_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"---\n", b"---\n\xff\xfe\n", 1))
+    with pytest.raises(CheckpointError):
+        load(str(path))
+
+
+def test_non_finite_payload(tmp_path):
+    path = _dense_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="non-finite"):
+        load(str(path))

@@ -212,3 +212,25 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("corrupt", ["index", "utf8", "nan"])
+def test_export_attn_corrupt_checkpoint_is_usage_error(tmp_path, listops_cfg,
+                                                       capsys, corrupt):
+    out = tmp_path / "out"
+    main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+          "--out", str(out)])
+    ckpt = out / "model.ckpt"
+    blob = ckpt.read_bytes()
+    if corrupt == "index":
+        start = blob.index(b"\nembed ") + 1
+        blob = blob[:start] + b"embed two 3" + blob[blob.index(b"\n", start):]
+    elif corrupt == "utf8":
+        blob = blob.replace(b"---\n", b"---\n\xff\n", 1)
+    else:
+        blob = blob[:-8] + np.array([np.inf]).astype("<f8").tobytes()
+    ckpt.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["export-attn", "--checkpoint", str(ckpt), "--sample", "5",
+                 "--out", str(tmp_path / "grids")]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err

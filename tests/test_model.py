@@ -206,9 +206,12 @@ def test_switchall_end_to_end_gradients():
     m = switchall_build(spec, 0)
     toks = rng_for(2, "g-toks").integers(11, size=(1, 4))
     logits, _, _ = m.forward(toks)
-    cross_entropy(logits, np.roll(toks, -1, axis=1)).backward()
+    loss = cross_entropy(logits, np.roll(toks, -1, axis=1))
+    loss.backward()
     missing = [k for k, p in m.params.items() if p.grad is None]
     assert not missing
+    # the tape is freed: op outputs keep no grad and no link to their inputs
+    assert logits.grad is None and loss.grad is None and logits._prev == ()
 
 
 # -- parameter matching ----------------------------------------------------

@@ -3,13 +3,15 @@ graph bookkeeping, and the routing helpers."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
 from switchlab.tensor import (GraphError, ShapeError, Tensor, argtopk,
                               argtopk_rows, concat, constant, cross_entropy,
-                              gather_mid, gather_rows, layer_norm, matmul, mul,
-                              relu, reshape, scatter_rows, sigmoid,
+                              expert_matmul, gather_mid, gather_rows,
+                              layer_norm, matmul, mul, relu, reshape, sigmoid,
                               slice_, softmax_last, take_last, tmean,
                               transpose, tsum)
 
@@ -57,6 +59,27 @@ def test_double_backward_raises():
         loss.backward()
 
 
+def test_backward_frees_intermediate_grads():
+    rng = rng_for(3, "tape")
+    x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 2)), requires_grad=True)
+    h = matmul(x, w)
+    r = relu(h)
+    loss = tsum(mul(r, r))
+    loss.backward()
+    assert x.grad is not None and w.grad is not None
+    assert h.grad is None and r.grad is None and loss.grad is None
+    assert r._prev == () and h._prev == ()
+
+
+def test_slice_grads_accumulate_in_place():
+    bank = Tensor(np.arange(12.0).reshape(3, 2, 2), requires_grad=True)
+    loss = tsum(bank[0]) + tsum(mul(bank[2], 2.0)) + tsum(bank[0])
+    loss.backward()
+    assert np.array_equal(bank.grad, [np.full((2, 2), 2.0), np.zeros((2, 2)),
+                                      np.full((2, 2), 2.0)])
+
+
 def test_grad_accumulates_across_uses():
     t = Tensor(np.array([2.0]), requires_grad=True)
     loss = tsum(t * 3.0 + t * t)
@@ -85,7 +108,8 @@ def test_elementwise_chain_gradients(seed):
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((5, 2, 3), (3, 2)),
-                                    ((2, 1, 4, 3), (2, 6, 3, 2))])
+                                    ((2, 1, 4, 3), (2, 6, 3, 2)),
+                                    ((2, 3, 4, 3), (3, 5))])
 def test_matmul_broadcast_gradients(shapes):
     rng = rng_for(7, "matmul", str(shapes))
     a = Tensor(rng.uniform(-1, 1, shapes[0]), requires_grad=True)
@@ -177,25 +201,20 @@ def test_layer_norm_values_and_grad():
         assert rel_err(fd_grad(loss_fn, t.data), t.grad) < 1e-6
 
 
-# -- gather / scatter / shaping -------------------------------------------
+# -- gather / shaping ----------------------------------------------------
 
 
-def test_gather_scatter_roundtrip_and_grads():
+def test_gather_rows_values_and_grads():
     rng = rng_for(9, "gather")
     x = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
     idx = np.array([4, 0, 2])
     g = gather_rows(x, idx)
     assert np.array_equal(g.data, x.data[idx])
-    s = scatter_rows(g, idx, 6)
-    back = np.zeros((6, 3))
-    back[idx] = x.data[idx]
-    assert np.array_equal(s.data, back)
-    w = rng.uniform(-1, 1, (6, 3))
-    tsum(mul(s, constant(w))).backward()
+    w = rng.uniform(-1, 1, g.shape)
+    tsum(mul(g, constant(w))).backward()
 
     def loss_fn():
-        return float(tsum(mul(scatter_rows(gather_rows(x, idx), idx, 6),
-                              constant(w))).data)
+        return float(tsum(mul(gather_rows(x, idx), constant(w))).data)
 
     assert rel_err(fd_grad(loss_fn, x.data), x.grad) < 1e-8
 
@@ -205,6 +224,65 @@ def test_gather_rows_repeated_indices_grad():
     idx = np.array([1, 1, 0])
     tsum(gather_rows(x, idx)).backward()
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
+
+
+@st.composite
+def expert_cases(draw):
+    E = draw(st.integers(1, 5))
+    k = draw(st.integers(1, E))
+    n = draw(st.integers(1, 6))
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    idx = draw(st.lists(st.lists(st.integers(0, E - 1), min_size=k, max_size=k),
+                        min_size=n, max_size=n))
+    return (np.array(idx), E, d_in, d_out, draw(st.booleans()),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expert_cases())
+@example((np.array([[2]]), 4, 3, 2, False, 0))                  # n = 1, experts unused
+@example((np.array([[0, 1, 2], [2, 0, 1]]), 3, 2, 3, True, 1))  # k = E
+@example((np.array([[1, 1], [0, 1]]), 3, 2, 2, False, 2))       # repeat in a row
+@example((np.array([[1, 1], [1, 1]]), 3, 3, 1, True, 3))        # one expert only
+def test_expert_matmul_matches_per_token_loop(case):
+    idx, E, d_in, d_out, per_slot, seed = case
+    n, k = idx.shape
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, (n, k, d_in) if per_slot else (n, d_in)),
+               requires_grad=True)
+    bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
+    w = rng.uniform(-1, 1, (n, k, d_out))
+    counter = OpCounter()
+    out = expert_matmul(x, bank, idx, counter, term="mixing")
+    tsum(mul(out, constant(w))).backward()
+    assert counter.terms["mixing"] == [n * k * d_in * d_out, 0]
+
+    want = np.zeros((n, k, d_out))
+    gx = np.zeros_like(x.data)
+    gbank = np.zeros_like(bank.data)
+    for i in range(n):
+        for j in range(k):
+            e = idx[i, j]
+            row = x.data[i, j] if per_slot else x.data[i]
+            want[i, j] = row @ bank.data[e]
+            g_row = bank.data[e] @ w[i, j]
+            if per_slot:
+                gx[i, j] += g_row
+            else:
+                gx[i] += g_row
+            gbank[e] += np.outer(row, w[i, j])
+    assert out.shape == (n, k, d_out)
+    assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(bank.grad, gbank, rtol=1e-12, atol=1e-12)
+
+
+def test_expert_matmul_rejects_bad_shapes():
+    bank = Tensor(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError):
+        expert_matmul(Tensor(np.zeros((5, 2))), bank, np.zeros((4, 1), dtype=int))
+    with pytest.raises(ShapeError):
+        expert_matmul(Tensor(np.zeros((2, 2))), bank, np.array([[0], [3]]))
 
 
 def test_take_last_and_gather_mid_grads():

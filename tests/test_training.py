@@ -1,17 +1,19 @@
 """Training loop: reproducibility, warmup wiring, streaming equivalence,
 divergence handling, and baseline metric values."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from switchlab.attention import AttentionConfig
+from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.corpus import from_bytes
-from switchlab.listops import VOCAB_SIZE, gen_listops
-from switchlab.model import MLPConfig, ModelSpec, build
+from switchlab.listops import VOCAB_SIZE, gen_listops, pad_batch
+from switchlab.model import MLPConfig, Model, ModelSpec, build
 from switchlab.moe import ConfigError
 from switchlab.rng import rng_for
+from switchlab.tensor import cross_entropy
 from switchlab.training import (CharLMTask, DivergenceError, ListOpsTask,
                                 TrainRun, evaluate, metrics_lines, train)
 
@@ -180,6 +182,78 @@ def test_constant_classifier_scores_class_frequency():
     freq0 = sum(e.label == 0 for e in task.splits["valid"]) / 200
     assert out["accuracy"] == pytest.approx(freq0)
     assert out["n"] == 200
+
+
+def switchall_lm_spec(T=8, vocab=4):
+    dm = 16
+    return ModelSpec(1, dm,
+                     AttentionConfig(dm, 2, 4, variant="switchhead",
+                                     context_mult=2, n_experts=3, k_active=2,
+                                     expert_flags=ExpertFlags.value_output()),
+                     MLPConfig("sigma_moe", 8, 3, 2), vocab, T=T)
+
+
+@pytest.fixture
+def forward_outputs(monkeypatch):
+    """Logits of every Model.forward call made while the test runs."""
+    seen = []
+    live_forward = Model.forward
+
+    def recording_forward(self, *args, **kwargs):
+        out = live_forward(self, *args, **kwargs)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(Model, "forward", recording_forward)
+    return seen
+
+
+def test_evaluate_classification_is_tape_free_and_exact(forward_outputs):
+    task = listops_task(n_train=24, n_valid=37, seed=5)
+    model = build(listops_spec(), 3)
+    out = evaluate(model, task, "valid", batch_size=8)
+    assert forward_outputs and not any(t.requires_grad for t in forward_outputs)
+    assert all(p.grad is None and p.requires_grad for p in model.params.values())
+    pool = task.splits["valid"]
+    correct = 0
+    for lo in range(0, len(pool), 8):
+        tokens, labels, mask = pad_batch(pool[lo:lo + 8])
+        logits, _, _ = model.forward(tokens, key_mask=mask)
+        correct += int((logits.data.argmax(-1) == labels).sum())
+    assert out["accuracy"] == correct / len(pool)
+
+
+def test_evaluate_lm_is_tape_free_and_exact(forward_outputs):
+    corpus = bytes_corpus(n=1024)
+    task = CharLMTask(corpus, T=8, batch_size=4)
+    model = build(switchall_lm_spec(vocab=corpus.vocab_size), 2)
+    out = evaluate(model, task, "valid")
+    assert forward_outputs and not any(t.requires_grad for t in forward_outputs)
+    assert all(p.grad is None for p in model.params.values())
+    data = corpus.split("valid")
+    caches = model.empty_caches()
+    total_nll, total_tok = 0.0, 0
+    for lo in range(0, len(data) - 1, 8):
+        y = data[lo + 1:lo + 9][None, :]
+        x = data[lo:lo + y.shape[1]][None, :]
+        logits, _, caches = model.forward(x, caches=caches)
+        total_nll += float(cross_entropy(logits, y).data) * y.size
+        total_tok += y.size
+    assert out["n"] == total_tok
+    assert out["nll"] == total_nll / total_tok
+    assert out["bpc"] == out["nll"] / math.log(2)
+
+
+def test_train_logs_each_record(caplog):
+    run = TrainRun(listops_spec(), steps=4, batch_size=8, lr=1e-3,
+                   warmup_steps=0, log_every=2)
+    with caplog.at_level(logging.INFO, logger="switchlab.training"):
+        _, metrics = train(run, listops_task())
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "switchlab.training"]
+    assert len(lines) == len(metrics) == 2
+    assert lines[0].startswith("step 2/4 loss=")
+    assert "accuracy=" in lines[1]
 
 
 def test_evaluate_empty_split():
