@@ -22,7 +22,7 @@ from .moe import (ConfigError, SelectionConfig, mixture_project,
                   override_gates, select)
 from .rng import uniform_init
 from .tensor import (ShapeError, Tensor, concat, constant, expert_matmul,
-                     gather_mid, matmul, mul, reshape, softmax_last, take_last,
+                     gather_mid, matmul, mul, rel_shift, reshape, softmax_last,
                      transpose, tsum)
 
 NEG_INF = -1e30
@@ -187,7 +187,7 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray,
         raise ShapeError("rotary rotation needs channel pairs (even d_head)")
     x1 = x[..., 0::2]
     x2 = x[..., 1::2]
-    c, s = constant(cos), constant(sin)
+    c, s = constant(cos.astype(x.data.dtype)), constant(sin.astype(x.data.dtype))
     o1 = mul(x1, c) - mul(x2, s)
     o2 = mul(x1, s) + mul(x2, c)
     if counter.enabled:
@@ -218,14 +218,7 @@ def _mask_scores(scores: Tensor, cache_len: int, causal: bool,
         add = km if add is None else add + km
     if add is None:
         return scores
-    return scores + constant(add)
-
-
-def _rel_index(T: int, S: int, cache_len: int) -> np.ndarray:
-    """Row of the 2S-entry distance table for each (query, key) pair."""
-    t = np.arange(T)[:, None]
-    j = np.arange(S)[None, :]
-    return (cache_len + t - j) + (S - 1)
+    return scores + constant(add.astype(scores.data.dtype))
 
 
 def _xl_pos_scores(q_plus_v: Tensor, r_proj: Tensor, cache_len: int,
@@ -235,12 +228,9 @@ def _xl_pos_scores(q_plus_v: Tensor, r_proj: Tensor, cache_len: int,
     The interaction matmul is not part of the closed-form MAC formulas, so
     its cost is itemized under 'pos_scores'.
     """
-    T = q_plus_v.shape[-2]
-    S = cache_len + T
     p = matmul(q_plus_v, transpose(r_proj, (*range(r_proj.ndim - 2), r_proj.ndim - 1, r_proj.ndim - 2)),
                counter, extra="pos_scores")
-    idx = _rel_index(T, S, cache_len)
-    return take_last(p, idx)
+    return rel_shift(p, cache_len)
 
 
 # -- forward passes -------------------------------------------------------
@@ -321,7 +311,7 @@ def _split_heads(t: Tensor, H: int, dh: int) -> Tensor:
 def _project_positions(pos: np.ndarray, w_r: Tensor, H: int, dh: int,
                        counter: OpCounter, per_head: bool) -> Tensor:
     """Project the 2S sinusoid rows; per-head for dense XL, shared otherwise."""
-    r = matmul(constant(pos), w_r, counter, term="position")
+    r = matmul(constant(pos.astype(w_r.data.dtype)), w_r, counter, term="position")
     if per_head:
         return transpose(reshape(r, (r.shape[0], H, dh)), (1, 0, 2))  # [H, 2S, dh]
     return r  # [2S, dh]

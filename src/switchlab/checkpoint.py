@@ -7,6 +7,12 @@ Layout (all integers little-endian):
   * one index line per tensor: ``name ndim dim1 dim2 ...``
   * a line containing only ``===``
   * the tensor payloads, in index order, as raw little-endian float64.
+
+Payloads are float64 whatever the model's dtype: a float32 model is written
+as exact upcasts of its weights. ``load`` casts each payload into the dtype
+of the model ``build`` makes (float32) and raises ``CheckpointError`` if any
+value is not exactly representable there, so a file of float64 weights
+fails loudly instead of loading rounded.
 """
 
 from __future__ import annotations
@@ -82,7 +88,13 @@ def load(path: str) -> Model:
         values = np.frombuffer(chunk, dtype="<f8").reshape(shape)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in tensor '{name}'")
-        model.params[name].data = values.astype(np.float64)
+        param = model.params[name]
+        with np.errstate(over="ignore"):
+            cast = values.astype(param.data.dtype)
+        if not np.array_equal(cast, values):
+            raise CheckpointError(f"tensor '{name}' holds values that {cast.dtype} "
+                                  "cannot represent exactly")
+        param.data = cast
         offset += n
     if offset * 8 != len(payload):
         raise CheckpointError("trailing bytes after last tensor")

@@ -103,7 +103,7 @@ def _switchall_case(seed: int, T: int = 4) -> CheckResult:
                                   expert_flags=ExpertFlags.value_output()),
         mlp=MLPConfig("sigma_moe", d_ff=6, n_experts=3, k_active=2),
         vocab_size=11, T=T)
-    model = build(spec, seed)
+    model = build(spec, seed).astype(np.float64)
     rng = rng_for(seed, "gradcheck", "switchall-data")
     tokens = rng.integers(spec.vocab_size, size=(1, T))
     targets = rng.integers(spec.vocab_size, size=(1, T))

@@ -221,13 +221,14 @@ class Model:
             m = self._mlp(i, h, counter, gate_override)
             if dropout_rng is not None and spec.dropout > 0.0:
                 keep = dropout_rng.random(m.shape) >= spec.dropout
-                m = mul(m, constant(keep / (1.0 - spec.dropout)))
+                scale = keep / (1.0 - spec.dropout)
+                m = mul(m, constant(scale.astype(m.data.dtype)))
             x = x + m
         x = layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
         if spec.n_classes is not None:
             if key_mask is not None:
-                w = np.asarray(key_mask, dtype=np.float64)
+                w = np.asarray(key_mask, dtype=x.data.dtype)
                 pooled = tsum(mul(x, constant(w[:, :, None])), axis=1)
                 counts = np.maximum(w.sum(axis=1), 1.0)
                 pooled = mul(pooled, constant(1.0 / counts[:, None]))
@@ -258,9 +259,24 @@ class Model:
     def param_sizes(self) -> int:
         return sum(t.size for t in self.params.values())
 
+    def astype(self, dtype) -> "Model":
+        """Cast every parameter (dropping its grad) to ``dtype``; returns self.
+
+        The engine computes in its data's dtype, so this picks the model's
+        compute precision: ``build`` makes float32 models, and exact
+        identity checks run on ``build(...).astype(np.float64)``.
+        """
+        for p in self.params.values():
+            p.data = p.data.astype(dtype)
+            p.grad = None
+        return self
+
 
 def build(spec: ModelSpec, seed: int) -> Model:
-    """Instantiate a model with deterministic weights derived from seed."""
+    """Instantiate a float32 model with deterministic weights derived from seed.
+
+    The weights are drawn in float64 and rounded to float32 once, at the end.
+    """
     spec.validate()
     dm = spec.d_model
     p: dict[str, Tensor] = {}
@@ -291,7 +307,7 @@ def build(spec: ModelSpec, seed: int) -> Model:
         par("head", (dm, spec.n_classes), dm)
     elif not spec.tied_embeddings:
         par("readout", (dm, spec.vocab_size), dm)
-    return Model(spec, p)
+    return Model(spec, p).astype(np.float32)
 
 
 def switchall_build(spec: ModelSpec, seed: int) -> Model:

@@ -81,7 +81,8 @@ def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
     Used by the reduction oracles: with one expert and gates forced to 1 the
     mixture collapses to a plain dense projection.
     """
-    forced = constant(np.full(sel.weights.shape, float(value)))
+    forced = constant(np.full(sel.weights.shape, float(value),
+                              dtype=sel.weights.data.dtype))
     return ExpertSelection(indices=sel.indices, weights=forced, gates=sel.gates)
 
 

@@ -1,4 +1,10 @@
-"""Minimal reverse-mode autodiff engine over float64 numpy arrays.
+"""Minimal reverse-mode autodiff engine over float32/float64 numpy arrays.
+
+Every op computes in the dtype of its data: float32 and float64 arrays are
+kept as given, any other dtype becomes float64, and a Python or NumPy
+scalar (or a raw array) mixed into ``add``/``mul`` takes its tensor
+partner's dtype, so a float32 graph stays float32 end to end. Gradients
+are held in the dtype of the data they belong to.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
 loss walks the tape in reverse topological order and frees it as it goes.
@@ -23,7 +29,9 @@ class GraphError(RuntimeError):
 
 
 def _as_array(values, shape=None) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.float32 and arr.dtype != np.float64:
+        arr = arr.astype(np.float64)
     if shape is not None:
         arr = arr.reshape(shape)
     return arr
@@ -33,9 +41,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_spent")
 
     def __init__(self, data, requires_grad: bool = False, _prev=()):
-        self.data = data if isinstance(data, np.ndarray) else _as_array(data)
-        if self.data.dtype != np.float64:
-            self.data = self.data.astype(np.float64)
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -69,10 +75,19 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into this tensor's grad.
+
+        ``fresh`` says that ``g`` was allocated by the calling backward (or
+        is a view of the node grad it alone consumes), so the first use may
+        adopt it; otherwise ``g`` may alias an upstream grad or be a
+        broadcast view, and a copy is taken.
+        """
         if self.grad is None:
-            # g may alias an upstream grad or be a broadcast view: own a copy
-            self.grad = np.array(g, dtype=np.float64)
+            if fresh and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -129,7 +144,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other, dtype=np.float64))
+        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
 
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
@@ -165,8 +180,26 @@ def constant(values, shape=None) -> Tensor:
     return Tensor(_as_array(values, shape))
 
 
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(_as_array(x))
+def _coerce(x, like: Tensor | None = None) -> Tensor:
+    """Wrap a non-tensor operand; with ``like`` it takes that tensor's dtype.
+
+    A wrapped Python or NumPy scalar is a 0-d float64 array, which NumPy's
+    promotion rules treat as a strong type: uncoerced, ``mul(t, 0.5)`` or
+    ``mul(t, cfg.scale())`` would lift a float32 graph to float64.
+    """
+    if isinstance(x, Tensor):
+        return x
+    arr = _as_array(x)
+    if like is not None and arr.dtype != like.data.dtype:
+        arr = arr.astype(like.data.dtype)
+    return Tensor(arr)
+
+
+def _binary(a, b) -> tuple[Tensor, Tensor]:
+    if isinstance(a, Tensor):
+        return a, _coerce(b, a)
+    b = _coerce(b)
+    return _coerce(a, b), b
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -195,7 +228,7 @@ def _make(data, inputs, backward) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _binary(a, b)
 
     def bw(g):
         if a.requires_grad:
@@ -207,13 +240,13 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
+    a, b = _binary(a, b)
 
     def bw(g):
         if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
+            a._accum(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
+            b._accum(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _make(a.data * b.data, (a, b), bw)
 
@@ -222,9 +255,9 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bw(g):
-        x._accum(g * mask)
+        x._accum(g * mask, fresh=True)
 
-    return _make(np.where(mask, x.data, 0.0), (x,), bw)
+    return _make(np.maximum(x.data, 0.0), (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -236,7 +269,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out[~pos] = ex / (1.0 + ex)
 
     def bw(g):
-        x._accum(g * out * (1.0 - out))
+        x._accum(g * out * (1.0 - out), fresh=True)
 
     return _make(out, (x,), bw)
 
@@ -245,14 +278,14 @@ def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
 
     def bw(g):
-        x._accum(g * out)
+        x._accum(g * out, fresh=True)
 
     return _make(out, (x,), bw)
 
 
 def log(x: Tensor) -> Tensor:
     def bw(g):
-        x._accum(g / x.data)
+        x._accum(g / x.data, fresh=True)
 
     return _make(np.log(x.data), (x,), bw)
 
@@ -261,7 +294,7 @@ def sqrt(x: Tensor) -> Tensor:
     out = np.sqrt(x.data)
 
     def bw(g):
-        x._accum(g * 0.5 / out)
+        x._accum(g * 0.5 / out, fresh=True)
 
     return _make(out, (x,), bw)
 
@@ -304,16 +337,16 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
         if flat:
             g2 = g.reshape(-1, g.shape[-1])
             if a.requires_grad:
-                a._accum((g2 @ b.data.T).reshape(a.data.shape))
+                a._accum((g2 @ b.data.T).reshape(a.data.shape), fresh=True)
             if b.requires_grad:
-                b._accum(a.data.reshape(-1, a.data.shape[-1]).T @ g2)
+                b._accum(a.data.reshape(-1, a.data.shape[-1]).T @ g2, fresh=True)
             return
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.data.shape))
+            a._accum(_unbroadcast(ga, a.data.shape), fresh=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accum(_unbroadcast(gb, b.data.shape))
+            b._accum(_unbroadcast(gb, b.data.shape), fresh=True)
 
     return _make(data, (a, b), bw)
 
@@ -339,7 +372,7 @@ def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        x._accum(out * (g - dot))
+        x._accum(out * (g - dot), fresh=True)
 
     return _make(out, (x,), bw)
 
@@ -361,7 +394,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     tgt_logit = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - tgt_logit
     if mask is not None:
-        m = np.asarray(mask, dtype=np.float64)
+        m = np.asarray(mask, dtype=logits.data.dtype)
         count = m.sum()
         if count == 0:
             raise ShapeError("cross_entropy mask selects no positions")
@@ -376,7 +409,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         np.subtract.at(p, tuple(np.indices(lead)) + (targets,), 1.0)
         if m is not None:
             p *= m[..., None]
-        logits._accum(p * (float(g) / count))
+        p *= float(g) / count
+        logits._accum(p, fresh=True)
 
     return _make(np.asarray(loss), (logits,), bw)
 
@@ -389,7 +423,8 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def bw(g):
         if axis is None:
-            x._accum(np.broadcast_to(g, x.data.shape).copy() if np.ndim(g) else np.full_like(x.data, g))
+            x._accum(np.broadcast_to(g, x.data.shape).copy() if np.ndim(g)
+                     else np.full_like(x.data, g), fresh=True)
         else:
             if not keepdims:
                 g = np.expand_dims(g, axis)
@@ -407,7 +442,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
 
     def bw(g):
-        x._accum(g.reshape(old))
+        x._accum(g.reshape(old), fresh=True)
 
     return _make(x.data.reshape(shape), (x,), bw)
 
@@ -418,7 +453,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     inv = np.argsort(axes)
 
     def bw(g):
-        x._accum(g.transpose(inv))
+        x._accum(g.transpose(inv), fresh=True)
 
     return _make(x.data.transpose(axes), (x,), bw)
 
@@ -450,20 +485,23 @@ def slice_(x: Tensor, key) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Index the first axis with an integer array (embedding / expert pick)."""
+    """Index the first axis with an integer array (embedding / expert pick).
+
+    The backward is a sort-based segment sum: the upstream rows are sorted
+    by index and each run of equal indices is summed by ``np.add.reduceat``.
+    """
     idx = np.asarray(idx)
 
     def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
         flat_idx = idx.reshape(-1)
-        flat_g = g.reshape((-1,) + x.data.shape[1:])
-        if x.data.shape[0] <= 64:
-            # small banks: per-row masked sums beat np.add.at by a wide margin
-            for e in np.unique(flat_idx):
-                x.grad[e] += flat_g[flat_idx == e].sum(axis=0)
-        else:
-            np.add.at(x.grad, flat_idx, flat_g)
+        full = np.zeros_like(x.data)
+        if flat_idx.size:
+            order = np.argsort(flat_idx, kind="stable")
+            ranked = flat_idx[order]
+            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            flat_g = g.reshape((-1,) + x.data.shape[1:])[order]
+            full[ranked[starts]] = np.add.reduceat(flat_g, starts, axis=0)
+        x._accum(full, fresh=True)
 
     return _make(x.data[idx], (x,), bw)
 
@@ -478,9 +516,38 @@ def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
         full = np.zeros_like(x.data)
         lead = tuple(np.indices(idx_b.shape)[:-1])
         np.add.at(full, lead + (idx_b,), g)
-        x._accum(full)
+        x._accum(full, fresh=True)
 
     return _make(data, (x,), bw)
+
+
+def rel_shift(x: Tensor, cache_len: int) -> Tensor:
+    """Transformer-XL relative shift of a [..., T, 2S] distance-score table.
+
+    With S = cache_len + T, ``out[..., t, j] = x[..., t, cache_len + S - 1
+    + t - j]``: column c of ``x`` holds distance c - (S - 1). Every output
+    reads a distinct entry, so forward and backward are one strided view
+    (last-axis offset cache_len + S - 1, row stride row + col, column
+    stride -col); the backward writes ``g`` through the view into zeros.
+    """
+    T, width = x.shape[-2], x.shape[-1]
+    S = cache_len + T
+    if cache_len < 0 or width != 2 * S:
+        raise ShapeError(f"rel_shift needs [..., T, 2*(cache_len + T)], got {x.shape} "
+                         f"with cache_len={cache_len}")
+
+    def view(a: np.ndarray) -> np.ndarray:
+        *lead, row, col = a.strides
+        return np.lib.stride_tricks.as_strided(
+            a[..., cache_len + S - 1:], shape=a.shape[:-2] + (T, S),
+            strides=(*lead, row + col, -col))
+
+    def bw(g):
+        full = np.zeros_like(x.data)
+        view(full)[...] = g
+        x._accum(full, fresh=True)
+
+    return _make(view(x.data).copy(), (x,), bw)
 
 
 def gather_mid(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -493,7 +560,7 @@ def gather_mid(x: Tensor, idx: np.ndarray) -> Tensor:
     def bw(g):
         full = np.zeros_like(x.data)
         np.add.at(full, (rows, idx), g)
-        x._accum(full)
+        x._accum(full, fresh=True)
 
     return _make(data, (x,), bw)
 
@@ -530,7 +597,7 @@ def expert_matmul(x: Tensor, bank: Tensor, idx: np.ndarray,
     segments = [(e, ends[e] - counts[e], ends[e]) for e in np.flatnonzero(counts)]
     src = order if per_slot else order // k
     xs = x.data.reshape(-1, d_in)[src]
-    ys = np.empty((n * k, d_out))
+    ys = np.empty((n * k, d_out), dtype=np.result_type(x.data, bank.data))
     for e, lo, hi in segments:
         np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
     data = np.empty_like(ys)
@@ -543,15 +610,15 @@ def expert_matmul(x: Tensor, bank: Tensor, idx: np.ndarray,
             gbank = np.zeros_like(bank.data)
             for e, lo, hi in segments:
                 np.matmul(xs[lo:hi].T, gs[lo:hi], out=gbank[e])
-            bank._accum(gbank)
+            bank._accum(gbank, fresh=True)
         if x.requires_grad:
-            gxs = np.empty((n * k, d_in))
+            gxs = np.empty((n * k, d_in), dtype=ys.dtype)
             for e, lo, hi in segments:
                 np.matmul(gs[lo:hi], bank.data[e].T, out=gxs[lo:hi])
             gx = np.empty_like(gxs)
             gx[order] = gxs
             gx = gx.reshape(n, k, d_in)
-            x._accum(gx if per_slot else gx.sum(axis=1))
+            x._accum(gx if per_slot else gx.sum(axis=1), fresh=True)
 
     return _make(data.reshape(n, k, d_out), (x, bank), bw)
 
@@ -568,14 +635,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bw(g):
         if gain.requires_grad:
-            gain._accum((g * xhat).reshape(-1, n).sum(axis=0))
+            gain._accum((g * xhat).reshape(-1, n).sum(axis=0), fresh=True)
         if bias.requires_grad:
-            bias._accum(g.reshape(-1, n).sum(axis=0))
+            bias._accum(g.reshape(-1, n).sum(axis=0), fresh=True)
         if x.requires_grad:
             gx = g * gain.data
             t1 = gx.sum(axis=-1, keepdims=True)
             t2 = (gx * xhat).sum(axis=-1, keepdims=True)
-            x._accum(inv * (gx - t1 / n - xhat * t2 / n))
+            x._accum(inv * (gx - t1 / n - xhat * t2 / n), fresh=True)
 
     return _make(out, (x, gain, bias), bw)
 

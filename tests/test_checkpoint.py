@@ -113,3 +113,13 @@ def test_non_finite_payload(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="non-finite"):
         load(str(path))
+
+
+def test_value_float32_cannot_hold_is_rejected(tmp_path):
+    path = _dense_checkpoint(tmp_path)
+    blob = bytearray(path.read_bytes())
+    blob[-8:] = np.array([0.1], dtype="<f8").tobytes()   # not a float32 value
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="cannot represent"):
+        load(str(path))
+

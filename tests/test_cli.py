@@ -214,7 +214,7 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("corrupt", ["index", "utf8", "nan"])
+@pytest.mark.parametrize("corrupt", ["index", "utf8", "nan", "inexact"])
 def test_export_attn_corrupt_checkpoint_is_usage_error(tmp_path, listops_cfg,
                                                        capsys, corrupt):
     out = tmp_path / "out"
@@ -227,8 +227,10 @@ def test_export_attn_corrupt_checkpoint_is_usage_error(tmp_path, listops_cfg,
         blob = blob[:start] + b"embed two 3" + blob[blob.index(b"\n", start):]
     elif corrupt == "utf8":
         blob = blob.replace(b"---\n", b"---\n\xff\n", 1)
-    else:
+    elif corrupt == "nan":
         blob = blob[:-8] + np.array([np.inf]).astype("<f8").tobytes()
+    else:   # a float64 value that a float32 model cannot hold
+        blob = blob[:-8] + np.array([0.1]).astype("<f8").tobytes()
     ckpt.write_bytes(blob)
     capsys.readouterr()
     assert main(["export-attn", "--checkpoint", str(ckpt), "--sample", "5",

@@ -167,11 +167,11 @@ def test_switchall_double_reduction_matches_dense():
                                      expert_flags=ExpertFlags(v=True, k=True,
                                                               q=True, o=True)),
                      MLPConfig("sigma_moe", 10, 1, 1), vocab, T=T)
-    m = switchall_build(spec, 3)
+    m = switchall_build(spec, 3).astype(np.float64)
     dense = ModelSpec(1, dm,
                       AttentionConfig(dm, 2, 4, variant="dense", position="none"),
                       MLPConfig("dense", 10), vocab, T=T)
-    md = build(dense, 0)
+    md = build(dense, 0).astype(np.float64)
     md.params["embed"].data = m.params["embed"].data.copy()
     md.params["readout"].data = m.params["readout"].data.copy()
     for ln in ("layers.0.ln1", "layers.0.ln2", "ln_f"):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
-from switchlab.tensor import (GraphError, ShapeError, Tensor, argtopk,
+from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk,
                               argtopk_rows, concat, constant, cross_entropy,
                               expert_matmul, gather_mid, gather_rows,
-                              layer_norm, matmul, mul, relu, reshape, sigmoid,
-                              slice_, softmax_last, take_last, tmean,
-                              transpose, tsum)
+                              layer_norm, matmul, mul, rel_shift, relu,
+                              reshape, sigmoid, slice_, softmax_last,
+                              take_last, tmean, transpose, tsum)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -312,6 +312,32 @@ def test_take_last_and_gather_mid_grads():
     assert rel_err(fd_grad(loss_y, y.data), y.grad) < 1e-8
 
 
+@settings(max_examples=40, deadline=None)
+@given(cache_len=st.integers(0, 8), T=st.integers(1, 8), lead=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+@example(cache_len=0, T=5, lead=2, seed=0)
+@example(cache_len=3, T=4, lead=1, seed=1)
+@example(cache_len=64, T=64, lead=2, seed=2)
+@example(cache_len=0, T=1, lead=1, seed=3)
+def test_rel_shift_matches_take_last_oracle(cache_len, T, lead, seed):
+    rng = rng_for(seed, "rel-shift")
+    S = cache_len + T
+    values = rng.uniform(-1, 1, (lead, T, 2 * S))
+    w = rng.uniform(-1, 1, (lead, T, S))
+    oracle_idx = (cache_len + np.arange(T)[:, None] - np.arange(S)[None, :]) + (S - 1)
+    x, x_ref = Tensor(values, requires_grad=True), Tensor(values, requires_grad=True)
+    out, ref = rel_shift(x, cache_len), take_last(x_ref, oracle_idx)
+    assert np.array_equal(out.data, ref.data)
+    tsum(mul(out, constant(w))).backward()
+    tsum(mul(ref, constant(w))).backward()
+    assert np.array_equal(x.grad, x_ref.grad)
+
+
+def test_rel_shift_rejects_bad_width():
+    with pytest.raises(ShapeError):
+        rel_shift(Tensor(np.zeros((3, 7))), 1)
+
+
 def test_shaping_ops_grads():
     rng = rng_for(17, "shape")
     x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
@@ -360,3 +386,48 @@ def test_argtopk_rows_matches_bruteforce(seed):
     got = argtopk_rows(arr, k)
     for row, g in zip(arr, got):
         assert list(g) == argtopk(list(row), k)
+
+
+# -- compute dtype ---------------------------------------------------------
+
+
+def test_tensor_dtype_rule():
+    assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    assert constant(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    assert Tensor(np.ones(2)).data.dtype == np.float64
+    for other in (np.arange(2), np.ones(2, dtype=np.float16), [1, 2], 3.0):
+        assert Tensor(other).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("scalar", [-1.0, np.float64(0.25), np.asarray(0.25)])
+def test_scalar_operands_keep_float32(scalar):
+    x = Tensor(np.linspace(-1, 1, 6, dtype=np.float32).reshape(2, 3),
+               requires_grad=True)
+    outs = [mul(x, scalar), mul(scalar, x), add(x, scalar), add(scalar, x)]
+    assert all(o.data.dtype == np.float32 for o in outs)
+    assert all(o.data.dtype == np.float32 for o in (x - 2.0, 2.0 - x, -x, x / 3.0))
+    tsum(mul(add(x, scalar), scalar)).backward()
+    assert x.grad.dtype == np.float32
+
+
+def test_first_use_grads_never_alias():
+    # add(a, a) and add(u, v) hand one upstream grad to two inputs; ops that
+    # adopt their grad uncopied (reshape, transpose, mul) must not make two
+    # tensors' .grad share memory
+    rng = rng_for(4, "alias")
+    a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    w = rng.uniform(-1, 1, (3, 2))
+    u = reshape(a, (3, 2))
+    v = transpose(b)
+    s = add(u, v)
+    tsum(mul(add(s, s), constant(w))).backward()
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, (2 * w).reshape(2, 3))
+    assert np.array_equal(b.grad, (2 * w).T)
+    c = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    d = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    tsum(add(mul(c, 1.0), mul(d, 1.0))).backward()
+    assert not np.shares_memory(c.grad, d.grad)
+    c.grad += 1.0
+    assert np.array_equal(d.grad, np.ones((2, 3)))

@@ -12,6 +12,7 @@ from switchlab.corpus import from_bytes
 from switchlab.listops import VOCAB_SIZE, gen_listops, pad_batch
 from switchlab.model import MLPConfig, Model, ModelSpec, build
 from switchlab.moe import ConfigError
+from switchlab.optim import Adam
 from switchlab.rng import rng_for
 from switchlab.tensor import cross_entropy
 from switchlab.training import (CharLMTask, DivergenceError, ListOpsTask,
@@ -114,8 +115,8 @@ def test_chunked_stream_matches_full_window():
     # it) vs chunk-by-chunk streaming with caches: logits agree
     corpus = bytes_corpus()
     data = corpus.split("train")[:16]
-    full = build(lm_spec(T=16, C=2), 3)
-    chunked = build(lm_spec(T=4, C=4), 3)   # window C*T = 16 covers history
+    full = build(lm_spec(T=16, C=2), 3).astype(np.float64)
+    chunked = build(lm_spec(T=4, C=4), 3).astype(np.float64)   # window C*T = 16 covers history
     y_full, _, _ = full.forward(data[None, :])
     caches = chunked.empty_caches()
     outs = []
@@ -167,7 +168,7 @@ def test_lm_train_runs_and_logs_bpc():
 def test_uniform_predictor_bpc_is_log2_vocab():
     corpus = bytes_corpus(n=2048)
     task = CharLMTask(corpus, T=8, batch_size=4)
-    model = build(lm_spec(T=8, C=2, vocab=corpus.vocab_size), 0)
+    model = build(lm_spec(T=8, C=2, vocab=corpus.vocab_size), 0).astype(np.float64)
     model.params["readout"].data[:] = 0.0   # uniform distribution
     out = evaluate(model, task, "valid")
     assert out["bpc"] == pytest.approx(math.log2(corpus.vocab_size), abs=1e-9)
@@ -269,3 +270,76 @@ def test_metrics_lines_format():
     text = metrics_lines([{"step": 100, "loss": 1.5, "accuracy": 0.25}])
     assert text == "100 loss 1.5\n100 accuracy 0.25\n"
     assert metrics_lines([]) == ""
+
+
+# -- compute precision -----------------------------------------------------
+
+
+def listops_switchhead_spec(dm=16):
+    return ModelSpec(1, dm,
+                     AttentionConfig(dm, 2, 8, variant="switchhead", causal=False,
+                                     n_experts=4, k_active=2,
+                                     expert_flags=ExpertFlags.value_output()),
+                     MLPConfig("dense", 32), VOCAB_SIZE, T=24, n_classes=10)
+
+
+def _step_loss(model, kind, step, caches=None):
+    """One forward pass on a fixed batch; returns (logits, loss, caches)."""
+    if kind == "listops":
+        tokens, labels, mask = listops_task().batch(0, step, 8)
+        logits, _, _ = model.forward(tokens, key_mask=mask)
+        return logits, cross_entropy(logits, labels), None
+    x, y, reset = CharLMTask(bytes_corpus(n=1024), T=8, batch_size=4).batch(0, step, 4)
+    if reset or caches is None:
+        caches = model.empty_caches()
+    logits, _, caches = model.forward(x, caches=caches)
+    return logits, cross_entropy(logits, y), caches
+
+
+def _model_for(kind):
+    spec = listops_switchhead_spec() if kind == "listops" else switchall_lm_spec()
+    return build(spec, 7)
+
+
+@pytest.mark.parametrize("kind", ["listops", "lm"])
+def test_train_step_stays_float32(kind):
+    model = _model_for(kind)
+    opt = Adam(model.params, lr=1e-3)
+    logits, loss, _ = _step_loss(model, kind, 1)
+    assert logits.data.dtype == loss.data.dtype == np.float32
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.dtype == np.float32, name
+    opt.step()
+    for name, p in model.params.items():
+        assert p.data.dtype == np.float32, name
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float32, name
+
+
+@pytest.mark.parametrize("kind", ["listops", "lm"])
+def test_float64_model_computes_in_float64(kind):
+    model = _model_for(kind).astype(np.float64)
+    logits, loss, _ = _step_loss(model, kind, 1)
+    assert logits.data.dtype == loss.data.dtype == np.float64
+    loss.backward()
+    for name, p in model.params.items():
+        assert p.data.dtype == p.grad.dtype == np.float64, name
+
+
+@pytest.mark.parametrize("kind", ["listops", "lm"])
+def test_float32_training_tracks_float64(kind):
+    # same seed, same batches: 30 Adam steps in each precision stay within
+    # 1e-2 relative loss of each other
+    losses = []
+    for dtype in (np.float32, np.float64):
+        model = _model_for(kind).astype(dtype)
+        opt = Adam(model.params, lr=3e-3, clip_norm=1.0)
+        caches, run = None, []
+        for step in range(1, 31):
+            _, loss, caches = _step_loss(model, kind, step, caches)
+            loss.backward()
+            opt.step()
+            run.append(float(loss.data))
+        losses.append(np.array(run))
+    f32, f64 = losses
+    assert np.max(np.abs(f32 - f64) / np.abs(f64)) < 1e-2
