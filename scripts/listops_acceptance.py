@@ -109,6 +109,7 @@ def main(argv: list[str]) -> int:
             summary = evaluate(model, task, "valid")
             record = {
                 "config": config, "seed": seed, "steps": STEPS,
+                "dtype": str(next(iter(model.params.values())).data.dtype),
                 "accuracy": summary["accuracy"],
                 "final_train_loss": metrics[-1]["loss"],
                 "minutes": round((time.time() - t0) / 60, 1),

@@ -13,7 +13,7 @@ Conventions shared by every variant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,6 @@ class ExpertFlags:
     k: bool = False
     q: bool = False
     o: bool = False
-
-    @staticmethod
-    def none() -> "ExpertFlags":
-        return ExpertFlags()
 
     @staticmethod
     def value_output() -> "ExpertFlags":
@@ -317,13 +313,13 @@ def _project_positions(pos: np.ndarray, w_r: Tensor, H: int, dh: int,
     return r  # [2S, dh]
 
 
-def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                          gate_override):
-    B, T, dm = x.shape
-    H, dh = cfg.n_heads, cfg.d_head
-    k_cur = _split_heads(matmul(x, params["w_k"], counter, term="projections"), H, dh)
-    q = _split_heads(matmul(x, params["w_q"], counter, term="projections"), H, dh)
-    v_cur = _split_heads(matmul(x, params["w_v"], counter, term="projections"), H, dh)
+def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
+                  per_head_pos: bool):
+    """Cache, position terms, scores and readout, once for all heads.
+
+    ``q``, ``k_cur`` and ``v_cur`` are [B, H, T, dh]; returns the attention
+    matrices [B, H, T, S], the readout [B, H, T, dh] and the new cache.
+    """
     new_cache = _update_cache(cfg, cache, k_cur.data, v_cur.data)
     if cache is not None:
         k = concat([constant(cache.k), k_cur], axis=2)
@@ -331,20 +327,31 @@ def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     else:
         k, v = k_cur, v_cur
     cache_len = 0 if cache is None else cache.length
+    T = q.shape[2]
     S = cache_len + T
-
     u = pos_term = None
     if cfg.position == "xl_relative":
-        pos = sinusoid_table(2 * S, dm, offset=S - 1)
-        r = _project_positions(pos, params["w_r"], H, dh, counter, per_head=True)
+        pos = sinusoid_table(2 * S, cfg.d_model, offset=S - 1)
+        r = _project_positions(pos, params["w_r"], cfg.n_heads, cfg.d_head, counter,
+                               per_head=per_head_pos)
         u = params["u"]
         pos_term = _xl_pos_scores(q + params["v"], r, cache_len, counter)
     elif cfg.position == "rope":
-        cos, sin = rope_angles(T, dh)
+        cos, sin = rope_angles(T, cfg.d_head)
         q = rope_rotate(q, cos, sin, counter)
         k = rope_rotate(k, cos, sin, counter)
-
     attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
+    return attn, av, new_cache
+
+
+def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
+                          gate_override):
+    B, T, dm = x.shape
+    H, dh = cfg.n_heads, cfg.d_head
+    k_cur, q, v_cur = (_split_heads(matmul(x, params[f"w_{r}"], counter, term="projections"),
+                                    H, dh) for r in "kqv")
+    attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
+                                        key_mask, per_head_pos=True)
 
     trace = AttentionTrace(attn=attn.data.copy() if want_trace else None)
     if cfg.variant == "dense":
@@ -356,7 +363,7 @@ def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
         sel_cfg = SelectionConfig(H, cfg.k_active, cfg.sel_activation, dm)
         sel = select(x, params["w_gate"], sel_cfg, counter)
         if gate_override is not None:
-            sel = _override(sel, gate_override)
+            sel = override_gates(sel, gate_override)
         o_flat = reshape(transpose(o_heads, (0, 2, 1, 3)), (B * T, H, dm))
         idx = sel.indices.reshape(B * T, -1)
         picked = gather_mid(o_flat, idx)  # [B*T, k, dm]
@@ -369,87 +376,47 @@ def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     return y, trace, new_cache
 
 
-_override = override_gates
-
-
-def _role_project(x, params, role, h, sel, cfg, counter, *, gate, store):
-    """One head's projection for one role: expert mixture or plain matmul."""
-    w = params[f"w_{role}"]
-    expert = w.ndim == 4
-    if expert:
-        return mixture_project(x, w[h], sel, counter, gate=gate, store=store)
-    out = matmul(x, w[h], counter, store=store, term="projections")
-    return out
-
-
 def _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
                         gate_override):
+    """All heads at once: one fused expert dispatch per expert role, one
+    [dm, H*dh] GEMM per plain role, routing one ``select`` per head."""
     B, T, dm = x.shape
     H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
     f = cfg.expert_flags
     sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid", dm)
 
-    def head_sel(w_name):
-        sels = []
-        for h in range(H):
-            s = select(x, params[w_name][h], sel_cfg, counter)
-            if gate_override is not None:
-                s = _override(s, gate_override)
-            sels.append(s)
+    def head_sels(w_name):
+        sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
+        if gate_override is not None:
+            sels = [override_gates(s, gate_override) for s in sels]
         return sels
 
-    sel_s = head_sel("w_s") if (f.v or f.k) else [None] * H
-    sel_d = head_sel("w_d") if (f.q or f.o) else [None] * H
+    sel_s = head_sels("w_s") if (f.v or f.k) else None
+    sel_d = head_sels("w_d") if (f.q or f.o) else None
 
-    cache_len = 0 if cache is None else cache.length
-    S = cache_len + T
-    r_proj = None
-    if cfg.position == "xl_relative":
-        pos = sinusoid_table(2 * S, dm, offset=S - 1)
-        r_proj = _project_positions(pos, params["w_r"], H, dh, counter, per_head=False)
-    cos = sin = None
-    if cfg.position == "rope":
-        cos, sin = rope_angles(T, dh)
+    def project(role, expert, sels):
+        w = params[f"w_{role}"]
+        if expert:
+            return mixture_project(x, w, sels, counter, gate="output")   # [B, H, T, dh]
+        w_all = reshape(transpose(w, (1, 0, 2)), (dm, H * dh))
+        return _split_heads(matmul(x, w_all, counter, term="projections"), H, dh)
 
-    y = None
-    attn_maps = []
-    k_news, v_news = [], []
-    for h in range(H):
-        k_cur = _role_project(x, params, "k", h, sel_s[h], cfg, counter, gate="output", store=True)
-        q = _role_project(x, params, "q", h, sel_d[h], cfg, counter, gate="output", store=True)
-        v_cur = _role_project(x, params, "v", h, sel_s[h], cfg, counter, gate="output", store=True)
-        k_news.append(k_cur.data)
-        v_news.append(v_cur.data)
-        if cache is not None:
-            k = concat([constant(cache.k[:, h]), k_cur], axis=1)
-            v = concat([constant(cache.v[:, h]), v_cur], axis=1)
-        else:
-            k, v = k_cur, v_cur
-        u = pos_term = None
-        if cfg.position == "xl_relative":
-            u = params["u"][h]
-            pos_term = _xl_pos_scores(q + params["v"][h], r_proj, cache_len, counter)
-        elif cfg.position == "rope":
-            q = rope_rotate(q, cos, sin, counter)
-            k = rope_rotate(k, cos, sin, counter)
-        attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
-        if want_trace:
-            attn_maps.append(attn.data.copy())
-        o = _role_project(av, params, "o", h, sel_d[h], cfg, counter, gate="input", store=False)
-        y = o if y is None else y + o
-
-    new_cache = None
-    if cfg.context_mult > 1:
-        k_new = np.stack(k_news, axis=1)
-        v_new = np.stack(v_news, axis=1)
-        new_cache = _update_cache(cfg, cache, k_new, v_new)
+    k_cur, q, v_cur = project("k", f.k, sel_s), project("q", f.q, sel_d), project("v", f.v, sel_s)
+    attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
+                                        key_mask, per_head_pos=False)
+    if f.o:
+        y = mixture_project(av, params["w_o"], sel_d, counter, gate="input", store=False)
+    else:
+        merged = reshape(transpose(av, (0, 2, 1, 3)), (B, T, H * dh))
+        y = matmul(merged, reshape(params["w_o"], (H * dh, dm)), counter, store=False,
+                   term="projections")
 
     trace = AttentionTrace()
     if want_trace:
-        trace.attn = np.stack(attn_maps, axis=1)
-        if f.v or f.k:
+        trace.attn = attn.data.copy()
+        if sel_s is not None:
             trace.selections["source"] = [(s.indices.copy(), s.weights.data.copy()) for s in sel_s]
-        if f.q or f.o:
+        if sel_d is not None:
             trace.selections["dest"] = [(s.indices.copy(), s.weights.data.copy()) for s in sel_d]
     return y, trace, new_cache
 
@@ -472,7 +439,7 @@ def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     sel_cfg = SelectionConfig(E, k_act, cfg.sel_activation, dm)
     sel = select(x, params["w_router"], sel_cfg, counter)
     if gate_override is not None:
-        sel = _override(sel, gate_override)
+        sel = override_gates(sel, gate_override)
 
     r_proj = None
     if cfg.position == "xl_relative":
@@ -486,11 +453,13 @@ def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     # the k selected query/output experts are k attention matrices per
     # token, batched on a slot axis against the shared keys and values
     n = B * T
-    idx = sel.indices.reshape(n, -1)
-    q = expert_matmul(reshape(x, (n, dm)), params["w_q"], idx, counter,
-                      term="projections")
+    eid = sel.indices.reshape(-1)
+    tokens = np.repeat(np.arange(n), k_act)
+    slots = np.arange(n * k_act).reshape(B, k_act, T).transpose(0, 2, 1).reshape(-1)
+    q = expert_matmul(reshape(x, (n, dm)), params["w_q"], eid, tokens, slots,
+                      n * k_act, counter, term="projections")
     counter.add(mem=q.size, term="projections")
-    q = transpose(reshape(q, (B, T, k_act, dh)), (0, 2, 1, 3))   # [B, k, T, dh]
+    q = reshape(q, (B, k_act, T, dh))
     k = reshape(k, (B, 1, S, dh))
     v = reshape(v, (B, 1, S, dh))
     u = pos_term = None
@@ -500,11 +469,10 @@ def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     elif cfg.position == "rope":
         q = rope_rotate(q, cos, sin, counter)
     attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
-    avf = reshape(transpose(av, (0, 2, 1, 3)), (n, k_act, dh))
-    o = expert_matmul(avf, params["w_o"], idx, counter, term="projections")
-    o = mul(o, reshape(sel.weights, (n, k_act, 1)))
+    y = expert_matmul(reshape(av, (n * k_act, dh)), params["w_o"], eid, slots, tokens,
+                      n, counter, gate=sel.weights, term="projections")
     counter.add_extra("selection", macs=n * k_act * dm)
-    y = reshape(tsum(o, axis=1), (B, T, dm))
+    y = reshape(y, (B, T, dm))
 
     trace = AttentionTrace()
     if want_trace:
@@ -541,13 +509,6 @@ def xl_relative_attention(x, cache, params, cfg, counter=NULL_COUNTER, **kw):
     return attention_forward(x, params, cfg, counter, cache=cache, **kw)
 
 
-def rope_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.position != "rope":
-        raise ConfigError("rope_attention requires cfg.position == 'rope'")
-    y, trace, _ = attention_forward(x, params, cfg, counter, **kw)
-    return y, trace
-
-
 def head_gated_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
     if cfg.variant != "head_gated":
         raise ConfigError("head_gated_attention requires cfg.variant == 'head_gated'")
@@ -565,9 +526,3 @@ def moa_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
     if cfg.variant != "moa":
         raise ConfigError("moa_attention requires cfg.variant == 'moa'")
     return attention_forward(x, params, cfg, counter, **kw)
-
-
-def dense_config_like(cfg: AttentionConfig) -> AttentionConfig:
-    """Dense twin of a config (used by reduction oracles)."""
-    return replace(cfg, variant="dense", n_experts=1, k_active=1,
-                   expert_flags=ExpertFlags.none())

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (Tensor, argtopk_rows, constant, expert_matmul, matmul,
-                     mul, relu, reshape, sigmoid, softmax_last, take_last,
-                     tsum)
+from .tensor import (Tensor, argtopk_rows, concat, constant, expert_matmul,
+                     matmul, relu, reshape, sigmoid, softmax_last, take_last)
 
 
 class ConfigError(ValueError):
@@ -86,39 +85,53 @@ def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
     return ExpertSelection(indices=sel.indices, weights=forced, gates=sel.gates)
 
 
-def mixture_project(x: Tensor, bank: Tensor, sel: ExpertSelection,
+def mixture_project(x: Tensor, bank: Tensor, sels,
                     counter: OpCounter = NULL_COUNTER, *,
                     gate: str = "output", store: bool = True,
                     term: str = "mixing") -> Tensor:
-    """Gate-weighted sum of selected experts' linear projections.
+    """Gate-weighted sum of selected experts' linear projections, per head.
 
-    ``bank`` is [E, d_in, d_out]; ``x`` is [..., d_in]; ``sel`` carries k
-    selected experts per token. ``gate`` picks where the scalar gate is
-    applied ("output": scale the projected d_out vector; "input": scale the
-    d_in input first) — mathematically identical, but the MAC accounting of
-    the gating multiply follows the scaled tensor's width.
+    ``bank`` is [H, E, d_in, d_out] and ``sels`` holds H selections, each
+    with indices [..., T, k]. Either ``x`` is the shared [..., T, d_in]
+    input and the result is [..., H, T, d_out], one projection per head,
+    or ``x`` is [..., H, T, d_in], one input per head, and the heads'
+    projections are summed into [..., T, d_out]. All (head, expert) pairs
+    run as one [H*E, d_in, d_out] bank in one fused ``expert_matmul``.
+    ``gate`` picks where the scalar gate is applied ("output": scale the
+    projected d_out vector; "input": scale the d_in input first):
+    mathematically identical, but the MAC accounting of the gating
+    multiply follows the scaled tensor's width.
     """
-    E, d_in, d_out = bank.shape
+    if bank.ndim != 4:
+        raise ConfigError(f"expert bank must be [H, E, d_in, d_out], got {bank.shape}")
+    H, E, d_in, d_out = bank.shape
+    sels = list(sels)
     if x.shape[-1] != d_in:
         raise ConfigError(f"input width {x.shape[-1]} does not match bank d_in {d_in}")
-    if sel.indices.max(initial=0) >= E:
-        raise ConfigError("expert index out of range for bank")
-    lead = x.shape[:-1]
-    n = int(np.prod(lead, dtype=np.int64))
-    xf = reshape(x, (n, d_in))
-    idx = sel.indices.reshape(n, -1)
-    k = idx.shape[1]
-    w = reshape(sel.weights, (n, k, 1))
-    if gate == "input":
-        y = expert_matmul(mul(reshape(xf, (n, 1, d_in)), w), bank, idx, counter,
-                          term=term)
-        counter.add(macs=n * k * d_in, term=term)
+    if len(sels) != H or any(s.indices.max(initial=0) >= E for s in sels):
+        raise ConfigError("selections do not match the expert bank")
+    lead = sels[0].indices.shape[:-1]
+    n, k = int(np.prod(lead, dtype=np.int64)), sels[0].indices.shape[-1]
+    split = lead[:-1] + (H,) + lead[-1:]   # head-major row layout
+    # row of (..., h, t) in the head-split layout, per head and token
+    split_rows = np.moveaxis(np.arange(n * H).reshape(split), -2, 0).reshape(H, n)
+    tokens = np.broadcast_to(np.arange(n), (H, n))
+    if x.shape[:-1] == lead:
+        src, dst, out_shape = tokens, split_rows, split
+    elif x.shape[:-1] == split:
+        src, dst, out_shape = split_rows, tokens, lead
     else:
-        y = mul(expert_matmul(xf, bank, idx, counter, term=term), w)
-        counter.add(macs=n * k * d_out, term=term)
+        raise ConfigError(f"input {x.shape} does not fit selections over {lead}")
+    eid = np.concatenate([s.indices.reshape(n, k) + h * E for h, s in enumerate(sels)])
+    weights = [reshape(s.weights, (n * k,)) for s in sels]
+    y = expert_matmul(reshape(x, (-1, d_in)), reshape(bank, (H * E, d_in, d_out)),
+                      eid, np.repeat(src.reshape(-1), k), np.repeat(dst.reshape(-1), k),
+                      int(np.prod(out_shape, dtype=np.int64)), counter,
+                      gate=concat(weights), gate_side=gate, term=term)
+    counter.add(macs=H * n * k * (d_in if gate == "input" else d_out), term=term)
     if store:
-        counter.add(mem=n * d_out, term=term)
-    return reshape(tsum(y, axis=1), lead + (d_out,))
+        counter.add(mem=y.size, term=term)
+    return reshape(y, out_shape + (d_out,))
 
 
 def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
@@ -139,11 +152,12 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
         sel = override_gates(sel, gate_override)
     lead = x.shape[:-1]
     n = int(np.prod(lead, dtype=np.int64))
-    idx = sel.indices.reshape(n, -1)
-    k = idx.shape[1]
-    h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, idx, counter,
-                           term="mlp"))
-    y = mul(expert_matmul(h, down_bank, idx, counter, term="mlp"),
-            reshape(sel.weights, (n, k, 1)))
-    counter.add(macs=n * k * d_model, term="mlp")
-    return reshape(tsum(y, axis=1), lead + (d_model,))
+    eid = sel.indices.reshape(-1)
+    slots = np.arange(eid.size)
+    tokens = slots // cfg.k_active
+    h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, eid, tokens, slots,
+                           eid.size, counter, term="mlp"))
+    y = expert_matmul(h, down_bank, eid, slots, tokens, n, counter,
+                      gate=sel.weights, term="mlp")
+    counter.add(macs=eid.size * d_model, term="mlp")
+    return reshape(y, lead + (d_model,))

@@ -8,9 +8,11 @@ are held in the dtype of the data they belong to.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
 loss walks the tape in reverse topological order and frees it as it goes.
-Only ``matmul``, ``expert_matmul`` and ``softmax_last`` consume an OpCounter
-(everything else is free in the MAC accounting convention used by the cost
-model; explicit elementwise costs are added by the callers that need them).
+Three ops consume an OpCounter: ``matmul`` (its MACs and, when stored, its
+output floats), ``expert_matmul`` (the MACs of its expert GEMMs) and
+``softmax_last`` (its stored output floats). Everything else is free in the
+MAC accounting convention used by the cost model; explicit elementwise
+costs, such as a gate multiply, are added by the callers that need them.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class Tensor:
                 self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -231,10 +230,14 @@ def add(a, b) -> Tensor:
     a, b = _binary(a, b)
 
     def bw(g):
+        # the add node drops g once this returns, so one operand may adopt
+        # it; the other copies it (a broadcast operand's summed grad is new),
+        # so no two tensors' grads share memory
         if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
+            a._accum(_unbroadcast(g, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            b._accum(gb, fresh=gb is not g or not a.requires_grad)
 
     return _make(a.data + b.data, (a, b), bw)
 
@@ -565,62 +568,128 @@ def gather_mid(x: Tensor, idx: np.ndarray) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def expert_matmul(x: Tensor, bank: Tensor, idx: np.ndarray,
-                  counter: OpCounter = NULL_COUNTER, *,
-                  term: str | None = None) -> Tensor:
-    """Per-assignment expert projection: out[i, j] = x[i] @ bank[idx[i, j]].
+def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Stable argsort of integer keys in [0, n_keys); keys that fit 16 bits
+    take NumPy's radix sort, about ten times faster than its merge sort."""
+    if n_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
-    ``x`` is [n, d_in] (every slot reads the same row) or [n, k, d_in] (one
-    row per slot), ``bank`` is [E, d_in, d_out] and ``idx`` is [n, k]; the
-    result is [n, k, d_out]. The n*k assignments are sorted by expert once,
-    so each non-empty expert runs one contiguous matmul, and the results
-    are put back in token order through the inverse permutation. MACs are
-    n*k*d_in*d_out under ``term``; nothing is added to the stored floats.
+
+def _fan(rows: np.ndarray, n_rows: int, name: str) -> int:
+    """The number m >= 1 of assignments that each of the n_rows rows takes;
+    a ShapeError unless every row takes the same number."""
+    counts = np.bincount(rows, minlength=n_rows)
+    if counts.size == 0 or counts.min() < 1 or counts.min() != counts.max():
+        raise ShapeError(f"every {name} row must take the same number (>= 1) of "
+                         f"assignments, got {counts.min(initial=0)} to {counts.max(initial=0)}")
+    return int(counts[0])
+
+
+def _group_sum(rows: np.ndarray, vals: np.ndarray, m: int,
+               scale: np.ndarray | None = None) -> np.ndarray:
+    """out[r] = sum of scale[a] * vals[a] over the m assignments a with
+    rows[a] == r, where every row takes exactly m (see ``_fan``).
+
+    A stable sort by row lists each row's m contributions in turn, so the
+    j-th contributions of all rows are gathered and added, for j < m.
     """
-    idx = np.asarray(idx)
-    if idx.ndim != 2:
-        raise ShapeError(f"expert indices must be [n, k], got {idx.shape}")
-    n, k = idx.shape
-    if bank.ndim != 3:
-        raise ShapeError(f"expert bank must be [E, d_in, d_out], got {bank.shape}")
+    order = _stable_order(rows, rows.size // m)
+
+    def take(idx):
+        part = np.take(vals, idx, axis=0)
+        if scale is not None:
+            part *= scale[idx, None]
+        return part
+
+    out = take(order[0::m])
+    for j in range(1, m):
+        out += take(order[j::m])
+    return out
+
+
+def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
+                  dst: np.ndarray, n_out: int, counter: OpCounter = NULL_COUNTER,
+                  *, gate: Tensor | None = None, gate_side: str = "output",
+                  term: str | None = None) -> Tensor:
+    """Fused gated expert dispatch: y[dst[a]] += gate[a] * x[src[a]] @ bank[eid[a]].
+
+    ``x`` is [n_in, d_in], ``bank`` is [E, d_in, d_out] and the assignment
+    arrays ``eid``, ``src`` and ``dst`` are 1-D of one length A; ``gate``
+    (optional) holds A values in the same order. The result is [n_out,
+    d_out]. Fan-in and fan-out must be uniform, as in every top-k layout:
+    each of the n_out rows takes the same number of assignments, and each
+    of the n_in rows feeds the same number. The A assignments are sorted
+    by expert once, each non-empty expert runs one GEMM over its gathered
+    rows, the gate scales the rows of ``gate_side`` ("input": the gathered
+    x rows, "output": the GEMM results; equal in value, the cheaper side
+    differs) and the rows are summed into their destinations. Backward is
+    hand-written for x, bank and gate. MACs are A*d_in*d_out under
+    ``term``; the gate multiply and the stored floats are left to the
+    caller, whose cost accounting names them.
+    """
+    eid, src, dst = (np.asarray(a).reshape(-1) for a in (eid, src, dst))
+    if x.ndim != 2 or bank.ndim != 3 or x.shape[1] != bank.shape[1]:
+        raise ShapeError(f"expert_matmul needs x [n, d_in] and bank [E, d_in, d_out], "
+                         f"got {x.shape} and {bank.shape}")
     E, d_in, d_out = bank.shape
-    per_slot = x.ndim == 3
-    if x.shape != ((n, k, d_in) if per_slot else (n, d_in)):
-        raise ShapeError(f"input {x.shape} does not fit indices {idx.shape} "
-                         f"and bank {bank.shape}")
-    flat_idx = idx.reshape(-1)
-    if flat_idx.size and (flat_idx.min() < 0 or flat_idx.max() >= E):
-        raise ShapeError(f"expert index out of range for a bank of {E}")
-    order = np.argsort(flat_idx, kind="stable")
-    counts = np.bincount(flat_idx, minlength=E)
+    A = eid.size
+    if src.size != A or dst.size != A or (gate is not None and gate.size != A):
+        raise ShapeError("eid, src, dst and gate must name the same assignments")
+    if gate_side not in ("input", "output"):
+        raise ShapeError(f"unknown gate side '{gate_side}'")
+    for name, a, hi in (("expert", eid, E), ("source", src, x.shape[0]),
+                        ("destination", dst, n_out)):
+        if A and (a.min() < 0 or a.max() >= hi):
+            raise ShapeError(f"{name} index out of range [0, {hi})")
+    m_out, m_in = _fan(dst, n_out, "destination"), _fan(src, x.shape[0], "source")
+    order = _stable_order(eid, E)
+    counts = np.bincount(eid, minlength=E)
     ends = np.cumsum(counts)
     segments = [(e, ends[e] - counts[e], ends[e]) for e in np.flatnonzero(counts)]
-    src = order if per_slot else order // k
-    xs = x.data.reshape(-1, d_in)[src]
-    ys = np.empty((n * k, d_out), dtype=np.result_type(x.data, bank.data))
+    src_s, dst_s = src[order], dst[order]
+    w = None if gate is None else gate.data.reshape(-1)[order]
+    gate_in = w is not None and gate_side == "input"
+    gate_out = w is not None and gate_side == "output"
+    xs = np.take(x.data, src_s, axis=0)
+    xin = xs * w[:, None] if gate_in else xs
+    ys = np.empty((A, d_out), dtype=np.result_type(x.data, bank.data))
     for e, lo, hi in segments:
-        np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
-    data = np.empty_like(ys)
-    data[order] = ys
-    counter.add(macs=n * k * d_in * d_out, term=term)
+        np.matmul(xin[lo:hi], bank.data[e], out=ys[lo:hi])
+    data = _group_sum(dst_s, ys, m_out, w if gate_out else None)
+    counter.add(macs=A * d_in * d_out, term=term)
+    # the output-side gate's grad needs the ungated results; nothing else does
+    ys = ys if gate_out and gate.requires_grad else None
 
     def bw(g):
-        gs = g.reshape(n * k, d_out)[order]
+        gs = np.take(g, dst_s, axis=0)
+        ggate = None
+        if gate_out:
+            if gate.requires_grad:
+                ggate = np.einsum("ad,ad->a", gs, ys)
+            gs *= w[:, None]
         if bank.requires_grad:
+            xb = xs * w[:, None] if gate_in else xs
             gbank = np.zeros_like(bank.data)
             for e, lo, hi in segments:
-                np.matmul(xs[lo:hi].T, gs[lo:hi], out=gbank[e])
+                np.matmul(xb[lo:hi].T, gs[lo:hi], out=gbank[e])
             bank._accum(gbank, fresh=True)
-        if x.requires_grad:
-            gxs = np.empty((n * k, d_in), dtype=ys.dtype)
+        if x.requires_grad or (gate_in and gate.requires_grad):
+            gxs = np.empty((A, d_in), dtype=data.dtype)
             for e, lo, hi in segments:
                 np.matmul(gs[lo:hi], bank.data[e].T, out=gxs[lo:hi])
-            gx = np.empty_like(gxs)
-            gx[order] = gxs
-            gx = gx.reshape(n, k, d_in)
-            x._accum(gx if per_slot else gx.sum(axis=1), fresh=True)
+            if gate_in:
+                if gate.requires_grad:
+                    ggate = np.einsum("ad,ad->a", gxs, xs)
+                gxs *= w[:, None]
+            if x.requires_grad:
+                x._accum(_group_sum(src_s, gxs, m_in), fresh=True)
+        if ggate is not None:
+            full = np.empty_like(ggate)
+            full[order] = ggate
+            gate._accum(full.reshape(gate.shape), fresh=True)
 
-    return _make(data.reshape(n, k, d_out), (x, bank), bw)
+    return _make(data, (x, bank) if gate is None else (x, bank, gate), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -260,6 +260,14 @@ def test_listops_ordering():
                         f"steps={rec.get('steps')} config={rec.get('config')} "
                         f"seed={rec.get('seed')}")
         accs[config] = median(results[k]["accuracy"] for k in keys)
+    # the ordering's margin is smaller than the float32/float64 difference
+    # of one config's median, so the nine runs must share one precision
+    # (records made before the field existed are float64)
+    dtypes = {results[f"{config}/seed{seed}"].get("dtype", "float64")
+              for config in accs for seed in (0, 1, 2)}
+    if len(dtypes) != 1:
+        _report("ListOps ordering (4 layers, d_model=128, 8k steps, 3 seeds)",
+                False, f"the grid mixes precisions: {sorted(dtypes)}")
     ok = (accs["switchhead_h2"] >= accs["dense_h2"]
           and accs["switchhead_h2"] >= accs["dense_h8"] - 0.05)
     _report("ListOps ordering: median MoE-attention(H=2) ≥ dense(H=2) and "

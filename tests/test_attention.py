@@ -13,9 +13,10 @@ from switchlab.attention import (AttentionConfig, ExpertFlags, LayerCache,
                                  rope_angles, rope_rotate, sinusoid_table,
                                  switchhead_attention, xl_relative_attention)
 from switchlab.counter import OpCounter
-from switchlab.moe import ConfigError
+from switchlab.moe import ConfigError, SelectionConfig, select
 from switchlab.rng import rng_for
-from switchlab.tensor import Tensor, constant, matmul, mul, transpose, tsum
+from switchlab.tensor import (Tensor, concat, constant, gather_rows, matmul, mul,
+                              reshape, softmax_last, take_last, transpose, tsum)
 
 
 def rand_x(rng, B, T, dm, grad=False):
@@ -487,3 +488,111 @@ def test_trace_shapes():
     assert all(w.shape == (1, 4, 2) for _, w in trace.selections["source"])
     assert np.all((trace.selections["source"][0][1] >= 0)
                   & (trace.selections["source"][0][1] <= 1))
+
+
+# -- head-batched layer vs the per-head loop it replaced -------------------
+
+
+def _loop_mixture(x, bank, sel):
+    """sum over slots j of gate_j * x @ bank[idx_j], per token, through
+    gather_rows and a batched matmul (no expert dispatch)."""
+    y = None
+    for j in range(sel.indices.shape[-1]):
+        w_tok = gather_rows(bank, sel.indices[..., j])            # [B, T, din, dout]
+        o = matmul(reshape(x, x.shape[:-1] + (1, x.shape[-1])), w_tok)
+        o = mul(reshape(o, x.shape[:-1] + (bank.shape[-1],)),
+                reshape(sel.weights[..., j], x.shape[:-1] + (1,)))
+        y = o if y is None else y + o
+    return y
+
+
+def _per_head_switchhead(x, params, cfg, cache):
+    """The SwitchHead layer as a Python loop over heads: one router pair,
+    projection set, position term and attention per head."""
+    B, T, dm = x.shape
+    H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
+    f = cfg.expert_flags
+    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid", dm)
+    sel_s = [select(x, params["w_s"][h], sel_cfg) for h in range(H)] if f.v or f.k else None
+    sel_d = [select(x, params["w_d"][h], sel_cfg) for h in range(H)] if f.q or f.o else None
+    cache_len = 0 if cache is None else cache.length
+    S = cache_len + T
+    if cfg.position == "xl_relative":
+        pos = Tensor(sinusoid_table(2 * S, dm, offset=S - 1))
+        r_proj = matmul(pos, params["w_r"])
+    cos, sin = rope_angles(T, dh)
+
+    def project(role, expert, sels, src, h):
+        w = params[f"w_{role}"][h]
+        return _loop_mixture(src, w, sels[h]) if expert else matmul(src, w)
+
+    y, attn_maps, k_news, v_news = None, [], [], []
+    for h in range(H):
+        k = project("k", f.k, sel_s, x, h)
+        q = project("q", f.q, sel_d, x, h)
+        v = project("v", f.v, sel_s, x, h)
+        k_news.append(k.data)
+        v_news.append(v.data)
+        if cache is not None:
+            k = concat([constant(cache.k[:, h]), k], axis=1)
+            v = concat([constant(cache.v[:, h]), v], axis=1)
+        scores = None
+        if cfg.position == "xl_relative":
+            qv = q + params["v"][h]
+            p = matmul(qv, transpose(r_proj))                     # [B, T, 2S]
+            idx = (cache_len + np.arange(T)[:, None] - np.arange(S)[None, :]) + (S - 1)
+            scores = take_last(p, idx)
+            q = q + params["u"][h]
+        elif cfg.position == "rope":
+            q, k = rope_rotate(q, cos, sin), rope_rotate(k, cos, sin)
+        qk = matmul(q, transpose(k, (0, 2, 1)))
+        scores = qk if scores is None else qk + scores
+        causal = np.where(np.arange(S)[None, :] > cache_len + np.arange(T)[:, None],
+                          -1e30, 0.0)
+        attn = softmax_last(mul(scores, cfg.scale()) + constant(causal))
+        attn_maps.append(attn.data)
+        o = project("o", f.o, sel_d, matmul(attn, v), h)
+        y = o if y is None else y + o
+    new_k = np.concatenate([cache.k, np.stack(k_news, 1)], axis=2)[:, :, -T:] \
+        if cache is not None else np.stack(k_news, 1)
+    return y, np.stack(attn_maps, 1), new_k, (sel_s, sel_d)
+
+
+@pytest.mark.parametrize("position", ["xl_relative", "rope", "none"])
+@pytest.mark.parametrize("flags", [ExpertFlags.value_output(),
+                                   ExpertFlags(v=True, k=True, q=True, o=True)],
+                         ids=["vo", "vkqo"])
+def test_switchhead_matches_per_head_loop(position, flags):
+    C = 2 if position == "xl_relative" else 1
+    cfg = AttentionConfig(DM, 2, 4, variant="switchhead", position=position,
+                          n_experts=3, k_active=2, expert_flags=flags, context_mult=C)
+    rng = rng_for(23, "per-head", position, str(flags))
+    B, T = 2, 3
+    x_data = rng.uniform(-1, 1, (B, T, DM))
+    cache = None
+    if C > 1:   # one cached chunk of C - 1 = 1 chunk
+        shape = (B, cfg.n_heads, T, cfg.d_head)
+        cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
+    probe = constant(rng.uniform(-1, 1, (B, T, DM)))
+    params = init_attention_params(cfg, rng)
+    ref_params = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+
+    x = Tensor(x_data, requires_grad=True)
+    y, trace, new_cache = attention_forward(x, params, cfg, cache=cache, want_trace=True)
+    tsum(mul(y, probe)).backward()
+    x_ref = Tensor(x_data, requires_grad=True)
+    y_ref, attn_ref, k_ref, (sel_s, sel_d) = _per_head_switchhead(x_ref, ref_params, cfg, cache)
+    tsum(mul(y_ref, probe)).backward()
+
+    assert np.max(np.abs(y.data - y_ref.data)) < 1e-10
+    assert np.max(np.abs(trace.attn - attn_ref)) < 1e-10
+    if cache is not None:
+        assert np.max(np.abs(new_cache.k - k_ref)) < 1e-10
+    assert np.max(np.abs(x.grad - x_ref.grad)) < 1e-8
+    for name, p in params.items():
+        assert np.max(np.abs(p.grad - ref_params[name].grad)) < 1e-8, name
+    for side, sels in (("source", sel_s), ("dest", sel_d)):
+        assert len(trace.selections[side]) == cfg.n_heads
+        for (idx, w), ref in zip(trace.selections[side], sels):
+            assert np.array_equal(idx, ref.indices)
+            assert np.max(np.abs(w - ref.weights.data)) < 1e-12

@@ -66,13 +66,13 @@ def test_mixture_project_matches_materialized_oracle(seed, gate):
     E, d_in, d_out = 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
     sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid", d_in))
-    y = mixture_project(x, bank, sel, gate=gate)
+    y = mixture_project(x, bank[None], [sel], gate=gate)   # one head
     # oracle: per token, materialize the mixed projection matrix
     for t in range(x.shape[0]):
         w_mix = np.zeros((d_in, d_out))
         for slot, e in enumerate(sel.indices[t]):
             w_mix += sel.weights.data[t, slot] * bank.data[e]
-        assert np.allclose(y.data[t], x.data[t] @ w_mix, atol=1e-12)
+        assert np.allclose(y.data[0, t], x.data[t] @ w_mix, atol=1e-12)
 
 
 def test_mixture_project_counter():
@@ -81,11 +81,11 @@ def test_mixture_project_counter():
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
     sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid", d_in))
     c = OpCounter()
-    mixture_project(x, bank, sel, c, gate="output")
+    mixture_project(x, bank[None], [sel], c, gate="output")
     assert c.terms["mixing"][0] == n * k * d_in * d_out + n * k * d_out
     assert c.terms["mixing"][1] == n * d_out
     c2 = OpCounter()
-    mixture_project(x, bank, sel, c2, gate="input", store=False)
+    mixture_project(x, bank[None], [sel], c2, gate="input", store=False)
     assert c2.terms["mixing"][0] == n * k * d_in * d_out + n * k * d_in
     assert c2.terms["mixing"][1] == 0
 
@@ -97,20 +97,22 @@ def test_mixture_permutation_invariance():
     E, d_in, d_out = 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
     cfg = SelectionConfig(E, 2, "sigmoid", d_in)
-    y1 = mixture_project(x, bank, select(x, w_sel, cfg), gate="output")
+    y1 = mixture_project(x, bank[None], [select(x, w_sel, cfg)], gate="output")
     perm = np.array([3, 0, 4, 1, 2])
-    bank_p = Tensor(bank.data[perm])
+    bank_p = Tensor(bank.data[None, perm])
     w_sel_p = Tensor(w_sel.data[:, perm])
-    y2 = mixture_project(x, bank_p, select(x, w_sel_p, cfg), gate="output")
+    y2 = mixture_project(x, bank_p, [select(x, w_sel_p, cfg)], gate="output")
     assert np.max(np.abs(y1.data - y2.data)) < 1e-12
 
 
 def test_mixture_shape_and_range_errors():
     rng, x, w_sel = rand_inputs(1)
-    bank = Tensor(np.zeros((5, 9, 4)))
+    bank = Tensor(np.zeros((1, 5, 9, 4)))
     sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid", 6))
-    with pytest.raises(ConfigError):
-        mixture_project(x, bank, sel)
+    with pytest.raises(ConfigError):      # d_in 9 against inputs of width 6
+        mixture_project(x, bank, [sel])
+    with pytest.raises(ConfigError):      # a bank without its head axis
+        mixture_project(x, Tensor(np.zeros((5, 6, 4))), [sel])
 
 
 @pytest.mark.parametrize("seed", range(4))

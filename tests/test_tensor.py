@@ -226,63 +226,96 @@ def test_gather_rows_repeated_indices_grad():
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
 
 
+def _case(eid, src, dst, E, n_in, n_out, gate_side="output", d_in=3, d_out=2, seed=0):
+    return dict(E=E, n_in=n_in, n_out=n_out, eid=np.array(eid, dtype=int),
+                src=np.array(src, dtype=int), dst=np.array(dst, dtype=int),
+                d_in=d_in, d_out=d_out, gate_side=gate_side, seed=seed)
+
+
 @st.composite
-def expert_cases(draw):
-    E = draw(st.integers(1, 5))
-    k = draw(st.integers(1, E))
-    n = draw(st.integers(1, 6))
-    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    idx = draw(st.lists(st.lists(st.integers(0, E - 1), min_size=k, max_size=k),
-                        min_size=n, max_size=n))
-    return (np.array(idx), E, d_in, d_out, draw(st.booleans()),
-            draw(st.integers(0, 2**16)))
+def dispatch_cases(draw):
+    """Uniform layouts, as top-k routing makes them: each of n_out rows
+    sums m contributions (m = 1 is a permutation, m = H*K a head-summed
+    row) and each of n_in input rows feeds A / n_in of them."""
+    E, n_out, m = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    A = n_out * m
+    n_in = draw(st.sampled_from([d for d in range(1, A + 1) if A % d == 0]))
+    return _case(draw(st.lists(st.integers(0, E - 1), min_size=A, max_size=A)),
+                 draw(st.permutations(list(range(n_in)) * (A // n_in))),
+                 draw(st.permutations(list(range(n_out)) * m)), E, n_in, n_out,
+                 gate_side=draw(st.sampled_from([None, "input", "output"])),
+                 d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)),
+                 seed=draw(st.integers(0, 2**16)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(expert_cases())
-@example((np.array([[2]]), 4, 3, 2, False, 0))                  # n = 1, experts unused
-@example((np.array([[0, 1, 2], [2, 0, 1]]), 3, 2, 3, True, 1))  # k = E
-@example((np.array([[1, 1], [0, 1]]), 3, 2, 2, False, 2))       # repeat in a row
-@example((np.array([[1, 1], [1, 1]]), 3, 3, 1, True, 3))        # one expert only
-def test_expert_matmul_matches_per_token_loop(case):
-    idx, E, d_in, d_out, per_slot, seed = case
-    n, k = idx.shape
-    rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-1, 1, (n, k, d_in) if per_slot else (n, d_in)),
-               requires_grad=True)
+@settings(max_examples=80, deadline=None)
+@given(dispatch_cases())
+# one token, expert 2 of 4 only: experts 0, 1 and 3 are unused
+@example(_case([2], [0], [0], E=4, n_in=1, n_out=1))
+# H*K = 2*2 contributions into each of two rows (head-merged O role)
+@example(_case([0, 2, 5, 7, 1, 1, 4, 6], [0, 0, 2, 2, 1, 1, 3, 3],
+               [0, 0, 0, 0, 1, 1, 1, 1], E=8, n_in=4, n_out=2, gate_side="input"))
+# a repeated expert within one token's row sums both contributions
+@example(_case([1, 1, 0, 1], [0, 0, 1, 1], [0, 0, 1, 1], E=3, n_in=2, n_out=2))
+def test_expert_matmul_matches_per_assignment_loop(case):
+    eid, src, dst = case["eid"], case["src"], case["dst"]
+    E, d_in, d_out, n_out = case["E"], case["d_in"], case["d_out"], case["n_out"]
+    A = eid.size
+    rng = np.random.default_rng(case["seed"])
+    x = Tensor(rng.uniform(-1, 1, (case["n_in"], d_in)), requires_grad=True)
     bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
-    w = rng.uniform(-1, 1, (n, k, d_out))
+    gate = None
+    if case["gate_side"] is not None:
+        gate = Tensor(rng.uniform(-1, 1, A), requires_grad=True)
+    w = rng.uniform(-1, 1, (n_out, d_out))
     counter = OpCounter()
-    out = expert_matmul(x, bank, idx, counter, term="mixing")
+    out = expert_matmul(x, bank, eid, src, dst, n_out, counter,
+                        gate=gate, gate_side=case["gate_side"] or "output", term="mixing")
     tsum(mul(out, constant(w))).backward()
-    assert counter.terms["mixing"] == [n * k * d_in * d_out, 0]
+    assert counter.terms["mixing"] == [A * d_in * d_out, 0]
 
-    want = np.zeros((n, k, d_out))
-    gx = np.zeros_like(x.data)
-    gbank = np.zeros_like(bank.data)
-    for i in range(n):
-        for j in range(k):
-            e = idx[i, j]
-            row = x.data[i, j] if per_slot else x.data[i]
-            want[i, j] = row @ bank.data[e]
-            g_row = bank.data[e] @ w[i, j]
-            if per_slot:
-                gx[i, j] += g_row
-            else:
-                gx[i] += g_row
-            gbank[e] += np.outer(row, w[i, j])
-    assert out.shape == (n, k, d_out)
+    want = np.zeros((n_out, d_out))
+    gx, gbank, ggate = np.zeros_like(x.data), np.zeros_like(bank.data), np.zeros(A)
+    for a in range(A):
+        scale = 1.0 if gate is None else gate.data[a]
+        row, W, up = x.data[src[a]], bank.data[eid[a]], w[dst[a]]
+        want[dst[a]] += scale * (row @ W)
+        gx[src[a]] += scale * (W @ up)
+        gbank[eid[a]] += scale * np.outer(row, up)
+        ggate[a] = row @ W @ up
+    assert out.shape == (n_out, d_out)
     assert np.allclose(out.data, want, rtol=1e-12, atol=1e-12)
     assert np.allclose(x.grad, gx, rtol=1e-12, atol=1e-12)
     assert np.allclose(bank.grad, gbank, rtol=1e-12, atol=1e-12)
+    if gate is not None:
+        assert np.allclose(gate.grad, ggate, rtol=1e-12, atol=1e-12)
 
 
 def test_expert_matmul_rejects_bad_shapes():
     bank = Tensor(np.zeros((3, 2, 4)))
+    x = Tensor(np.zeros((1, 2)))
+    one = np.zeros(1, dtype=int)
+    with pytest.raises(ShapeError):      # x width differs from the bank's d_in
+        expert_matmul(Tensor(np.zeros((5, 3))), bank, one, one, one, 1)
+    with pytest.raises(ShapeError):      # assignment arrays of unequal length
+        expert_matmul(x, bank, np.zeros(2, dtype=int), one, one, 1)
+    with pytest.raises(ShapeError):      # gate of the wrong length
+        expert_matmul(x, bank, one, one, one, 1, gate=Tensor(np.ones(2)))
+    with pytest.raises(ShapeError):      # expert out of range
+        expert_matmul(x, bank, np.array([3]), one, one, 1)
+    with pytest.raises(ShapeError):      # source row out of range
+        expert_matmul(x, bank, one, np.array([5]), one, 1)
+    with pytest.raises(ShapeError):      # destination row out of range
+        expert_matmul(x, bank, one, one, np.array([1]), 1)
     with pytest.raises(ShapeError):
-        expert_matmul(Tensor(np.zeros((5, 2))), bank, np.zeros((4, 1), dtype=int))
-    with pytest.raises(ShapeError):
-        expert_matmul(Tensor(np.zeros((2, 2))), bank, np.array([[0], [3]]))
+        expert_matmul(x, bank, one, one, one, 1, gate=Tensor(np.ones(1)), gate_side="both")
+    two = np.zeros(2, dtype=int)
+    with pytest.raises(ShapeError):      # destination rows 0 and 1 take 2 and 0
+        expert_matmul(x, bank, two, two, two, 2)
+    with pytest.raises(ShapeError):      # source rows 0 and 1 feed 2 and 0
+        expert_matmul(Tensor(np.zeros((2, 2))), bank, two, two, np.arange(2), 2)
+    with pytest.raises(ShapeError):      # no assignments at all
+        expert_matmul(x, bank, two[:0], two[:0], two[:0], 1)
 
 
 def test_take_last_and_gather_mid_grads():
