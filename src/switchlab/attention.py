@@ -1,6 +1,13 @@
 """Attention variants: dense MHA, XL-relative, RoPE, head-gating,
 SwitchHead-style per-projection expert mixtures, and the MoA baseline.
 
+The variants differ only in how they project and route. All of them run
+one core, ``_attend_heads``: cache, XL or RoPE position terms, scores,
+mask and readout, once on [B, H, T, S] for all heads. Head-gating's k
+selected heads and SwitchHead's expert roles are ``expert_matmul``
+dispatches; MoA is multi-query attention, its k routed query experts as
+k heads against one shared K/V head, so its cache is [B, 1, S, dh].
+
 Conventions shared by every variant:
   * a "head" is one computed attention matrix;
   * softmax scaling is 1/sqrt(d_model) by default (a config switch selects
@@ -22,8 +29,8 @@ from .moe import (ConfigError, SelectionConfig, mixture_project,
                   override_gates, select)
 from .rng import uniform_init
 from .tensor import (ShapeError, Tensor, concat, constant, expert_matmul,
-                     gather_mid, matmul, mul, rel_shift, reshape, softmax_last,
-                     transpose, tsum)
+                     gather_rows, matmul, mul, rel_shift, reshape, softmax_last,
+                     transpose)
 
 NEG_INF = -1e30
 
@@ -217,19 +224,16 @@ def _mask_scores(scores: Tensor, cache_len: int, causal: bool,
     return scores + constant(add.astype(scores.data.dtype))
 
 
-def _xl_pos_scores(q_plus_v: Tensor, r_proj: Tensor, cache_len: int,
-                   counter: OpCounter) -> Tensor:
-    """Relative-position score term via the 2S-row projected table.
-
-    The interaction matmul is not part of the closed-form MAC formulas, so
-    its cost is itemized under 'pos_scores'.
-    """
-    p = matmul(q_plus_v, transpose(r_proj, (*range(r_proj.ndim - 2), r_proj.ndim - 1, r_proj.ndim - 2)),
-               counter, extra="pos_scores")
-    return rel_shift(p, cache_len)
-
-
 # -- forward passes -------------------------------------------------------
+
+
+def cache_shape(cfg: AttentionConfig, batch: int, length: int) -> tuple[int, int, int, int]:
+    """Shape of a layer's cached keys (and values): [B, n_kv_heads, S, dh].
+
+    Every variant keeps one K/V head per attention matrix, except MoA, whose
+    k query heads share one K/V head (multi-query attention).
+    """
+    return (batch, 1 if cfg.variant == "moa" else cfg.n_heads, length, cfg.d_head)
 
 
 def _update_cache(cfg: AttentionConfig, cache: LayerCache | None,
@@ -245,58 +249,27 @@ def _update_cache(cfg: AttentionConfig, cache: LayerCache | None,
     return LayerCache(k=k_all[..., -keep:, :].copy(), v=v_all[..., -keep:, :].copy())
 
 
-def _attend(q: Tensor, k: Tensor, v: Tensor, cfg: AttentionConfig,
-            counter: OpCounter, cache_len: int, key_mask, u=None,
-            pos_term: Tensor | None = None) -> tuple[Tensor, Tensor]:
-    """Scores, masking, softmax, readout for stacked heads [..., T, dh]."""
-    qc = q if u is None else q + u
-    scores = matmul(qc, transpose(k, (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)),
-                    counter, term="scores")
-    if pos_term is not None:
-        scores = scores + pos_term
-    scores = mul(scores, cfg.scale())
-    scores = _mask_scores(scores, cache_len, cfg.causal, key_mask)
-    attn = softmax_last(scores, counter, term="scores")
-    counter.count_score_matrices(int(np.prod(attn.shape[:-2], dtype=np.int64)))
-    av = matmul(attn, v, counter, term="readout")
-    return attn, av
-
-
-def _ensure_3d(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 2:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeError(f"attention input must be [T, d_model] or [B, T, d_model], got {x.shape}")
-
-
 def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
                       counter: OpCounter = NULL_COUNTER, *,
                       cache: LayerCache | None = None,
                       key_mask: np.ndarray | None = None,
                       want_trace: bool = False,
                       gate_override: float | None = None):
-    """Dispatch one attention layer. Returns (y, trace, new_cache)."""
+    """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache)."""
     cfg.validate()
-    x3, squeeze = _ensure_3d(x)
-    if x3.shape[-1] != cfg.d_model:
-        raise ShapeError(f"input width {x3.shape[-1]} != d_model {cfg.d_model}")
-    if x3.shape[1] < 1:
+    if x.ndim != 3 or x.shape[-1] != cfg.d_model:
+        raise ShapeError(f"attention input must be [B, T, {cfg.d_model}], got {x.shape}")
+    if x.shape[1] < 1:
         raise ShapeError("attention requires at least one input position")
     if cache is not None and cfg.context_mult == 1:
         raise ConfigError("cache passed to a variant with context_mult=1")
     if cfg.variant in ("dense", "head_gated"):
-        y, trace, new_cache = _dense_family_forward(
-            x3, params, cfg, counter, cache, key_mask, want_trace, gate_override)
-    elif cfg.variant == "switchhead":
-        y, trace, new_cache = _switchhead_forward(
-            x3, params, cfg, counter, cache, key_mask, want_trace, gate_override)
-    else:
-        y, trace, new_cache = _moa_forward(
-            x3, params, cfg, counter, cache, key_mask, want_trace, gate_override)
-    if squeeze:
-        y = reshape(y, y.shape[1:])
-    return y, trace, new_cache
+        return _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
+                                     gate_override)
+    if cfg.variant == "switchhead":
+        return _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
+                                   gate_override)
+    return _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace, gate_override)
 
 
 def _split_heads(t: Tensor, H: int, dh: int) -> Tensor:
@@ -304,43 +277,50 @@ def _split_heads(t: Tensor, H: int, dh: int) -> Tensor:
     return transpose(reshape(t, (b, T, H, dh)), (0, 2, 1, 3))
 
 
-def _project_positions(pos: np.ndarray, w_r: Tensor, H: int, dh: int,
-                       counter: OpCounter, per_head: bool) -> Tensor:
-    """Project the 2S sinusoid rows; per-head for dense XL, shared otherwise."""
-    r = matmul(constant(pos.astype(w_r.data.dtype)), w_r, counter, term="position")
-    if per_head:
-        return transpose(reshape(r, (r.shape[0], H, dh)), (1, 0, 2))  # [H, 2S, dh]
-    return r  # [2S, dh]
-
-
 def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
                   per_head_pos: bool):
-    """Cache, position terms, scores and readout, once for all heads.
+    """The one attention core: cache, position terms, scores and readout,
+    once for all heads.
 
-    ``q``, ``k_cur`` and ``v_cur`` are [B, H, T, dh]; returns the attention
-    matrices [B, H, T, S], the readout [B, H, T, dh] and the new cache.
+    ``q`` is [B, H, T, dh]; ``k_cur`` and ``v_cur`` are [B, H, T, dh], or
+    [B, 1, T, dh] for one K/V head shared by the H query heads (MoA).
+    ``per_head_pos`` projects the XL position table per head (``w_r`` is
+    [dm, H*dh]) instead of once for all heads ([dm, dh]). Returns the
+    attention matrices [B, H, T, S], the readout [B, H, T, dh] and the new
+    cache.
     """
     new_cache = _update_cache(cfg, cache, k_cur.data, v_cur.data)
+    k, v, cache_len = k_cur, v_cur, 0
     if cache is not None:
         k = concat([constant(cache.k), k_cur], axis=2)
         v = concat([constant(cache.v), v_cur], axis=2)
-    else:
-        k, v = k_cur, v_cur
-    cache_len = 0 if cache is None else cache.length
+        cache_len = cache.length
     T = q.shape[2]
     S = cache_len + T
-    u = pos_term = None
+    pos_scores = None
     if cfg.position == "xl_relative":
-        pos = sinusoid_table(2 * S, cfg.d_model, offset=S - 1)
-        r = _project_positions(pos, params["w_r"], cfg.n_heads, cfg.d_head, counter,
-                               per_head=per_head_pos)
-        u = params["u"]
-        pos_term = _xl_pos_scores(q + params["v"], r, cache_len, counter)
+        # relative-position scores from the projected 2S-row sinusoid table;
+        # their interaction matmul is not in the closed forms, so its cost
+        # is itemized under 'pos_scores'
+        w_r = params["w_r"]
+        table = sinusoid_table(2 * S, cfg.d_model, offset=S - 1).astype(w_r.data.dtype)
+        r = matmul(constant(table), w_r, counter, term="position")
+        r = (transpose(reshape(r, (2 * S, cfg.n_heads, cfg.d_head)), (1, 2, 0))
+             if per_head_pos else transpose(r))          # [H, dh, 2S] or [dh, 2S]
+        p = matmul(q + params["v"], r, counter, extra="pos_scores")
+        pos_scores = rel_shift(p, cache_len)
+        q = q + params["u"]
     elif cfg.position == "rope":
         cos, sin = rope_angles(T, cfg.d_head)
         q = rope_rotate(q, cos, sin, counter)
         k = rope_rotate(k, cos, sin, counter)
-    attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
+    scores = matmul(q, transpose(k, (0, 1, 3, 2)), counter, term="scores")
+    if pos_scores is not None:
+        scores = scores + pos_scores
+    scores = _mask_scores(mul(scores, cfg.scale()), cache_len, cfg.causal, key_mask)
+    attn = softmax_last(scores, counter, term="scores")
+    counter.count_score_matrices(attn.shape[0] * attn.shape[1])
+    av = matmul(attn, v, counter, term="readout")
     return attn, av, new_cache
 
 
@@ -357,23 +337,24 @@ def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     if cfg.variant == "dense":
         merged = reshape(transpose(av, (0, 2, 1, 3)), (B, T, H * dh))
         y = matmul(merged, params["w_o"], counter, store=False, term="projections")
-    else:  # head_gated
-        w_o_heads = reshape(params["w_o"], (H, dh, dm))
-        o_heads = matmul(av, w_o_heads, counter, store=False, term="projections")  # [B,H,T,dm]
-        sel_cfg = SelectionConfig(H, cfg.k_active, cfg.sel_activation, dm)
-        sel = select(x, params["w_gate"], sel_cfg, counter)
-        if gate_override is not None:
-            sel = override_gates(sel, gate_override)
-        o_flat = reshape(transpose(o_heads, (0, 2, 1, 3)), (B * T, H, dm))
-        idx = sel.indices.reshape(B * T, -1)
-        picked = gather_mid(o_flat, idx)  # [B*T, k, dm]
-        w = reshape(sel.weights, (B * T, cfg.k_active, 1))
-        if counter.enabled:
-            counter.add_extra("selection", macs=B * T * cfg.k_active * dm)
-        y = reshape(tsum(mul(picked, w), axis=1), (B, T, dm))
-        if want_trace:
-            trace.selections["heads"] = (sel.indices.copy(), sel.weights.data.copy())
-    return y, trace, new_cache
+        return y, trace, new_cache
+    # head_gated: the k selected heads are output experts over the [H, dh, dm]
+    # view of w_o; their (b, h, t) rows of av feed one gated dispatch
+    k_act, n = cfg.k_active, B * T
+    sel = select(x, params["w_gate"], SelectionConfig(H, k_act, cfg.sel_activation), counter)
+    if gate_override is not None:
+        sel = override_gates(sel, gate_override)
+    heads = sel.indices.reshape(-1)
+    tokens = np.repeat(np.arange(n), k_act)
+    rows = (tokens // T * H + heads) * T + tokens % T    # (b, h, t) in [B*H*T, dh]
+    picked = gather_rows(reshape(av, (B * H * T, dh)), rows)
+    y = expert_matmul(picked, reshape(params["w_o"], (H, dh, dm)), heads, np.arange(n * k_act),
+                      tokens, n, counter, gate=sel.weights, gate_side="input",
+                      term="projections")
+    counter.add_extra("selection", macs=n * k_act * dh)
+    if want_trace:
+        trace.selections["heads"] = (sel.indices.copy(), sel.weights.data.copy())
+    return reshape(y, (B, T, dm)), trace, new_cache
 
 
 def _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
@@ -383,7 +364,7 @@ def _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     B, T, dm = x.shape
     H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
     f = cfg.expert_flags
-    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid", dm)
+    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
 
     def head_sels(w_name):
         sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
@@ -423,35 +404,17 @@ def _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
 
 def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
                  gate_override):
+    """Multi-query attention: the k routed query experts of each token are k
+    query heads against one shared K/V head; the matching output experts
+    are summed with the router gates."""
     B, T, dm = x.shape
     dh, E, k_act = cfg.d_head, cfg.n_experts, cfg.k_active
-    k_cur = matmul(x, params["w_k"], counter, term="projections")
-    v_cur = matmul(x, params["w_v"], counter, term="projections")
-    new_cache = _update_cache(cfg, cache, k_cur.data, v_cur.data)
-    if cache is not None:
-        k = concat([constant(cache.k), k_cur], axis=1)
-        v = concat([constant(cache.v), v_cur], axis=1)
-    else:
-        k, v = k_cur, v_cur
-    cache_len = 0 if cache is None else cache.length
-    S = cache_len + T
-
-    sel_cfg = SelectionConfig(E, k_act, cfg.sel_activation, dm)
-    sel = select(x, params["w_router"], sel_cfg, counter)
+    k_cur, v_cur = (reshape(matmul(x, params[f"w_{r}"], counter, term="projections"),
+                            (B, 1, T, dh)) for r in "kv")
+    sel = select(x, params["w_router"], SelectionConfig(E, k_act, cfg.sel_activation), counter)
     if gate_override is not None:
         sel = override_gates(sel, gate_override)
 
-    r_proj = None
-    if cfg.position == "xl_relative":
-        pos = sinusoid_table(2 * S, dm, offset=S - 1)
-        r_proj = _project_positions(pos, params["w_r"], 1, dh, counter, per_head=False)
-    cos = sin = None
-    if cfg.position == "rope":
-        cos, sin = rope_angles(T, dh)
-        k = rope_rotate(k, cos, sin, counter)
-
-    # the k selected query/output experts are k attention matrices per
-    # token, batched on a slot axis against the shared keys and values
     n = B * T
     eid = sel.indices.reshape(-1)
     tokens = np.repeat(np.arange(n), k_act)
@@ -459,70 +422,14 @@ def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
     q = expert_matmul(reshape(x, (n, dm)), params["w_q"], eid, tokens, slots,
                       n * k_act, counter, term="projections")
     counter.add(mem=q.size, term="projections")
-    q = reshape(q, (B, k_act, T, dh))
-    k = reshape(k, (B, 1, S, dh))
-    v = reshape(v, (B, 1, S, dh))
-    u = pos_term = None
-    if cfg.position == "xl_relative":
-        u = params["u"]
-        pos_term = _xl_pos_scores(q + params["v"], r_proj, cache_len, counter)
-    elif cfg.position == "rope":
-        q = rope_rotate(q, cos, sin, counter)
-    attn, av = _attend(q, k, v, cfg, counter, cache_len, key_mask, u=u, pos_term=pos_term)
+    attn, av, new_cache = _attend_heads(reshape(q, (B, k_act, T, dh)), k_cur, v_cur, params,
+                                        cfg, counter, cache, key_mask, per_head_pos=False)
     y = expert_matmul(reshape(av, (n * k_act, dh)), params["w_o"], eid, slots, tokens,
                       n, counter, gate=sel.weights, term="projections")
     counter.add_extra("selection", macs=n * k_act * dm)
-    y = reshape(y, (B, T, dm))
 
     trace = AttentionTrace()
     if want_trace:
         trace.attn = attn.data.copy()
         trace.selections["router"] = (sel.indices.copy(), sel.weights.data.copy())
-    return y, trace, new_cache
-
-
-# -- spec-facing wrappers -------------------------------------------------
-
-
-def dense_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.variant != "dense":
-        raise ConfigError("dense_attention requires cfg.variant == 'dense'")
-    y, trace, _ = attention_forward(x, params, cfg, counter, **kw)
-    return y, trace
-
-
-def dense_readout_per_head(av: Tensor, w_o: Tensor, H: int, dh: int,
-                           counter: OpCounter = NULL_COUNTER) -> Tensor:
-    """Per-head-sum readout form; equivalent to the concatenated form."""
-    dm = w_o.shape[-1]
-    y = None
-    for h in range(H):
-        w_h = w_o[h * dh:(h + 1) * dh, :]
-        o = matmul(av[:, h], w_h, counter, store=False)
-        y = o if y is None else y + o
-    return y
-
-
-def xl_relative_attention(x, cache, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.position != "xl_relative":
-        raise ConfigError("xl_relative_attention requires cfg.position == 'xl_relative'")
-    return attention_forward(x, params, cfg, counter, cache=cache, **kw)
-
-
-def head_gated_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.variant != "head_gated":
-        raise ConfigError("head_gated_attention requires cfg.variant == 'head_gated'")
-    y, trace, _ = attention_forward(x, params, cfg, counter, **kw)
-    return y, trace
-
-
-def switchhead_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.variant != "switchhead":
-        raise ConfigError("switchhead_attention requires cfg.variant == 'switchhead'")
-    return attention_forward(x, params, cfg, counter, **kw)
-
-
-def moa_attention(x, params, cfg, counter=NULL_COUNTER, **kw):
-    if cfg.variant != "moa":
-        raise ConfigError("moa_attention requires cfg.variant == 'moa'")
-    return attention_forward(x, params, cfg, counter, **kw)
+    return reshape(y, (B, T, dm)), trace, new_cache

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .attention import (AttentionConfig, ExpertFlags, LayerCache,
-                        attention_forward, init_attention_params)
+                        attention_forward, cache_shape, init_attention_params)
 from .counter import OpCounter
 from .moe import ConfigError
 from .rng import rng_for
@@ -197,13 +197,7 @@ def measure(ci: CostInputs, seed: int = 0) -> CostReport:
     x = Tensor(rng.uniform(-1, 1, (1, ci.T, ci.d_model)))
     cache = None
     if ci.C > 1:
-        n_cached = (ci.C - 1) * ci.T
-        if ci.variant == "moa":
-            shape = (1, n_cached, ci.d_head)
-        elif ci.variant == "switchhead":
-            shape = (1, cfg.n_heads, n_cached, ci.d_head)
-        else:
-            shape = (1, cfg.n_heads, n_cached, ci.d_head)
+        shape = cache_shape(cfg, 1, (ci.C - 1) * ci.T)
         cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
     counter = OpCounter()
     attention_forward(x, params, cfg, counter, cache=cache)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import (AttentionConfig, ExpertFlags, LayerCache,
-                        attention_forward, init_attention_params)
+                        attention_forward, cache_shape, init_attention_params)
 from .model import MLPConfig, ModelSpec, build
 from .rng import rng_for
 from .tensor import Tensor, cross_entropy, mul, tsum
@@ -79,9 +79,7 @@ def _attention_case(name: str, cfg: AttentionConfig, seed: int,
     probe = rng.uniform(-1, 1, (1, T, cfg.d_model))
     cache = None
     if with_cache and cfg.context_mult > 1:
-        n_cached = (cfg.context_mult - 1) * T
-        shape = ((1, n_cached, cfg.d_head) if cfg.variant == "moa"
-                 else (1, cfg.n_heads, n_cached, cfg.d_head))
+        shape = cache_shape(cfg, 1, (cfg.context_mult - 1) * T)
         cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
 
     def loss_fn():

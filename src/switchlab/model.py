@@ -35,13 +35,13 @@ class MLPConfig:
     n_experts: int = 1
     k_active: int = 1
 
-    def validate(self, d_model: int) -> None:
+    def validate(self) -> None:
         if self.kind not in ("dense", "sigma_moe"):
             raise ConfigError(f"unknown MLP kind '{self.kind}'")
         if self.d_ff < 1:
             raise ConfigError("d_ff must be positive")
         if self.kind == "sigma_moe":
-            SelectionConfig(self.n_experts, self.k_active, "sigmoid", d_model).validate()
+            SelectionConfig(self.n_experts, self.k_active).validate()
         elif self.n_experts != 1 or self.k_active != 1:
             raise ConfigError("dense MLP requires n_experts = k_active = 1")
 
@@ -75,7 +75,7 @@ class ModelSpec:
         if problems:
             raise ConfigError("; ".join(problems))
         self.attention.validate()
-        self.mlp.validate(self.d_model)
+        self.mlp.validate()
 
 
 @dataclass
@@ -250,7 +250,7 @@ class Model:
                         store=False, term="mlp")
             return matmul(relu(up), self.params[f"layers.{i}.mlp.w_down"],
                           counter, store=False, term="mlp")
-        cfg = SelectionConfig(mlp.n_experts, mlp.k_active, "sigmoid", self.spec.d_model)
+        cfg = SelectionConfig(mlp.n_experts, mlp.k_active)
         return sigma_moe_mlp(h, self.params[f"layers.{i}.mlp.up_bank"],
                              self.params[f"layers.{i}.mlp.down_bank"],
                              self.params[f"layers.{i}.mlp.w_sel"], cfg, counter,
@@ -310,42 +310,35 @@ def build(spec: ModelSpec, seed: int) -> Model:
     return Model(spec, p).astype(np.float32)
 
 
-def switchall_build(spec: ModelSpec, seed: int) -> Model:
-    """Fully-MoE model: SwitchHead attention with a sigma-MoE MLP."""
-    if spec.mlp.kind != "sigma_moe":
-        raise ConfigError("switchall requires a sigma_moe MLP")
-    if spec.attention.variant != "switchhead":
-        raise ConfigError("switchall requires switchhead attention")
-    return build(spec, seed)
-
-
 # -- parameter matching ---------------------------------------------------
 
 _MAX_D_HEAD = 4096
 _MAX_D_FF = 1 << 20
 
 
-def match_params(target: int, template: ModelSpec) -> MatchResult:
+def match_params(target: int, template: ModelSpec,
+                 per_head_pos: bool | None = None) -> MatchResult:
     """Size d_head (multiples of 4) then d_ff to approach a parameter target.
 
     d_head is the largest multiple of 4 keeping the count at or below the
     target with the template's d_ff; d_ff is then raised in steps of 1 as
     far as the target allows. The result never exceeds the target and its
     slack stays within the 100k acceptance band (the d_ff step is the
-    finest knob, worth 2 * d_model * n_layers parameters).
+    finest knob, worth 2 * d_model * n_layers parameters). Parameters are
+    counted under ``count_params``' ``per_head_pos`` convention.
     """
     if target < 1:
         raise MatchingError("target parameter count must be positive")
     template.validate()
-    if count_params(template) == target:
-        return MatchResult(spec=template, param_count=target, target=target)
 
     def count_at(dh: int, dff: int) -> int:
         spec = replace(template,
                        attention=replace(template.attention, d_head=dh),
                        mlp=replace(template.mlp, d_ff=dff))
-        return count_params(spec)
+        return count_params(spec, per_head_pos=per_head_pos)
 
+    if count_params(template, per_head_pos=per_head_pos) == target:
+        return MatchResult(spec=template, param_count=target, target=target)
     if count_at(4, 1) > target:
         raise MatchingError(f"even d_head=4, d_ff=1 exceeds the target of {target}")
     dh = 4
@@ -357,7 +350,7 @@ def match_params(target: int, template: ModelSpec) -> MatchResult:
     spec = replace(template,
                    attention=replace(template.attention, d_head=dh),
                    mlp=replace(template.mlp, d_ff=dff))
-    got = count_params(spec)
+    got = count_at(dh, dff)
     if got > target:
         raise MatchingError("internal error: matched count exceeds target")
     if target - got > 100_000:
@@ -374,28 +367,16 @@ def match_report(baseline: ModelSpec, template: ModelSpec) -> dict:
     table used is not stated, so both candidates are reported.
     """
     target = count_params(baseline)
-    result = match_params(target, template)
     report = {
         "target": target,
         "baseline": baseline,
-        "matched": result,
+        "matched": match_params(target, template),
         "conventions": {},
     }
     for name, per_head in (("shared_pos", False), ("per_head_pos", True)):
-        def count_at(dh, dff, per_head=per_head):
-            spec = replace(template,
-                           attention=replace(template.attention, d_head=dh),
-                           mlp=replace(template.mlp, d_ff=dff))
-            return count_params(spec, per_head_pos=per_head)
-        dh = 4
-        while count_at(dh + 4, template.mlp.d_ff) <= target:
-            dh += 4
-        dff = template.mlp.d_ff
-        while count_at(dh, dff + 1) <= target:
-            dff += 1
+        res = match_params(target, template, per_head_pos=per_head)
         report["conventions"][name] = {
-            "d_head": dh, "d_ff": dff,
-            "param_count": count_at(dh, dff),
-            "slack": target - count_at(dh, dff),
+            "d_head": res.spec.attention.d_head, "d_ff": res.spec.mlp.d_ff,
+            "param_count": res.param_count, "slack": res.slack,
         }
     return report

@@ -1,10 +1,11 @@
 """Non-competitive expert selection and expert-mixture projections.
 
-The same machinery backs the MoE attention projections, the head-gating
-baseline, the MoA head router and the sigma-MoE MLP: a bias-free linear
-gating projection, sigmoid (or softmax) activation, top-k routing and a
-gate-weighted sum of the selected experts' outputs. There is deliberately
-no load-balancing regularizer anywhere.
+``select`` is every router in the lab (SwitchHead's two sides, head
+gating, the MoA router and the sigma-MoE MLP): a bias-free linear gating
+projection, sigmoid (or softmax) activation and top-k. Every routed
+projection is one ``tensor.expert_matmul`` dispatch, through
+``mixture_project`` and ``sigma_moe_mlp`` here or in ``attention``.
+There is deliberately no load-balancing regularizer anywhere.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class SelectionConfig:
     n_experts: int
     k_active: int
     activation: str = "sigmoid"  # sigmoid | softmax
-    d_model: int = 0
 
     def validate(self) -> None:
         if self.n_experts < 1:
@@ -44,12 +44,10 @@ class ExpertSelection:
     """Routing decision: per token the chosen expert indices and gate weights.
 
     ``indices`` has shape [..., k] (ascending per token); ``weights`` is the
-    matching differentiable gate tensor; ``gates`` holds the activation over
-    all experts (used for visualization exports).
+    matching differentiable gate tensor.
     """
     indices: np.ndarray
     weights: Tensor
-    gates: Tensor
 
 
 def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
@@ -71,7 +69,7 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
         gates = softmax_last(logits, counter, store=False)
     indices = argtopk_rows(logits.data, cfg.k_active)
     weights = take_last(gates, indices)
-    return ExpertSelection(indices=indices, weights=weights, gates=gates)
+    return ExpertSelection(indices=indices, weights=weights)
 
 
 def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
@@ -82,7 +80,7 @@ def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
     """
     forced = constant(np.full(sel.weights.shape, float(value),
                               dtype=sel.weights.data.dtype))
-    return ExpertSelection(indices=sel.indices, weights=forced, gates=sel.gates)
+    return ExpertSelection(indices=sel.indices, weights=forced)
 
 
 def mixture_project(x: Tensor, bank: Tensor, sels,

@@ -50,16 +50,6 @@ class Tensor:
         self._prev = _prev
         self._spent = False
 
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_values(values, shape=None, requires_grad: bool = False) -> "Tensor":
-        """Create a leaf tensor from external data; rejects NaN/Inf."""
-        arr = _as_array(values, shape)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite values rejected at tensor creation")
-        return Tensor(arr, requires_grad=requires_grad)
-
     # -- helpers -----------------------------------------------------------
 
     @property
@@ -436,11 +426,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (x,), bw)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
 
@@ -510,15 +495,24 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along the last axis; ``idx`` broadcasts against x[..., :]."""
+    """Gather along the last axis; ``idx`` broadcasts against x[..., :].
+
+    The indices within a row must be distinct, as top-k indices are, so the
+    backward writes ``g`` straight into zeros; a repeat raises ShapeError.
+    """
     idx = np.asarray(idx)
+    # rows in ascending order, as top-k gives them, are distinct; only other
+    # rows pay for NumPy's per-row sort
+    if not np.all(idx[..., 1:] > idx[..., :-1]):
+        ranked = np.sort(idx, axis=-1)
+        if np.any(ranked[..., 1:] == ranked[..., :-1]):
+            raise ShapeError("take_last indices must be distinct within a row")
     idx_b = np.broadcast_to(idx, x.data.shape[:-1] + idx.shape[-1:])
     data = np.take_along_axis(x.data, idx_b, axis=-1)
 
     def bw(g):
         full = np.zeros_like(x.data)
-        lead = tuple(np.indices(idx_b.shape)[:-1])
-        np.add.at(full, lead + (idx_b,), g)
+        np.put_along_axis(full, idx_b, g, axis=-1)
         x._accum(full, fresh=True)
 
     return _make(data, (x,), bw)
@@ -551,21 +545,6 @@ def rel_shift(x: Tensor, cache_len: int) -> Tensor:
         x._accum(full, fresh=True)
 
     return _make(view(x.data).copy(), (x,), bw)
-
-
-def gather_mid(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick rows of the middle axis per leading index: x[N,E,D], idx[N,k] -> [N,k,D]."""
-    idx = np.asarray(idx)
-    n = x.data.shape[0]
-    rows = np.arange(n)[:, None]
-    data = x.data[rows, idx]
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, (rows, idx), g)
-        x._accum(full, fresh=True)
-
-    return _make(data, (x,), bw)
 
 
 def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:

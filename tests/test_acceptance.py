@@ -16,9 +16,7 @@ from statistics import median
 import numpy as np
 
 from switchlab.attention import (AttentionConfig, ExpertFlags,
-                                 attention_forward, dense_attention,
-                                 dense_readout_per_head,
-                                 init_attention_params, switchhead_attention)
+                                 attention_forward, init_attention_params)
 from switchlab.costmodel import (CostInputs, cost_attention, cost_switchhead,
                                  cost_xl, human, measure)
 from switchlab.counter import OpCounter
@@ -151,26 +149,26 @@ def test_reduction_oracles():
                           expert_flags=ExpertFlags(v=True, k=True, q=True,
                                                    o=True))
     params = init_attention_params(cfg, rng)
-    y_sh, _, _ = switchhead_attention(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
     dcfg = AttentionConfig(dm, H, dh, variant="dense", position="none")
-    y_d, _ = dense_attention(x, _fuse_dense(params, H, dh, dm), dcfg)
+    y_d, _, _ = attention_forward(x, _fuse_dense(params, H, dh, dm), dcfg)
     err_sh = np.max(np.abs(y_sh.data - y_d.data))
 
     hcfg = AttentionConfig(dm, H, dh, variant="head_gated", k_active=H)
     hparams = init_attention_params(hcfg, rng)
-    from switchlab.attention import head_gated_attention
-    y_hg, _ = head_gated_attention(x, hparams, hcfg, gate_override=1.0)
-    y_hd, _ = dense_attention(x, {k: v for k, v in hparams.items()
-                                  if k != "w_gate"},
-                              AttentionConfig(dm, H, dh, variant="dense"))
+    y_hg, _, _ = attention_forward(x, hparams, hcfg, gate_override=1.0)
+    y_hd, _, _ = attention_forward(x, {k: v for k, v in hparams.items()
+                                       if k != "w_gate"},
+                                   AttentionConfig(dm, H, dh, variant="dense"))
     err_hg = np.max(np.abs(y_hg.data - y_hd.data))
 
     rcfg = AttentionConfig(dm, 3, dh, variant="dense", context_mult=2)
     rparams = init_attention_params(rcfg, rng)
     y1, trace, _ = attention_forward(x, rparams, rcfg, want_trace=True)
     v = (x.data @ rparams["w_v"].data).reshape(1, 5, 3, dh).transpose(0, 2, 1, 3)
-    y2 = dense_readout_per_head(Tensor(trace.attn @ v), rparams["w_o"], 3, dh)
-    err_ro = np.max(np.abs(y1.data - y2.data))
+    av, w_o = trace.attn @ v, rparams["w_o"].data    # per-head-sum readout form
+    y2 = sum(av[:, h] @ w_o[h * dh:(h + 1) * dh] for h in range(3))
+    err_ro = np.max(np.abs(y1.data - y2))
 
     ok = err_sh < 1e-12 and err_hg < 1e-12 and err_ro < 1e-10
     _report("reduction oracles: MoE(E=1, unit gates) ≡ dense < 1e-12, "

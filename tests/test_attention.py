@@ -7,11 +7,8 @@ import numpy as np
 import pytest
 
 from switchlab.attention import (AttentionConfig, ExpertFlags, LayerCache,
-                                 attention_forward, dense_attention,
-                                 dense_readout_per_head, head_gated_attention,
-                                 init_attention_params, moa_attention,
-                                 rope_angles, rope_rotate, sinusoid_table,
-                                 switchhead_attention, xl_relative_attention)
+                                 attention_forward, init_attention_params,
+                                 rope_angles, rope_rotate, sinusoid_table)
 from switchlab.counter import OpCounter
 from switchlab.moe import ConfigError, SelectionConfig, select
 from switchlab.rng import rng_for
@@ -128,9 +125,9 @@ def test_switchhead_e1_forced_gate_equals_dense(position):
     rng = rng_for(3, "reduce", position)
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 5, DM)
-    y_sh, _, _ = switchhead_attention(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
     dcfg = AttentionConfig(DM, 2, 4, variant="dense", position=position)
-    y_d, _ = dense_attention(x, _dense_params_from_switchhead(params, cfg), dcfg)
+    y_d, _, _ = attention_forward(x, _dense_params_from_switchhead(params, cfg), dcfg)
     assert np.max(np.abs(y_sh.data - y_d.data)) < 1e-12
 
 
@@ -142,7 +139,7 @@ def test_switchhead_e1_xl_single_head_equals_dense():
     rng = rng_for(4, "reduce-xl")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 5, DM)
-    y_sh, _, _ = switchhead_attention(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
     dcfg = AttentionConfig(DM, 1, 4, variant="dense", context_mult=2)
     dparams = _dense_params_from_switchhead(params, cfg)
     dparams["w_r"] = Tensor(params["w_r"].data.copy())
@@ -159,10 +156,10 @@ def test_head_gated_all_heads_forced_equals_dense():
     rng = rng_for(5, "hg")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 2, 4, DM)
-    y_hg, _ = head_gated_attention(x, params, cfg, gate_override=1.0)
+    y_hg, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
     dcfg = AttentionConfig(DM, H, 4, variant="dense", context_mult=2)
     dparams = {k: v for k, v in params.items() if k != "w_gate"}
-    y_d, _ = dense_attention(x, dparams, dcfg)
+    y_d, _, _ = attention_forward(x, dparams, dcfg)
     assert np.max(np.abs(y_hg.data - y_d.data)) < 1e-12
 
 
@@ -173,10 +170,36 @@ def test_head_gated_saturated_gate_picks_single_head():
     params["w_gate"].data[:, 0] = 50.0     # head 0 logit >> head 1
     params["w_gate"].data[:, 1] = -50.0
     x = Tensor(np.abs(rng.uniform(0.1, 1, (1, 3, DM))))
-    y, trace = head_gated_attention(x, params, cfg, want_trace=True)
+    y, trace, _ = attention_forward(x, params, cfg, want_trace=True)
     idx, w = trace.selections["heads"]
     assert np.all(idx == 0)
     assert np.all(w > 1 - 1e-6)
+
+
+@pytest.mark.parametrize("k_active", [1, 2])
+def test_head_gated_matches_selected_heads_oracle(k_active):
+    # y[b, t] = sum over the k selected heads h of gate * av[b, h, t] @ w_o[h]
+    B, T, H, dh = 2, 4, 3, 4
+    cfg = AttentionConfig(DM, H, dh, variant="head_gated", k_active=k_active)
+    rng = rng_for(8, "hg-oracle", str(k_active))
+    params = init_attention_params(cfg, rng)
+    x = rand_x(rng, B, T, DM)
+    y, trace, _ = attention_forward(x, params, cfg, want_trace=True)
+    idx, gates = trace.selections["heads"]
+    v = (x.data @ params["w_v"].data).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+    av = trace.attn @ v
+    w_o = params["w_o"].data.reshape(H, dh, DM)
+    want = np.zeros((B, T, DM))
+    for b, t, j in product(range(B), range(T), range(k_active)):
+        h = idx[b, t, j]
+        want[b, t] += gates[b, t, j] * av[b, h, t] @ w_o[h]
+    assert np.max(np.abs(y.data - want)) < 1e-12
+
+
+def dense_readout_per_head(av, w_o, H, dh):
+    """Per-head-sum readout form of dense attention, the oracle for the
+    concatenated form: the sum over heads h of av[:, h] @ w_o[h*dh:(h+1)*dh]."""
+    return sum(av[:, h] @ w_o[h * dh:(h + 1) * dh] for h in range(H))
 
 
 def test_dense_readout_forms_agree():
@@ -188,9 +211,8 @@ def test_dense_readout_forms_agree():
     y, trace, _ = attention_forward(x, params, cfg, want_trace=True)
     H, dh = cfg.n_heads, cfg.d_head
     v = (x.data @ params["w_v"].data).reshape(2, 4, H, dh).transpose(0, 2, 1, 3)
-    av = Tensor(trace.attn @ v)
-    y2 = dense_readout_per_head(av, params["w_o"], H, dh)
-    assert np.max(np.abs(y.data - y2.data)) < 1e-10
+    y2 = dense_readout_per_head(trace.attn @ v, params["w_o"].data, H, dh)
+    assert np.max(np.abs(y.data - y2)) < 1e-10
 
 
 # -- materialized-mixture oracle over all 16 flag combinations -------------
@@ -258,7 +280,7 @@ def test_switchhead_all_flag_combos_match_oracle(flags):
     rng = rng_for(hash(flags) % 1000, "combo")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 2, 4, DM)
-    y, _, _ = switchhead_attention(x, params, cfg)
+    y, _, _ = attention_forward(x, params, cfg)
     oracle = _numpy_switchhead(x.data, params, cfg)
     assert np.max(np.abs(y.data - oracle)) < 1e-10
 
@@ -272,7 +294,7 @@ def test_moa_single_expert_is_gated_dense_head():
     rng = rng_for(9, "moa1")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 4, DM)
-    y, trace, _ = moa_attention(x, params, cfg, want_trace=True)
+    y, trace, _ = attention_forward(x, params, cfg, want_trace=True)
     gate = trace.selections["router"][1][..., 0]
     kk = x.data @ params["w_k"].data
     qq = x.data @ params["w_q"].data[0]
@@ -291,7 +313,7 @@ def test_moa_matches_all_experts_oracle():
     rng = rng_for(10, "moa")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 2, 4, DM)
-    y, trace, _ = moa_attention(x, params, cfg, want_trace=True)
+    y, trace, _ = attention_forward(x, params, cfg, want_trace=True)
     idx, wts = trace.selections["router"]
     B, T = 2, 4
     kk = x.data @ params["w_k"].data
@@ -383,9 +405,9 @@ def test_two_chunk_rows_cover_both_chunks():
     rng = rng_for(15, "chunks")
     params = init_attention_params(cfg, rng)
     x1, x2 = rand_x(rng, 1, 3, DM), rand_x(rng, 1, 3, DM)
-    _, _, cache = xl_relative_attention(x1, None, params, cfg)
+    _, _, cache = attention_forward(x1, params, cfg)
     assert cache.k.shape == (1, 2, 3, 4)
-    _, trace, _ = xl_relative_attention(x2, cache, params, cfg, want_trace=True)
+    _, trace, _ = attention_forward(x2, params, cfg, cache=cache, want_trace=True)
     assert trace.attn.shape[-1] == 6
     assert np.allclose(trace.attn.sum(-1), 1.0, atol=1e-9)
     assert np.all(trace.attn[..., :4] > 0)   # attends into the cached chunk
@@ -400,8 +422,8 @@ def test_chunked_equals_full_window():
     x_full = rand_x(rng, 1, 2 * T, DM)
     x1 = Tensor(x_full.data[:, :T])
     x2 = Tensor(x_full.data[:, T:])
-    _, _, cache = xl_relative_attention(x1, None, params, cfg)
-    y_chunk, _, _ = xl_relative_attention(x2, cache, params, cfg)
+    _, _, cache = attention_forward(x1, params, cfg)
+    y_chunk, _, _ = attention_forward(x2, params, cfg, cache=cache)
     full_cfg = AttentionConfig(DM, 2, 4, variant="dense", context_mult=1)
     y_full, _, _ = attention_forward(x_full, params, full_cfg)
     assert np.max(np.abs(y_chunk.data - y_full.data[:, T:])) < 1e-8
@@ -415,7 +437,7 @@ def test_cache_fifo_keeps_last_chunks():
     ks = []
     for _ in range(4):
         x = rand_x(rng, 1, 2, DM)
-        _, _, cache = xl_relative_attention(x, cache, params, cfg)
+        _, _, cache = attention_forward(x, params, cfg, cache=cache)
         ks.append((x.data @ params["w_k"].data).reshape(1, 2, 2, 4).transpose(0, 2, 1, 3))
     want = np.concatenate(ks[-2:], axis=2)   # last C-1 = 2 chunks
     assert np.allclose(cache.k, want, atol=1e-15)
@@ -453,14 +475,14 @@ def test_switchhead_expert_permutation_invariance():
     rng = rng_for(20, "perm")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 5, DM)
-    y1, _, _ = switchhead_attention(x, params, cfg)
+    y1, _, _ = attention_forward(x, params, cfg)
     perm = np.array([2, 0, 3, 1])
     p2 = {k: Tensor(v.data.copy()) for k, v in params.items()}
     p2["w_v"] = Tensor(params["w_v"].data[:, perm])
     p2["w_o"] = Tensor(params["w_o"].data[:, perm])
     p2["w_s"] = Tensor(params["w_s"].data[:, :, perm])
     p2["w_d"] = Tensor(params["w_d"].data[:, :, perm])
-    y2, _, _ = switchhead_attention(x, p2, cfg)
+    y2, _, _ = attention_forward(x, p2, cfg)
     assert np.max(np.abs(y1.data - y2.data)) < 1e-12
 
 
@@ -471,7 +493,7 @@ def test_selection_matrices_receive_gradients():
     rng = rng_for(21, "selgrad")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 4, DM, grad=True)
-    y, _, _ = switchhead_attention(x, params, cfg)
+    y, _, _ = attention_forward(x, params, cfg)
     tsum(mul(y, constant(rng.uniform(-1, 1, y.shape)))).backward()
     assert params["w_s"].grad is not None and np.any(params["w_s"].grad != 0)
     assert params["w_d"].grad is not None and np.any(params["w_d"].grad != 0)
@@ -512,7 +534,7 @@ def _per_head_switchhead(x, params, cfg, cache):
     B, T, dm = x.shape
     H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
     f = cfg.expert_flags
-    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid", dm)
+    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
     sel_s = [select(x, params["w_s"][h], sel_cfg) for h in range(H)] if f.v or f.k else None
     sel_d = [select(x, params["w_d"][h], sel_cfg) for h in range(H)] if f.q or f.o else None
     cache_len = 0 if cache is None else cache.length

@@ -5,7 +5,7 @@ import pytest
 
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.checkpoint import MAGIC, CheckpointError, load, save
-from switchlab.model import MLPConfig, ModelSpec, build, switchall_build
+from switchlab.model import MLPConfig, ModelSpec, build
 from switchlab.rng import rng_for
 
 
@@ -18,7 +18,7 @@ def small_spec():
 
 
 def test_round_trip_exact(tmp_path):
-    m = switchall_build(small_spec(), 4)
+    m = build(small_spec(), 4)
     path = str(tmp_path / "m.ckpt")
     save(path, m)
     m2 = load(path)
@@ -33,7 +33,7 @@ def test_round_trip_exact(tmp_path):
 
 def test_round_trip_preserves_spec(tmp_path):
     spec = small_spec()
-    m = switchall_build(spec, 1)
+    m = build(spec, 1)
     path = str(tmp_path / "m.ckpt")
     save(path, m)
     m2 = load(path)

@@ -5,8 +5,7 @@ import pytest
 
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
-                             count_params, match_params, match_report,
-                             switchall_build)
+                             count_params, match_params, match_report)
 from switchlab.moe import ConfigError
 from switchlab.rng import rng_for
 from switchlab.tensor import cross_entropy
@@ -47,11 +46,11 @@ def test_spec_validation_lists_problems():
 
 def test_mlp_config_validation():
     with pytest.raises(ConfigError):
-        MLPConfig("fancy", 8).validate(16)
+        MLPConfig("fancy", 8).validate()
     with pytest.raises(ConfigError):
-        MLPConfig("dense", 8, n_experts=2).validate(16)
+        MLPConfig("dense", 8, n_experts=2).validate()
     with pytest.raises(ConfigError):
-        MLPConfig("sigma_moe", 8, n_experts=2, k_active=3).validate(16)
+        MLPConfig("sigma_moe", 8, n_experts=2, k_active=3).validate()
 
 
 # -- counting vs instantiation --------------------------------------------
@@ -167,7 +166,7 @@ def test_switchall_double_reduction_matches_dense():
                                      expert_flags=ExpertFlags(v=True, k=True,
                                                               q=True, o=True)),
                      MLPConfig("sigma_moe", 10, 1, 1), vocab, T=T)
-    m = switchall_build(spec, 3).astype(np.float64)
+    m = build(spec, 3).astype(np.float64)
     dense = ModelSpec(1, dm,
                       AttentionConfig(dm, 2, 4, variant="dense", position="none"),
                       MLPConfig("dense", 10), vocab, T=T)
@@ -191,19 +190,13 @@ def test_switchall_double_reduction_matches_dense():
     assert np.max(np.abs(y_moe.data - y_dense.data)) < 1e-10
 
 
-def test_switchall_requires_moe_parts():
-    spec = dense_spec()
-    with pytest.raises(ConfigError):
-        switchall_build(spec, 0)
-
-
 def test_switchall_end_to_end_gradients():
     spec = ModelSpec(2, 8,
                      AttentionConfig(8, 2, 4, variant="switchhead",
                                      context_mult=2, n_experts=3, k_active=2,
                                      expert_flags=ExpertFlags.value_output()),
                      MLPConfig("sigma_moe", 6, 3, 2), 11, T=4)
-    m = switchall_build(spec, 0)
+    m = build(spec, 0)
     toks = rng_for(2, "g-toks").integers(11, size=(1, 4))
     logits, _, _ = m.forward(toks)
     loss = cross_entropy(logits, np.roll(toks, -1, axis=1))

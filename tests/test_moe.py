@@ -30,7 +30,7 @@ def test_selection_config_validation():
 def test_select_topk_matches_bruteforce(seed):
     rng, x, w_sel = rand_inputs(seed)
     k = int(rng.integers(1, 6))
-    sel = select(x, w_sel, SelectionConfig(5, k, "sigmoid", 6))
+    sel = select(x, w_sel, SelectionConfig(5, k, "sigmoid"))
     logits = x.data @ w_sel.data
     for t in range(x.shape[0]):
         order = sorted(range(5), key=lambda e: (-logits[t, e], e))[:k]
@@ -44,14 +44,14 @@ def test_select_sigmoid_noncompetitive():
     # are per-expert, never normalized across experts
     x = Tensor(np.full((1, 2), 4.0))
     w = Tensor(np.ones((2, 3)))
-    sel = select(x, w, SelectionConfig(3, 2, "sigmoid", 2))
+    sel = select(x, w, SelectionConfig(3, 2, "sigmoid"))
     assert np.all(sel.weights.data > 0.99)
     assert sel.weights.data.sum() > 1.5
 
 
 def test_select_softmax_weights():
     rng, x, w_sel = rand_inputs(42)
-    sel = select(x, w_sel, SelectionConfig(5, 2, "softmax", 6))
+    sel = select(x, w_sel, SelectionConfig(5, 2, "softmax"))
     logits = x.data @ w_sel.data
     full = np.exp(logits - logits.max(-1, keepdims=True))
     full /= full.sum(-1, keepdims=True)
@@ -65,7 +65,7 @@ def test_mixture_project_matches_materialized_oracle(seed, gate):
     rng, x, w_sel = rand_inputs(seed)
     E, d_in, d_out = 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
-    sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid", d_in))
+    sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid"))
     y = mixture_project(x, bank[None], [sel], gate=gate)   # one head
     # oracle: per token, materialize the mixed projection matrix
     for t in range(x.shape[0]):
@@ -79,7 +79,7 @@ def test_mixture_project_counter():
     rng, x, w_sel = rand_inputs(0)
     E, d_in, d_out, k, n = 5, 6, 4, 2, 7
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
-    sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid", d_in))
+    sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid"))
     c = OpCounter()
     mixture_project(x, bank[None], [sel], c, gate="output")
     assert c.terms["mixing"][0] == n * k * d_in * d_out + n * k * d_out
@@ -96,7 +96,7 @@ def test_mixture_permutation_invariance():
     rng, x, w_sel = rand_inputs(8)
     E, d_in, d_out = 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
-    cfg = SelectionConfig(E, 2, "sigmoid", d_in)
+    cfg = SelectionConfig(E, 2, "sigmoid")
     y1 = mixture_project(x, bank[None], [select(x, w_sel, cfg)], gate="output")
     perm = np.array([3, 0, 4, 1, 2])
     bank_p = Tensor(bank.data[None, perm])
@@ -108,7 +108,7 @@ def test_mixture_permutation_invariance():
 def test_mixture_shape_and_range_errors():
     rng, x, w_sel = rand_inputs(1)
     bank = Tensor(np.zeros((1, 5, 9, 4)))
-    sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid", 6))
+    sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid"))
     with pytest.raises(ConfigError):      # d_in 9 against inputs of width 6
         mixture_project(x, bank, [sel])
     with pytest.raises(ConfigError):      # a bank without its head axis
@@ -123,7 +123,7 @@ def test_sigma_moe_matches_loop_oracle(seed):
     up = Tensor(uniform_init(rng, (E, dm, dx), dm), requires_grad=True)
     down = Tensor(uniform_init(rng, (E, dx, dm), dx), requires_grad=True)
     w_sel = Tensor(uniform_init(rng, (dm, E), dm), requires_grad=True)
-    cfg = SelectionConfig(E, k, "sigmoid", dm)
+    cfg = SelectionConfig(E, k, "sigmoid")
     y = sigma_moe_mlp(x, up, down, w_sel, cfg)
     sel = select(x, w_sel, cfg)
     for t in range(n):
@@ -141,7 +141,7 @@ def test_sigma_moe_gradients_flow_to_selector():
     up = Tensor(uniform_init(rng, (E, dm, dx), dm), requires_grad=True)
     down = Tensor(uniform_init(rng, (E, dx, dm), dx), requires_grad=True)
     w_sel = Tensor(uniform_init(rng, (dm, E), dm), requires_grad=True)
-    cfg = SelectionConfig(E, 2, "sigmoid", dm)
+    cfg = SelectionConfig(E, 2, "sigmoid")
     w = rng.uniform(-1, 1, (n, dm))
     tsum(mul(sigma_moe_mlp(x, up, down, w_sel, cfg), constant(w))).backward()
     for t in (x, up, down, w_sel):

@@ -10,10 +10,9 @@ from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
 from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk,
                               argtopk_rows, concat, constant, cross_entropy,
-                              expert_matmul, gather_mid, gather_rows,
-                              layer_norm, matmul, mul, rel_shift, relu,
-                              reshape, sigmoid, slice_, softmax_last,
-                              take_last, tmean, transpose, tsum)
+                              expert_matmul, gather_rows, layer_norm, matmul,
+                              mul, rel_shift, relu, reshape, sigmoid, slice_,
+                              softmax_last, take_last, transpose, tsum)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -36,13 +35,6 @@ def rel_err(a, b):
 
 
 # -- construction / bookkeeping -------------------------------------------
-
-
-def test_from_values_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        Tensor.from_values([1.0, np.nan])
-    with pytest.raises(ValueError):
-        Tensor.from_values([np.inf, 0.0])
 
 
 def test_backward_requires_scalar():
@@ -318,12 +310,22 @@ def test_expert_matmul_rejects_bad_shapes():
         expert_matmul(x, bank, two[:0], two[:0], two[:0], 1)
 
 
-def test_take_last_and_gather_mid_grads():
-    rng = rng_for(13, "take")
-    x = Tensor(rng.uniform(-1, 1, (2, 3, 5)), requires_grad=True)
-    idx = rng.integers(5, size=(2, 3, 2))
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=3), n=st.integers(1, 6),
+       k=st.integers(1, 6), broadcast=st.booleans(), seed=st.integers(0, 2**16))
+@example(lead=[2, 3], n=5, k=2, broadcast=False, seed=13)
+@example(lead=[4], n=6, k=6, broadcast=True, seed=0)
+def test_take_last_matches_finite_differences(lead, n, k, broadcast, seed):
+    # distinct indices per row, in random order, as top-k routing picks them;
+    # with ``broadcast`` the index rows are shared over x's first axis
+    rng = rng_for(seed, "take")
+    k = min(k, n)
+    x = Tensor(rng.uniform(-1, 1, tuple(lead) + (n,)), requires_grad=True)
+    idx_lead = tuple(lead[1:] if broadcast else lead)
+    idx = np.argsort(rng.uniform(size=idx_lead + (n,)), axis=-1)[..., :k]
     out = take_last(x, idx)
-    assert np.array_equal(out.data, np.take_along_axis(x.data, idx, -1))
+    idx_b = np.broadcast_to(idx, tuple(lead) + (k,))
+    assert np.array_equal(out.data, np.take_along_axis(x.data, idx_b, -1))
     w = rng.uniform(-1, 1, out.shape)
     tsum(mul(out, constant(w))).backward()
 
@@ -332,17 +334,11 @@ def test_take_last_and_gather_mid_grads():
 
     assert rel_err(fd_grad(loss_fn, x.data), x.grad) < 1e-8
 
-    y = Tensor(rng.uniform(-1, 1, (4, 3, 2)), requires_grad=True)
-    midx = rng.integers(3, size=(4, 2))
-    m = gather_mid(y, midx)
-    assert m.shape == (4, 2, 2)
-    wy = rng.uniform(-1, 1, m.shape)
-    tsum(mul(m, constant(wy))).backward()
 
-    def loss_y():
-        return float(tsum(mul(gather_mid(y, midx), constant(wy))).data)
-
-    assert rel_err(fd_grad(loss_y, y.data), y.grad) < 1e-8
+def test_take_last_rejects_repeated_index():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ShapeError):
+        take_last(x, np.array([[0, 1], [2, 2]]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -387,12 +383,6 @@ def test_shaping_ops_grads():
                               constant(w))).data)
 
     assert rel_err(fd_grad(loss_fn, x.data), x.grad) < 1e-8
-
-
-def test_tmean_matches_numpy():
-    x = Tensor(np.arange(12.0).reshape(3, 4))
-    assert np.allclose(tmean(x, axis=0).data, x.data.mean(0))
-    assert abs(float(tmean(x).data) - x.data.mean()) < 1e-15
 
 
 # -- top-k selection helpers ----------------------------------------------
