@@ -20,6 +20,7 @@ Conventions shared by every variant:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,14 +172,28 @@ def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator) -> dic
 # -- position machinery ---------------------------------------------------
 
 
-def sinusoid_table(n_rows: int, d_model: int, offset: int) -> np.ndarray:
-    """Sinusoidal encodings for relative distances d = row - offset."""
+def sinusoid_table(n_rows: int, d_model: int, offset: int,
+                   dtype=np.float64) -> np.ndarray:
+    """Sinusoidal encodings for relative distances d = row - offset.
+
+    Computed in float64 and rounded to ``dtype``. Tables are memoised per
+    (n_rows, d_model, offset, dtype), so every caller gets the same array,
+    which is read-only.
+    """
+    return _sinusoid_table(n_rows, d_model, offset, np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=128)
+def _sinusoid_table(n_rows: int, d_model: int, offset: int,
+                    dtype: np.dtype) -> np.ndarray:
     d = (np.arange(n_rows) - offset)[:, None].astype(np.float64)
     i = np.arange(0, d_model, 2, dtype=np.float64)
     angle = d / np.power(10000.0, i / d_model)
     out = np.zeros((n_rows, d_model))
     out[:, 0::2] = np.sin(angle)
     out[:, 1::2] = np.cos(angle[:, : out[:, 1::2].shape[1]])
+    out = out.astype(dtype, copy=False)
+    out.setflags(write=False)
     return out
 
 
@@ -303,7 +318,7 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
         # their interaction matmul is not in the closed forms, so its cost
         # is itemized under 'pos_scores'
         w_r = params["w_r"]
-        table = sinusoid_table(2 * S, cfg.d_model, offset=S - 1).astype(w_r.data.dtype)
+        table = sinusoid_table(2 * S, cfg.d_model, offset=S - 1, dtype=w_r.data.dtype)
         r = matmul(constant(table), w_r, counter, term="position")
         r = (transpose(reshape(r, (2 * S, cfg.n_heads, cfg.d_head)), (1, 2, 0))
              if per_head_pos else transpose(r))          # [H, dh, 2S] or [dh, 2S]

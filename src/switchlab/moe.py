@@ -63,12 +63,13 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
     logits = matmul(x, w_sel, counter, store=False, extra="selection")
     if counter.enabled:
         counter.add_extra("selection", mem=logits.size)
-    if cfg.activation == "sigmoid":
-        gates = sigmoid(logits)
-    else:
-        gates = softmax_last(logits, counter, store=False)
     indices = argtopk_rows(logits.data, cfg.k_active)
-    weights = take_last(gates, indices)
+    if cfg.activation == "sigmoid":
+        # sigmoid is monotone and elementwise, so the top-k of the logits is
+        # the top-k of the gates, and only the k selected logits need it
+        weights = sigmoid(take_last(logits, indices))
+    else:
+        weights = take_last(softmax_last(logits, counter, store=False), indices)
     return ExpertSelection(indices=indices, weights=weights)
 
 

@@ -13,13 +13,56 @@ output floats), ``expert_matmul`` (the MACs of its expert GEMMs) and
 ``softmax_last`` (its stored output floats). Everything else is free in the
 MAC accounting convention used by the cost model; explicit elementwise
 costs, such as a gate multiply, are added by the callers that need them.
+
+Importing this module sets glibc's allocation policy so that the memory a
+step frees stays with the process for the next step (``keep_freed_pages``).
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
+
+# glibc's mallopt parameters (malloc.h) and the values set for them: every
+# array of the lab's workloads (at most about 4 MB) stays below the mmap
+# threshold, which the mallopt man page caps at 32 MiB on 64-bit hosts, and
+# a step's freed activations (about 60 MB at most) stay below the trim
+# threshold, which also bounds the free memory the process keeps
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 256 << 20
+
+
+def keep_freed_pages() -> bool:
+    """Make glibc keep freed memory instead of returning it to the kernel.
+
+    Each backward frees the step's activations, and by default glibc hands
+    large blocks back (``munmap`` or a trim of the heap top), so the next
+    step faults every page back in: thousands of minor faults per step,
+    spread as kernel time over every op that allocates. Raising the mmap
+    threshold serves the arrays from the heap, and raising the trim
+    threshold keeps the freed heap top. Both are set, because setting
+    either one turns off glibc's dynamic adjustment of the other (the trim
+    threshold alone made the faults worse, the mmap threshold alone left
+    them at the default's level). The trade-off: resident memory no longer
+    falls after a peak, it stays ready for the next step. Returns whether
+    both settings took; where there is no ``mallopt`` (a libc other than
+    glibc) it does nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
+keep_freed_pages()
 
 
 class ShapeError(ValueError):
@@ -245,21 +288,21 @@ def mul(a, b) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    out = np.maximum(x.data, 0.0)
 
     def bw(g):
-        x._accum(g * mask, fresh=True)
+        # out > 0 exactly where x > 0, and the node holds out anyway
+        x._accum(g * (out > 0), fresh=True)
 
-    return _make(np.maximum(x.data, 0.0), (x,), bw)
+    return _make(out, (x,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # numerically stable in both tails
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # numerically stable in both tails: with e = exp(-|x|), 1 / (1 + e) for
+    # x >= 0 and e / (1 + e) below
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0, e)
+    out /= 1.0 + e
 
     def bw(g):
         x._accum(g * out * (1.0 - out), fresh=True)
@@ -399,7 +442,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 
     def bw(g):
         p = np.exp(z - lse[..., None])
-        np.subtract.at(p, tuple(np.indices(lead)) + (targets,), 1.0)
+        # each position has exactly one target: subtract 1 there
+        tgt = targets[..., None]
+        np.put_along_axis(p, tgt, np.take_along_axis(p, tgt, axis=-1) - 1.0, axis=-1)
         if m is not None:
             p *= m[..., None]
         p *= float(g) / count
@@ -631,10 +676,11 @@ def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
     gate_in = w is not None and gate_side == "input"
     gate_out = w is not None and gate_side == "output"
     xs = np.take(x.data, src_s, axis=0)
-    xin = xs * w[:, None] if gate_in else xs
+    if gate_in:
+        xs *= w[:, None]
     ys = np.empty((A, d_out), dtype=np.result_type(x.data, bank.data))
     for e, lo, hi in segments:
-        np.matmul(xin[lo:hi], bank.data[e], out=ys[lo:hi])
+        np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
     data = _group_sum(dst_s, ys, m_out, w if gate_out else None)
     counter.add(macs=A * d_in * d_out, term=term)
     # the output-side gate's grad needs the ungated results; nothing else does
@@ -647,6 +693,11 @@ def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
             if gate.requires_grad:
                 ggate = np.einsum("ad,ad->a", gs, ys)
             gs *= w[:, None]
+        # the x rows are gathered again from x.data, which the tape holds
+        # anyway, rather than kept from the forward
+        xs = None
+        if bank.requires_grad or (gate_in and gate.requires_grad):
+            xs = np.take(x.data, src_s, axis=0)
         if bank.requires_grad:
             xb = xs * w[:, None] if gate_in else xs
             gbank = np.zeros_like(bank.data)
@@ -672,27 +723,42 @@ def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last dimension."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
-    n = x.data.shape[-1]
+    """Layer normalization over the last dimension.
+
+    The rows are normalised as one [rows, n] matrix: the row mean is a GEMV
+    against a 1/n vector, the variance a row dot of the centred rows, and
+    the centred rows are scaled in place. Only the normalised rows ``xhat``
+    and the inverse deviations ``inv`` are kept for the backward, which
+    takes two column reductions (gain and bias grads, GEMVs against ones)
+    and two row reductions (the x grad's mean terms).
+    """
+    shape, n = x.data.shape, x.data.shape[-1]
+    x2 = x.data.reshape(-1, n)
+    mean_w = np.full(n, 1.0 / n, dtype=x2.dtype)
+    xhat = x2 - (x2 @ mean_w)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps))[:, None]
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
+        g2 = g.reshape(-1, n)
+        ones = np.ones(g2.shape[0], dtype=g2.dtype)
         if gain.requires_grad:
-            gain._accum((g * xhat).reshape(-1, n).sum(axis=0), fresh=True)
+            gain._accum(ones @ (g2 * xhat), fresh=True)
         if bias.requires_grad:
-            bias._accum(g.reshape(-1, n).sum(axis=0), fresh=True)
+            bias._accum(ones @ g2, fresh=True)
         if x.requires_grad:
-            gx = g * gain.data
-            t1 = gx.sum(axis=-1, keepdims=True)
-            t2 = (gx * xhat).sum(axis=-1, keepdims=True)
-            x._accum(inv * (gx - t1 / n - xhat * t2 / n), fresh=True)
+            # dx = inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
+            gx = g2 * gain.data
+            t1 = (gx @ mean_w)[:, None]
+            t2 = (np.einsum("ij,ij->i", gx, xhat) / n)[:, None]
+            gx -= xhat * t2
+            gx -= t1
+            gx *= inv
+            x._accum(gx.reshape(shape), fresh=True)
 
-    return _make(out, (x, gain, bias), bw)
+    return _make(out.reshape(shape), (x, gain, bias), bw)
 
 
 # -- routing helpers ------------------------------------------------------

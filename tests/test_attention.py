@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from switchlab import attention
 from switchlab.attention import (AttentionConfig, ExpertFlags, LayerCache,
                                  attention_forward, init_attention_params,
                                  rope_angles, rope_rotate, sinusoid_table)
@@ -395,6 +396,18 @@ def test_sinusoid_table_shape_and_symmetry():
     # distance 0 row: sin components 0, cos components 1
     assert np.allclose(tab[4, 0::2], 0.0)
     assert np.allclose(tab[4, 1::2], 1.0)
+
+
+def test_sinusoid_table_memoised_read_only():
+    tab = sinusoid_table(12, DM, offset=5, dtype=np.float32)
+    assert tab.dtype == np.float32 and not tab.flags.writeable
+    with pytest.raises(ValueError):
+        tab[0, 0] = 1.0
+    assert sinusoid_table(12, DM, 5, np.float32) is tab
+    fresh = attention._sinusoid_table.__wrapped__(12, DM, 5, np.dtype(np.float32))
+    assert fresh is not tab and np.array_equal(fresh, tab)
+    wide = sinusoid_table(12, DM, offset=5)
+    assert wide.dtype == np.float64 and np.array_equal(wide.astype(np.float32), tab)
 
 
 # -- XL cache behaviour ----------------------------------------------------

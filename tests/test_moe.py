@@ -7,7 +7,8 @@ from switchlab.counter import OpCounter
 from switchlab.moe import (ConfigError, SelectionConfig, mixture_project,
                            select, sigma_moe_mlp)
 from switchlab.rng import rng_for, uniform_init
-from switchlab.tensor import Tensor, constant, mul, tsum
+from switchlab.tensor import (Tensor, argtopk_rows, constant, matmul, mul,
+                              sigmoid, take_last, tsum)
 
 
 def rand_inputs(seed, n=7, dm=6, E=5):
@@ -37,6 +38,30 @@ def test_select_topk_matches_bruteforce(seed):
         assert list(sel.indices[t]) == sorted(order)
         expected = 1.0 / (1.0 + np.exp(-logits[t, sel.indices[t]]))
         assert np.allclose(sel.weights.data[t], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_select_sigmoid_gates_match_full_sigmoid_oracle(dtype):
+    # select applies the sigmoid to the k selected logits only; the earlier
+    # form, a sigmoid over every expert's logit and then the top-k gather, is
+    # the oracle: indices, gate values and grads bit for bit
+    rng = rng_for(21, "moe-sigmoid")
+    x = rng.uniform(-3, 3, (9, 6)).astype(dtype)
+    w_sel = uniform_init(rng, (6, 5), 6).astype(dtype)
+    w_gate = rng.uniform(-1, 1, (9, 2)).astype(dtype)
+    x1, w1 = Tensor(x, requires_grad=True), Tensor(w_sel, requires_grad=True)
+    sel = select(x1, w1, SelectionConfig(5, 2, "sigmoid"))
+    tsum(mul(sel.weights, constant(w_gate))).backward()
+    x2, w2 = Tensor(x, requires_grad=True), Tensor(w_sel, requires_grad=True)
+    logits = matmul(x2, w2)
+    indices = argtopk_rows(logits.data, 2)
+    weights = take_last(sigmoid(logits), indices)
+    tsum(mul(weights, constant(w_gate))).backward()
+    assert np.array_equal(sel.indices, indices)
+    assert sel.weights.data.dtype == dtype
+    assert np.array_equal(sel.weights.data, weights.data)
+    assert np.array_equal(x1.grad, x2.grad)
+    assert np.array_equal(w1.grad, w2.grad)
 
 
 def test_select_sigmoid_noncompetitive():

@@ -1,11 +1,14 @@
 """Tensor engine: forward values, analytic backward vs finite differences,
 graph bookkeeping, and the routing helpers."""
 
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from switchlab import tensor
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
 from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk,
@@ -30,8 +33,8 @@ def fd_grad(f, x, h=1e-6):
     return g
 
 
-def rel_err(a, b):
-    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-12)
+def rel_err(a, b, floor=1e-12):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), floor)
 
 
 # -- construction / bookkeeping -------------------------------------------
@@ -97,6 +100,37 @@ def test_elementwise_chain_gradients(seed):
     loss.backward()
     num = fd_grad(lambda: float(loss_fn().data), x.data)
     assert rel_err(num, x.grad) < 1e-7
+
+
+def sigmoid_masked(x):
+    """sigmoid's earlier two-branch form, by boolean-mask indexing."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_relu_match_their_earlier_forms(dtype):
+    # sigmoid: one exp(-|x|) pass, bit-identical to the masked two-branch
+    # form in both tails; relu: the grad mask read from the output is the
+    # x > 0 mask, zeros and signed zeros included
+    rng = rng_for(8, "sigmoid")
+    values = np.concatenate([rng.uniform(-30, 30, 40), [0.0, -0.0, 1e-30, -1e-30,
+                                                        -104.0, 104.0, -800.0, 800.0]])
+    x = Tensor(values.astype(dtype), requires_grad=True)
+    w = rng.uniform(-1, 1, values.size).astype(dtype)
+    out = sigmoid(x)
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, sigmoid_masked(x.data))
+    tsum(mul(out, constant(w))).backward()
+    want = sigmoid_masked(x.data)
+    assert np.array_equal(x.grad, w * want * (1.0 - want))
+    x = Tensor(values.astype(dtype), requires_grad=True)
+    tsum(mul(relu(x), constant(w))).backward()
+    assert np.array_equal(x.grad, w * (x.data > 0))
 
 
 @pytest.mark.parametrize("shapes", [((2, 3), (3, 4)), ((5, 2, 3), (3, 2)),
@@ -168,6 +202,30 @@ def test_cross_entropy_matches_manual_and_grad():
     assert rel_err(fd_grad(loss_fn, logits.data), logits.grad) < 1e-7
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_cross_entropy_grad_matches_subtract_at_oracle(masked):
+    # the backward subtracts 1 at each position's one target through
+    # take/put_along_axis; np.subtract.at over all positions is the oracle
+    rng = rng_for(12, "xent-at")
+    logits = Tensor(rng.uniform(-3, 3, (2, 5, 7)), requires_grad=True)
+    targets = rng.integers(7, size=(2, 5))
+    mask = rng.integers(2, size=(2, 5)).astype(bool) if masked else None
+    if masked:
+        mask[0, 0] = True
+    cross_entropy(logits, targets, mask).backward()
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    p = np.exp(z - lse[..., None])
+    np.subtract.at(p, tuple(np.indices(targets.shape)) + (targets,), 1.0)
+    if masked:
+        m = mask.astype(np.float64)
+        p *= m[..., None]
+        p *= 1.0 / m.sum()
+    else:
+        p *= 1.0 / targets.size
+    assert np.array_equal(logits.grad, p)
+
+
 def test_cross_entropy_empty_mask_rejected():
     with pytest.raises(ShapeError):
         cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int),
@@ -191,6 +249,57 @@ def test_layer_norm_values_and_grad():
 
     for t in (x, g, b):
         assert rel_err(fd_grad(loss_fn, t.data), t.grad) < 1e-6
+
+
+def layer_norm_unfused(x, gain, bias, g, eps=1e-5):
+    """layer_norm's earlier unfused form: (out, x grad, gain grad, bias
+    grad) for the upstream grad ``g``."""
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    t1 = gx.sum(axis=-1, keepdims=True)
+    t2 = (gx * xhat).sum(axis=-1, keepdims=True)
+    return (out, inv * (gx - t1 / n - xhat * t2 / n),
+            (g * xhat).reshape(-1, n).sum(axis=0), g.reshape(-1, n).sum(axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=3), n=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+@example(lead=[], n=1, seed=0)
+@example(lead=[], n=2, seed=0)
+@example(lead=[2, 3], n=8, seed=1)
+def test_layer_norm_matches_unfused_oracle_and_finite_differences(lead, n, seed):
+    rng = rng_for(seed, "ln-fused")
+    shape = tuple(lead) + (n,)
+    x = Tensor(rng.uniform(-2, 2, shape), requires_grad=True)
+    g = Tensor(rng.uniform(0.5, 1.5, n), requires_grad=True)
+    b = Tensor(rng.uniform(-0.5, 0.5, n), requires_grad=True)
+    w = rng.uniform(-1, 1, shape)
+    out = layer_norm(x, g, b)
+    tsum(mul(out, constant(w))).backward()
+    assert out.shape == shape
+    want = layer_norm_unfused(x.data, g.data, b.data, w)
+    # the x grad is inv * (w * gain) less its two row means, which cancel it
+    # down to O(eps) when w lies near the span of 1 and xhat (always, for
+    # n = 2); every float64 evaluation, the unfused one and finite
+    # differences too, then errs relative to the size of those terms
+    x_scale = np.linalg.norm(w * g.data / np.sqrt(x.data.var(axis=-1, keepdims=True) + 1e-5))
+    floors = (1e-12, x_scale, 1e-12, 1e-12)
+    for got, ref, floor in zip((out.data, x.grad, g.grad, b.grad), want, floors):
+        assert got.shape == ref.shape
+        assert rel_err(ref, got, floor) < 1e-12
+
+    def loss_fn():
+        return float(tsum(mul(layer_norm(x, g, b), constant(w))).data)
+
+    for t, floor in zip((x, g, b), floors[1:]):
+        assert rel_err(fd_grad(loss_fn, t.data), t.grad, floor) < 1e-6
 
 
 # -- gather / shaping ----------------------------------------------------
@@ -454,3 +563,22 @@ def test_first_use_grads_never_alias():
     assert not np.shares_memory(c.grad, d.grad)
     c.grad += 1.0
     assert np.array_equal(d.grad, np.ones((2, 3)))
+
+
+# -- allocation policy -----------------------------------------------------
+
+
+@pytest.mark.parametrize("lookup", ["missing symbol", "no library"])
+def test_keep_freed_pages_is_a_silent_noop_without_mallopt(monkeypatch, lookup):
+    def cdll(name):
+        if lookup == "no library":
+            raise OSError("no C library")
+        return object()   # a C library without mallopt, as off glibc
+
+    monkeypatch.setattr(tensor.ctypes, "CDLL", cdll)
+    assert tensor.keep_freed_pages() is False
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_keep_freed_pages_takes_on_glibc():
+    assert tensor.keep_freed_pages() is True
