@@ -1,12 +1,18 @@
 """Attention variants: dense MHA, XL-relative, RoPE, head-gating,
 SwitchHead-style per-projection expert mixtures, and the MoA baseline.
 
-The variants differ only in how they project and route. All of them run
-one core, ``_attend_heads``: cache, XL or RoPE position terms, scores,
-mask and readout, once on [B, H, T, S] for all heads. Head-gating's k
-selected heads and SwitchHead's expert roles are ``expert_matmul``
-dispatches; MoA is multi-query attention, its k routed query experts as
-k heads against one shared K/V head, so its cache is [B, 1, S, dh].
+The variants differ only in how they project and route. Each is a
+parameter table (``attention_param_shapes``, which both initialisation
+and ``model.count_params`` read) and a router that names its routed roles
+as ``moe.Route`` records. ``attention_forward`` is the one forward: K, Q
+and V are plain GEMMs or ``moe.dispatch_to_heads`` dispatches, the one
+core ``_attend_heads`` runs cache, XL or RoPE position terms, scores,
+mask and readout once on [B, H, T, S] for all heads, and O is the plain
+merge-GEMM or a ``moe.dispatch_from_heads`` dispatch. Head gating routes
+O alone, to its k selected heads; SwitchHead routes any of its four
+roles, one ``select`` per head and side; MoA is multi-query attention,
+its k routed query experts as k heads against one shared K/V head, so
+its cache is [B, 1, S, dh].
 
 Conventions shared by every variant:
   * a "head" is one computed attention matrix;
@@ -21,17 +27,16 @@ Conventions shared by every variant:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .moe import (ConfigError, SelectionConfig, mixture_project,
-                  override_gates, select)
+from .moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
+                  dispatch_to_heads, override_gates, select)
 from .rng import uniform_init
-from .tensor import (ShapeError, Tensor, concat, constant, expert_matmul,
-                     gather_rows, matmul, mul, rel_shift, reshape, softmax_last,
-                     transpose)
+from .tensor import (ShapeError, Tensor, concat, constant, matmul, mul, rel_shift,
+                     reshape, softmax_last, transpose)
 
 NEG_INF = -1e30
 
@@ -123,50 +128,51 @@ class AttentionTrace:
 # -- parameter construction -----------------------------------------------
 
 
-def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+def attention_param_shapes(cfg: AttentionConfig, per_head_pos: bool | None = None
+                           ) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Each parameter of one attention layer as name -> (shape, fan_in), in
+    the order ``init_attention_params`` draws them.
+
+    ``per_head_pos`` sets the width of the XL position projection ``w_r``:
+    one [dm, dh] block per head, or one block shared by all heads. None
+    follows the implementation (per head for dense and head-gated
+    attention, shared otherwise); the matching report counts both.
+    """
     cfg.validate()
     dm, H, dh, E = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.n_experts
-    p: dict[str, Tensor] = {}
-
-    def par(name, shape, fan_in):
-        p[name] = Tensor(uniform_init(rng, shape, fan_in), requires_grad=True)
-
-    if cfg.variant in ("dense", "head_gated"):
-        par("w_k", (dm, H * dh), dm)
-        par("w_q", (dm, H * dh), dm)
-        par("w_v", (dm, H * dh), dm)
-        par("w_o", (H * dh, dm), H * dh)
-        if cfg.variant == "head_gated":
-            par("w_gate", (dm, H), dm)
-        if cfg.position == "xl_relative":
-            par("w_r", (dm, H * dh), dm)
-            par("u", (H, 1, dh), dh)
-            par("v", (H, 1, dh), dh)
+    if cfg.variant == "moa":
+        pos_heads, bias = 1, (1, dh)   # MoA's one K/V head takes the position terms
+        table = {"w_k": ((dm, dh), dm), "w_v": ((dm, dh), dm),
+                 "w_q": ((E, dm, dh), dm), "w_o": ((E, dh, dm), dh),
+                 "w_router": ((dm, E), dm)}
     elif cfg.variant == "switchhead":
+        pos_heads, bias = H, (H, 1, dh)
         f = cfg.expert_flags
-        for role, expert, din, dout in (("k", f.k, dm, dh), ("q", f.q, dm, dh),
-                                        ("v", f.v, dm, dh), ("o", f.o, dh, dm)):
-            shape = (H, E, din, dout) if expert else (H, din, dout)
-            par(f"w_{role}", shape, din)
+        table = {f"w_{role}": ((H, E, din, dout) if expert else (H, din, dout), din)
+                 for role, expert, din, dout in (("k", f.k, dm, dh), ("q", f.q, dm, dh),
+                                                 ("v", f.v, dm, dh), ("o", f.o, dh, dm))}
         if f.v or f.k:
-            par("w_s", (H, dm, E), dm)
+            table["w_s"] = ((H, dm, E), dm)
         if f.q or f.o:
-            par("w_d", (H, dm, E), dm)
-        if cfg.position == "xl_relative":
-            par("w_r", (dm, dh), dm)   # shared across the few wide heads
-            par("u", (H, 1, dh), dh)
-            par("v", (H, 1, dh), dh)
-    elif cfg.variant == "moa":
-        par("w_k", (dm, dh), dm)
-        par("w_v", (dm, dh), dm)
-        par("w_q", (E, dm, dh), dm)
-        par("w_o", (E, dh, dm), dh)
-        par("w_router", (dm, E), dm)
-        if cfg.position == "xl_relative":
-            par("w_r", (dm, dh), dm)
-            par("u", (1, dh), dh)
-            par("v", (1, dh), dh)
-    return p
+            table["w_d"] = ((H, dm, E), dm)
+    else:
+        pos_heads, bias = H, (H, 1, dh)
+        table = {f"w_{role}": ((dm, H * dh), dm) for role in "kqv"}
+        table["w_o"] = ((H * dh, dm), H * dh)
+        if cfg.variant == "head_gated":
+            table["w_gate"] = ((dm, H), dm)
+    if cfg.position == "xl_relative":
+        if per_head_pos is None:
+            _, per_head_pos = _VARIANTS[cfg.variant]
+        table["w_r"] = ((dm, pos_heads * dh if per_head_pos else dh), dm)
+        table["u"] = (bias, dh)
+        table["v"] = (bias, dh)
+    return table
+
+
+def init_attention_params(cfg: AttentionConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    return {name: Tensor(uniform_init(rng, shape, fan_in), requires_grad=True)
+            for name, (shape, fan_in) in attention_param_shapes(cfg).items()}
 
 
 # -- position machinery ---------------------------------------------------
@@ -264,34 +270,6 @@ def _update_cache(cfg: AttentionConfig, cache: LayerCache | None,
     return LayerCache(k=k_all[..., -keep:, :].copy(), v=v_all[..., -keep:, :].copy())
 
 
-def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
-                      counter: OpCounter = NULL_COUNTER, *,
-                      cache: LayerCache | None = None,
-                      key_mask: np.ndarray | None = None,
-                      want_trace: bool = False,
-                      gate_override: float | None = None):
-    """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache)."""
-    cfg.validate()
-    if x.ndim != 3 or x.shape[-1] != cfg.d_model:
-        raise ShapeError(f"attention input must be [B, T, {cfg.d_model}], got {x.shape}")
-    if x.shape[1] < 1:
-        raise ShapeError("attention requires at least one input position")
-    if cache is not None and cfg.context_mult == 1:
-        raise ConfigError("cache passed to a variant with context_mult=1")
-    if cfg.variant in ("dense", "head_gated"):
-        return _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                                     gate_override)
-    if cfg.variant == "switchhead":
-        return _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                                   gate_override)
-    return _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace, gate_override)
-
-
-def _split_heads(t: Tensor, H: int, dh: int) -> Tensor:
-    b, T = t.shape[0], t.shape[1]
-    return transpose(reshape(t, (b, T, H, dh)), (0, 2, 1, 3))
-
-
 def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
                   per_head_pos: bool):
     """The one attention core: cache, position terms, scores and readout,
@@ -339,112 +317,123 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
     return attn, av, new_cache
 
 
-def _dense_family_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                          gate_override):
+# -- routers ----------------------------------------------------------------
+#
+# A router selects, once per call, the experts of a variant's routed roles
+# and returns ({role: Route}, {trace key: selections}); a role it does not
+# name is a plain GEMM.
+
+
+def _select(x, w_sel, sel_cfg, counter, gate_override):
+    sel = select(x, w_sel, sel_cfg, counter)
+    return sel if gate_override is None else override_gates(sel, gate_override)
+
+
+def _head_gate_routes(x, params, cfg, counter, gate_override):
+    """The k selected heads are output experts over the [H, dh, dm] view of
+    ``w_o``, gated on their readout rows."""
+    sel = _select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
+                                                       cfg.sel_activation),
+                  counter, gate_override)
+    route = Route(sel.indices, sel.indices, sel.weights, "input", term="projections",
+                  gate_extra="selection")
+    return {"o": route}, {"heads": sel}
+
+
+def _switchhead_routes(x, params, cfg, counter, gate_override):
+    """One ``select`` per head and side: the source side routes K and V, the
+    destination side Q and O; head h's experts are rows h*E.. of the flat
+    [H*E, d_in, d_out] bank."""
+    H, E, k, f = cfg.n_heads, cfg.n_experts, cfg.k_active, cfg.expert_flags
+    sel_cfg = SelectionConfig(E, k, "sigmoid")
+    routes, selections = {}, {}
+    for side, w_name, roles in (("source", "w_s", "kv"), ("dest", "w_d", "qo")):
+        roles = [r for r in roles if getattr(f, r)]
+        if not roles:
+            continue
+        sels = [_select(x, params[w_name][h], sel_cfg, counter, gate_override)
+                for h in range(H)]
+        route = Route(np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1),
+                      np.repeat(np.arange(H), k), concat([s.weights for s in sels], axis=-1))
+        for r in roles:
+            # the output gate scales the dh-wide head row, not the dm-wide result
+            routes[r] = replace(route, gate_side="input") if r == "o" else route
+        selections[side] = sels
+    return routes, selections
+
+
+def _moa_routes(x, params, cfg, counter, gate_override):
+    """Multi-query attention: each token's k routed query experts are its k
+    query heads, and the matching output experts sum them with the gates."""
+    sel = _select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active,
+                                                         cfg.sel_activation),
+                  counter, gate_override)
+    slots = np.arange(cfg.k_active)
+    return ({"q": Route(sel.indices, slots, term="projections"),
+             "o": Route(sel.indices, slots, sel.weights, term="projections",
+                        gate_extra="selection")},
+            {"router": sel})
+
+
+#: variant -> (router, whether the XL position projection is per head)
+_VARIANTS = {
+    "dense": (lambda *_: ({}, {}), True),
+    "head_gated": (_head_gate_routes, True),
+    "switchhead": (_switchhead_routes, False),
+    "moa": (_moa_routes, False),
+}
+
+
+def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig,
+                      counter: OpCounter = NULL_COUNTER, *,
+                      cache: LayerCache | None = None,
+                      key_mask: np.ndarray | None = None,
+                      want_trace: bool = False,
+                      gate_override: float | None = None):
+    """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache).
+
+    K, Q and V are each a plain [dm, heads*dh] GEMM or a routed dispatch into
+    head rows, ``_attend_heads`` runs on all heads at once, and O is the
+    plain merge-GEMM or a routed dispatch back into token rows. The
+    variant's router says which roles are routed. ``gate_override`` forces
+    every routing gate to a constant.
+    """
+    cfg.validate()
+    if x.ndim != 3 or x.shape[-1] != cfg.d_model:
+        raise ShapeError(f"attention input must be [B, T, {cfg.d_model}], got {x.shape}")
+    if x.shape[1] < 1:
+        raise ShapeError("attention requires at least one input position")
+    if cache is not None and cfg.context_mult == 1:
+        raise ConfigError("cache passed to a variant with context_mult=1")
+    router, per_head_pos = _VARIANTS[cfg.variant]
+    routes, selections = router(x, params, cfg, counter, gate_override)
     B, T, dm = x.shape
     H, dh = cfg.n_heads, cfg.d_head
-    k_cur, q, v_cur = (_split_heads(matmul(x, params[f"w_{r}"], counter, term="projections"),
-                                    H, dh) for r in "kqv")
-    attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
-                                        key_mask, per_head_pos=True)
 
-    trace = AttentionTrace(attn=attn.data.copy() if want_trace else None)
-    if cfg.variant == "dense":
-        merged = reshape(transpose(av, (0, 2, 1, 3)), (B, T, H * dh))
-        y = matmul(merged, params["w_o"], counter, store=False, term="projections")
-        return y, trace, new_cache
-    # head_gated: the k selected heads are output experts over the [H, dh, dm]
-    # view of w_o; their (b, h, t) rows of av feed one gated dispatch
-    k_act, n = cfg.k_active, B * T
-    sel = select(x, params["w_gate"], SelectionConfig(H, k_act, cfg.sel_activation), counter)
-    if gate_override is not None:
-        sel = override_gates(sel, gate_override)
-    heads = sel.indices.reshape(-1)
-    tokens = np.repeat(np.arange(n), k_act)
-    rows = (tokens // T * H + heads) * T + tokens % T    # (b, h, t) in [B*H*T, dh]
-    picked = gather_rows(reshape(av, (B * H * T, dh)), rows)
-    y = expert_matmul(picked, reshape(params["w_o"], (H, dh, dm)), heads, np.arange(n * k_act),
-                      tokens, n, counter, gate=sel.weights, gate_side="input",
-                      term="projections")
-    counter.add_extra("selection", macs=n * k_act * dh)
-    if want_trace:
-        trace.selections["heads"] = (sel.indices.copy(), sel.weights.data.copy())
-    return reshape(y, (B, T, dm)), trace, new_cache
-
-
-def _switchhead_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                        gate_override):
-    """All heads at once: one fused expert dispatch per expert role, one
-    [dm, H*dh] GEMM per plain role, routing one ``select`` per head."""
-    B, T, dm = x.shape
-    H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
-    f = cfg.expert_flags
-    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
-
-    def head_sels(w_name):
-        sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
-        if gate_override is not None:
-            sels = [override_gates(s, gate_override) for s in sels]
-        return sels
-
-    sel_s = head_sels("w_s") if (f.v or f.k) else None
-    sel_d = head_sels("w_d") if (f.q or f.o) else None
-
-    def project(role, expert, sels):
+    def project(role):
         w = params[f"w_{role}"]
-        if expert:
-            return mixture_project(x, w, sels, counter, gate="output")   # [B, H, T, dh]
-        w_all = reshape(transpose(w, (1, 0, 2)), (dm, H * dh))
-        return _split_heads(matmul(x, w_all, counter, term="projections"), H, dh)
+        if role in routes:
+            return dispatch_to_heads(x, reshape(w, (-1, dm, dh)), routes[role], H, counter)
+        if w.ndim == 3:                       # per head [H, dm, dh] -> [dm, H*dh]
+            w = reshape(transpose(w, (1, 0, 2)), (dm, -1))
+        heads = reshape(matmul(x, w, counter, term="projections"), (B, T, -1, dh))
+        return transpose(heads, (0, 2, 1, 3))
 
-    k_cur, q, v_cur = project("k", f.k, sel_s), project("q", f.q, sel_d), project("v", f.v, sel_s)
+    k_cur, q, v_cur = project("k"), project("q"), project("v")
     attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
-                                        key_mask, per_head_pos=False)
-    if f.o:
-        y = mixture_project(av, params["w_o"], sel_d, counter, gate="input", store=False)
+                                        key_mask, per_head_pos=per_head_pos)
+    if "o" in routes:
+        y = dispatch_from_heads(av, reshape(params["w_o"], (-1, dh, dm)), routes["o"],
+                                counter)
     else:
         merged = reshape(transpose(av, (0, 2, 1, 3)), (B, T, H * dh))
         y = matmul(merged, reshape(params["w_o"], (H * dh, dm)), counter, store=False,
                    term="projections")
-
     trace = AttentionTrace()
     if want_trace:
         trace.attn = attn.data.copy()
-        if sel_s is not None:
-            trace.selections["source"] = [(s.indices.copy(), s.weights.data.copy()) for s in sel_s]
-        if sel_d is not None:
-            trace.selections["dest"] = [(s.indices.copy(), s.weights.data.copy()) for s in sel_d]
+        for key, sel in selections.items():
+            trace.selections[key] = ([(s.indices.copy(), s.weights.data.copy()) for s in sel]
+                                     if isinstance(sel, list)
+                                     else (sel.indices.copy(), sel.weights.data.copy()))
     return y, trace, new_cache
-
-
-def _moa_forward(x, params, cfg, counter, cache, key_mask, want_trace,
-                 gate_override):
-    """Multi-query attention: the k routed query experts of each token are k
-    query heads against one shared K/V head; the matching output experts
-    are summed with the router gates."""
-    B, T, dm = x.shape
-    dh, E, k_act = cfg.d_head, cfg.n_experts, cfg.k_active
-    k_cur, v_cur = (reshape(matmul(x, params[f"w_{r}"], counter, term="projections"),
-                            (B, 1, T, dh)) for r in "kv")
-    sel = select(x, params["w_router"], SelectionConfig(E, k_act, cfg.sel_activation), counter)
-    if gate_override is not None:
-        sel = override_gates(sel, gate_override)
-
-    n = B * T
-    eid = sel.indices.reshape(-1)
-    tokens = np.repeat(np.arange(n), k_act)
-    slots = np.arange(n * k_act).reshape(B, k_act, T).transpose(0, 2, 1).reshape(-1)
-    q = expert_matmul(reshape(x, (n, dm)), params["w_q"], eid, tokens, slots,
-                      n * k_act, counter, term="projections")
-    counter.add(mem=q.size, term="projections")
-    attn, av, new_cache = _attend_heads(reshape(q, (B, k_act, T, dh)), k_cur, v_cur, params,
-                                        cfg, counter, cache, key_mask, per_head_pos=False)
-    y = expert_matmul(reshape(av, (n * k_act, dh)), params["w_o"], eid, slots, tokens,
-                      n, counter, gate=sel.weights, term="projections")
-    counter.add_extra("selection", macs=n * k_act * dm)
-
-    trace = AttentionTrace()
-    if want_trace:
-        trace.attn = attn.data.copy()
-        trace.selections["router"] = (sel.indices.copy(), sel.weights.data.copy())
-    return reshape(y, (B, T, dm)), trace, new_cache

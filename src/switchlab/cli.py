@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import ExpertFlags
 from .checkpoint import CheckpointError, load, save
-from .config import load_config, to_model_spec
+from .config import load_config, read_text, to_model_spec
 from .costmodel import CostInputs, cost_attention, human
 from .listops import TOKEN_ID, gen_listops
 from .model import MatchingError, match_params, match_report
@@ -37,6 +37,8 @@ def parse_cost_row(line: str, lineno: int) -> CostInputs:
     Keys: H T d_head d_model C E K position experts (e.g. experts=vo).
     """
     parts = line.split()
+    if not parts:
+        raise ConfigError(f"line {lineno}: empty cost row")
     variant = parts[0]
     kw = {"H": 1, "T": 256, "d_head": 64, "d_model": 512, "C": 1, "E": 1,
           "K": 1, "position": "xl_relative", "experts": ""}
@@ -46,7 +48,10 @@ def parse_cost_row(line: str, lineno: int) -> CostInputs:
         key, val = tok.split("=", 1)
         if key not in kw:
             raise ConfigError(f"line {lineno}: unknown field '{key}'")
-        kw[key] = val if key in ("position", "experts") else int(val)
+        try:
+            kw[key] = val if key in ("position", "experts") else int(val)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} must be an integer, got '{val}'") from None
     flags = {}
     for ch in kw["experts"]:
         if ch not in _FLAG_ROLES:
@@ -54,20 +59,24 @@ def parse_cost_row(line: str, lineno: int) -> CostInputs:
         flags[ch] = True
     if variant == "switchhead" and not flags and kw["E"] > 1:
         flags = {"v": True, "o": True}
-    return CostInputs(variant=variant, H=kw["H"], T=kw["T"], d_head=kw["d_head"],
-                      d_model=kw["d_model"], C=kw["C"], E=kw["E"],
-                      k_active=kw["K"], expert_flags=ExpertFlags(**flags),
-                      position=kw["position"])
+    ci = CostInputs(variant=variant, H=kw["H"], T=kw["T"], d_head=kw["d_head"],
+                    d_model=kw["d_model"], C=kw["C"], E=kw["E"],
+                    k_active=kw["K"], expert_flags=ExpertFlags(**flags),
+                    position=kw["position"])
+    try:
+        ci.validate()
+    except ConfigError as e:
+        raise ConfigError(f"line {lineno}: {e}") from None
+    return ci
 
 
 def cmd_cost(args) -> int:
     rows = []
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#")[0].strip()
-                if line:
-                    rows.append(parse_cost_row(line, lineno))
+        for lineno, line in enumerate(read_text(args.config).split("\n"), 1):
+            line = line.split("#")[0].strip()
+            if line:
+                rows.append(parse_cost_row(line, lineno))
     header = f"{'variant':<12} {'heads':>5} {'macs':>14} {'mem_floats':>12} {'macs~':>8} {'mem~':>8}"
     out_lines = [header]
     machine = ["variant heads macs mem_floats"]
@@ -193,6 +202,11 @@ def cmd_export_attn(args) -> int:
         if "router" in trace.selections:
             _grid(os.path.join(args.out, f"layer{layer}_router_sel.csv"),
                   trace.selections["router"][1][0])
+        if "heads" in trace.selections:          # [T, H]: each head's gate, 0 if unselected
+            indices, weights = trace.selections["heads"]
+            gates = np.zeros((indices.shape[1], attn.shape[0]))
+            np.put_along_axis(gates, indices[0], weights[0], axis=-1)
+            _grid(os.path.join(args.out, f"layer{layer}_heads_sel.csv"), gates)
     print(f"exported {len(traces)} layers to {args.out}")
     return EXIT_OK
 

@@ -117,9 +117,20 @@ def parse_config(text: str, overrides: list[str] = ()) -> dict:
     return cfg
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a file that cannot be read as such
+    (missing, a directory, not UTF-8) is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+
+
 def load_config(path: str, overrides: list[str] = ()) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read(), overrides)
+    return parse_config(read_text(path), overrides)
 
 
 def to_model_spec(cfg: dict) -> ModelSpec:

@@ -35,8 +35,15 @@ class CostInputs:
     position: str = "xl_relative"
 
     def validate(self) -> None:
+        if self.variant not in ("dense", "switchhead", "moa"):
+            raise ConfigError(f"no closed-form cost for variant '{self.variant}'")
+        if self.position not in ("xl_relative", "rope", "none"):
+            raise ConfigError(f"unknown position mode '{self.position}'")
         if min(self.H, self.T, self.d_head, self.d_model, self.C, self.E, self.k_active) < 1:
             raise ConfigError("all cost inputs must be positive")
+        if self.variant != "dense" and self.k_active > self.E:
+            raise ConfigError(f"{self.variant} routes K={self.k_active} of E={self.E} "
+                              "experts; K must not exceed E")
         if self.position == "rope" and self.C != 1:
             raise ConfigError("rope has no context cache; C must be 1")
 

@@ -11,12 +11,13 @@ against instantiated tensor sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attention import (AttentionConfig, attention_forward,
-                        init_attention_params)
+                        attention_param_shapes, init_attention_params)
 from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, SelectionConfig, sigma_moe_mlp
 from .rng import rng_for, uniform_init
@@ -92,44 +93,6 @@ class MatchResult:
 # -- parameter counting ---------------------------------------------------
 
 
-def _attention_param_count(cfg: AttentionConfig, per_head_pos: bool | None = None) -> int:
-    """Parameters of one attention layer.
-
-    ``per_head_pos`` overrides the position-projection width convention
-    (per-head vs shared) used by the matching report; None follows the
-    implementation (per-head for dense/head_gated, shared otherwise).
-    """
-    dm, H, dh, E = cfg.d_model, cfg.n_heads, cfg.d_head, cfg.n_experts
-    if cfg.variant in ("dense", "head_gated"):
-        n = 4 * dm * H * dh
-        if cfg.variant == "head_gated":
-            n += dm * H
-        if per_head_pos is None:
-            per_head_pos = True
-    elif cfg.variant == "switchhead":
-        f = cfg.expert_flags
-        n = 0
-        for expert in (f.k, f.q, f.v, f.o):
-            n += (E if expert else 1) * H * dm * dh
-        if f.v or f.k:
-            n += H * dm * E
-        if f.q or f.o:
-            n += H * dm * E
-        if per_head_pos is None:
-            per_head_pos = False
-    elif cfg.variant == "moa":
-        n = 2 * dm * dh + 2 * E * dm * dh + dm * E
-        if per_head_pos is None:
-            per_head_pos = False
-        H = 1  # u, v and any per-head position rows are shared in moa
-    else:
-        raise ConfigError(f"unknown attention variant '{cfg.variant}'")
-    if cfg.position == "xl_relative":
-        n += (H if per_head_pos else 1) * dm * dh   # w_r
-        n += 2 * H * dh                             # u, v biases
-    return n
-
-
 def _mlp_param_count(mlp: MLPConfig, dm: int) -> int:
     n = 2 * mlp.n_experts * dm * mlp.d_ff
     if mlp.kind == "sigma_moe":
@@ -141,7 +104,8 @@ def count_params(spec: ModelSpec, per_head_pos: bool | None = None) -> int:
     """Exact parameter count of build(spec): embeddings, blocks, head."""
     spec.validate()
     dm = spec.d_model
-    per_layer = (_attention_param_count(spec.attention, per_head_pos)
+    attn = attention_param_shapes(spec.attention, per_head_pos)
+    per_layer = (sum(math.prod(shape) for shape, _ in attn.values())
                  + _mlp_param_count(spec.mlp, dm)
                  + 4 * dm)                          # two layer norms
     n = spec.n_layers * per_layer

@@ -3,8 +3,11 @@
 ``select`` is every router in the lab (SwitchHead's two sides, head
 gating, the MoA router and the sigma-MoE MLP): a bias-free linear gating
 projection, sigmoid (or softmax) activation and top-k. Every routed
-projection is one ``tensor.expert_matmul`` dispatch, through
-``mixture_project`` and ``sigma_moe_mlp`` here or in ``attention``.
+projection is one ``tensor.expert_matmul`` dispatch. An attention
+variant's routed roles are ``Route`` records, and ``dispatch_to_heads``
+(token rows into head rows) and ``dispatch_from_heads`` (head rows back
+into token rows) place each assignment in the one head-major (b, h, t)
+row layout; ``sigma_moe_mlp`` dispatches token rows to token rows.
 There is deliberately no load-balancing regularizer anywhere.
 """
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (Tensor, argtopk_rows, concat, constant, expert_matmul,
+from .tensor import (Tensor, argtopk_rows, constant, expert_matmul, gather_rows,
                      matmul, relu, reshape, sigmoid, softmax_last, take_last)
 
 
@@ -84,53 +87,83 @@ def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
     return ExpertSelection(indices=sel.indices, weights=forced)
 
 
-def mixture_project(x: Tensor, bank: Tensor, sels,
-                    counter: OpCounter = NULL_COUNTER, *,
-                    gate: str = "output", store: bool = True,
-                    term: str = "mixing") -> Tensor:
-    """Gate-weighted sum of selected experts' linear projections, per head.
+@dataclass
+class Route:
+    """How one projection role is routed: ``a`` assignments per token.
 
-    ``bank`` is [H, E, d_in, d_out] and ``sels`` holds H selections, each
-    with indices [..., T, k]. Either ``x`` is the shared [..., T, d_in]
-    input and the result is [..., H, T, d_out], one projection per head,
-    or ``x`` is [..., H, T, d_in], one input per head, and the heads'
-    projections are summed into [..., T, d_out]. All (head, expert) pairs
-    run as one [H*E, d_in, d_out] bank in one fused ``expert_matmul``.
-    ``gate`` picks where the scalar gate is applied ("output": scale the
-    projected d_out vector; "input": scale the d_in input first):
-    mathematically identical, but the MAC accounting of the gating
-    multiply follows the scaled tensor's width.
+    ``eid`` [..., T, a] names each assignment's expert in the role's flat
+    bank [n_experts, d_in, d_out]; ``head`` ([a], or the shape of ``eid``)
+    names the head slot that the assignment writes (K, Q, V) or reads (O);
+    ``gate`` [..., T, a] is the matching gate, applied on ``gate_side`` of
+    the projection (see ``tensor.expert_matmul``). The expert GEMMs and any
+    stored result count under the OpCounter term ``term``, and so does the
+    gate multiply, unless ``gate_extra`` itemizes it as that extra.
     """
-    if bank.ndim != 4:
-        raise ConfigError(f"expert bank must be [H, E, d_in, d_out], got {bank.shape}")
-    H, E, d_in, d_out = bank.shape
-    sels = list(sels)
-    if x.shape[-1] != d_in:
-        raise ConfigError(f"input width {x.shape[-1]} does not match bank d_in {d_in}")
-    if len(sels) != H or any(s.indices.max(initial=0) >= E for s in sels):
-        raise ConfigError("selections do not match the expert bank")
-    lead = sels[0].indices.shape[:-1]
-    n, k = int(np.prod(lead, dtype=np.int64)), sels[0].indices.shape[-1]
-    split = lead[:-1] + (H,) + lead[-1:]   # head-major row layout
-    # row of (..., h, t) in the head-split layout, per head and token
-    split_rows = np.moveaxis(np.arange(n * H).reshape(split), -2, 0).reshape(H, n)
-    tokens = np.broadcast_to(np.arange(n), (H, n))
-    if x.shape[:-1] == lead:
-        src, dst, out_shape = tokens, split_rows, split
-    elif x.shape[:-1] == split:
-        src, dst, out_shape = split_rows, tokens, lead
-    else:
-        raise ConfigError(f"input {x.shape} does not fit selections over {lead}")
-    eid = np.concatenate([s.indices.reshape(n, k) + h * E for h, s in enumerate(sels)])
-    weights = [reshape(s.weights, (n * k,)) for s in sels]
-    y = expert_matmul(reshape(x, (-1, d_in)), reshape(bank, (H * E, d_in, d_out)),
-                      eid, np.repeat(src.reshape(-1), k), np.repeat(dst.reshape(-1), k),
-                      int(np.prod(out_shape, dtype=np.int64)), counter,
-                      gate=concat(weights), gate_side=gate, term=term)
-    counter.add(macs=H * n * k * (d_in if gate == "input" else d_out), term=term)
-    if store:
-        counter.add(mem=y.size, term=term)
-    return reshape(y, out_shape + (d_out,))
+    eid: np.ndarray
+    head: np.ndarray
+    gate: Tensor | None = None
+    gate_side: str = "output"
+    term: str = "mixing"
+    gate_extra: str | None = None
+
+
+def _head_major(route: Route, n_heads: int, T: int):
+    """Per assignment: its token row b*T + t, and its (b, h, t) row in the
+    head-major [B*H*T] layout."""
+    a = route.eid.shape[-1]
+    tokens = np.repeat(np.arange(route.eid.size // a), a)
+    heads = np.broadcast_to(route.head, route.eid.shape).reshape(-1)
+    return tokens, (tokens // T * n_heads + heads) * T + tokens % T
+
+
+def _dispatch(x, bank, route, src, dst, n_out, counter):
+    y = expert_matmul(x, bank, route.eid, src, dst, n_out, counter, gate=route.gate,
+                      gate_side=route.gate_side, term=route.term)
+    if route.gate is not None:
+        macs = route.eid.size * bank.shape[1 if route.gate_side == "input" else 2]
+        if route.gate_extra is not None:
+            counter.add_extra(route.gate_extra, macs=macs)
+        else:
+            counter.add(macs=macs, term=route.term)
+    return y
+
+
+def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
+                      counter: OpCounter = NULL_COUNTER) -> Tensor:
+    """Routed projection of token rows into head rows, stored.
+
+    ``x`` is [B, T, d_in] and ``bank`` [n_experts, d_in, d_out]; head h of
+    token (b, t) is the gated sum of its assignments to head slot h, and
+    the result is [B, n_heads, T, d_out]. One fused ``expert_matmul``.
+    """
+    B, T, d_in = x.shape
+    tokens, rows = _head_major(route, n_heads, T)
+    y = _dispatch(reshape(x, (B * T, d_in)), bank, route, tokens, rows, B * n_heads * T,
+                  counter)
+    counter.add(mem=y.size, term=route.term)
+    return reshape(y, (B, n_heads, T, bank.shape[2]))
+
+
+def dispatch_from_heads(x: Tensor, bank: Tensor, route: Route,
+                        counter: OpCounter = NULL_COUNTER) -> Tensor:
+    """Routed projection of head rows back into token rows, not stored.
+
+    ``x`` is [B, H, T, d_in] and ``bank`` [n_experts, d_in, d_out]; token
+    (b, t) is the gated sum over its assignments of the projected (b, h, t)
+    row they read, and the result is [B, T, d_out]. One fused
+    ``expert_matmul``.
+    """
+    B, H, T, d_in = x.shape
+    tokens, rows = _head_major(route, H, T)
+    x = reshape(x, (B * H * T, d_in))
+    fan = np.bincount(rows, minlength=B * H * T)
+    if fan.min() != fan.max():
+        # some head rows are read more often than others (head gating reads
+        # only the selected heads), and expert_matmul needs a uniform
+        # fan-in, so the rows that are read are gathered first
+        x, rows = gather_rows(x, rows), np.arange(rows.size)
+    y = _dispatch(x, bank, route, rows, tokens, B * T, counter)
+    return reshape(y, (B, T, bank.shape[2]))
 
 
 def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,

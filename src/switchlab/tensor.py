@@ -310,31 +310,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), bw)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def bw(g):
-        x._accum(g * out, fresh=True)
-
-    return _make(out, (x,), bw)
-
-
-def log(x: Tensor) -> Tensor:
-    def bw(g):
-        x._accum(g / x.data, fresh=True)
-
-    return _make(np.log(x.data), (x,), bw)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-
-    def bw(g):
-        x._accum(g * 0.5 / out, fresh=True)
-
-    return _make(out, (x,), bw)
-
-
 # -- matmul ---------------------------------------------------------------
 
 
@@ -391,8 +366,7 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
 
 
 def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
-                 store: bool = True, term: str | None = None,
-                 extra: str | None = None) -> Tensor:
+                 store: bool = True, term: str | None = None) -> Tensor:
     """Stable softmax over the last dimension."""
     x = _coerce(x)
     if x.data.ndim == 0 or x.data.shape[-1] == 0:
@@ -401,10 +375,7 @@ def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
     ez = np.exp(z)
     out = ez / ez.sum(axis=-1, keepdims=True)
     if counter.enabled and store:
-        if extra is not None:
-            counter.add_extra(extra, mem=out.size)
-        else:
-            counter.add(mem=out.size, term=term)
+        counter.add(mem=out.size, term=term)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from switchlab.config import dump_config, parse_config, to_model_spec
+from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_cost_row
+from switchlab.config import SCHEMA, dump_config, parse_config, to_model_spec
 from switchlab.costmodel import CostInputs, cost_attention
 from switchlab.model import count_params
 from switchlab.moe import ConfigError
@@ -120,6 +122,67 @@ def test_cost_bad_row_is_usage_error(tmp_path, capsys):
     assert main(["cost", "--config", str(rows)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("row", ["dense H=x", "dense position=foo", "moa H=2 K=3 E=2",
+                                 "switchhead H=2 E=2 K=3 experts=vo"])
+def test_cost_malformed_rows_are_usage_errors(tmp_path, capsys, row):
+    rows = tmp_path / "rows.txt"
+    rows.write_text("dense H=2\n" + row + "\n")
+    assert main(["cost", "--config", str(rows)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("command", ["cost", "match"])
+@pytest.mark.parametrize("bad", ["not_utf8", "directory"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, bad):
+    path = tmp_path / "in.cfg"
+    if bad == "not_utf8":
+        path.write_bytes(b"[model]\nn_layers = \xff\n")
+    else:
+        path.mkdir()
+    argv = [command, "--config", str(path)] + (["--target", "1000"] if command == "match" else [])
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_COST_KEYS = ["H", "T", "d_head", "d_model", "C", "E", "K", "position", "experts", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["dense", "switchhead", "moa", "head_gated", "#"]),
+    st.builds("{}={}".format, st.sampled_from(_COST_KEYS),
+              st.one_of(st.text(max_size=6), st.integers(-2, 9).map(str),
+                        st.sampled_from(["rope", "none", "vo", "kqvo", "xl_relative"])))),
+    max_size=6).map(" ".join))
+def test_cost_row_parser_raises_only_config_error(line):
+    try:
+        cost_attention(parse_cost_row(line, 1))
+    except ConfigError:
+        pass
+
+
+_CONFIG_LINES = [f"[{sec}]" for sec in SCHEMA] + ["[DEFAULT]", "[engine]", "key", "= 3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(_CONFIG_LINES),
+    st.builds("{} = {}".format,
+              st.sampled_from([k for keys in SCHEMA.values() for k in keys] + ["x"]),
+              st.one_of(st.text(max_size=8), st.integers(-3, 9).map(str),
+                        st.sampled_from(["true", "rope", "moa", "1e-3", "nan", ""])))),
+    max_size=10).map("\n".join),
+    st.lists(st.text(max_size=16), max_size=2))
+def test_config_parser_raises_only_config_error(text, overrides):
+    try:
+        to_model_spec(parse_config(text, overrides)).validate()
+    except ConfigError:
+        pass
+
+
 # -- match -----------------------------------------------------------------
 
 
@@ -190,6 +253,21 @@ def test_export_attn_single_token(tmp_path, listops_cfg, capsys):
     capsys.readouterr()
     g = np.loadtxt(grids / "layer0_head0.csv", delimiter=",", ndmin=2)
     assert g.shape == (1, 1) and g[0, 0] == pytest.approx(1.0)
+
+
+def test_export_attn_writes_head_gating_selections(tmp_path, listops_cfg, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                 "--set", "attention.variant=head_gated", "--set", "attention.n_heads=3",
+                 "--set", "attention.k_active=2", "--out", str(out)]) == EXIT_OK
+    grids = tmp_path / "grids"
+    assert main(["export-attn", "--checkpoint", str(out / "model.ckpt"),
+                 "--sample", "( MAX 1 2 )", "--out", str(grids)]) == EXIT_OK
+    capsys.readouterr()
+    gates = np.loadtxt(grids / "layer0_heads_sel.csv", delimiter=",", ndmin=2)
+    assert gates.shape == (5, 3)                  # [T, H]
+    assert np.all((gates > 0).sum(axis=1) == 2)   # k = 2 selected heads per token
+    assert np.all(gates <= 1)                     # sigmoid gates
 
 
 def test_train_set_override_shrinks_run(tmp_path, listops_cfg, capsys):

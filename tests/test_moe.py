@@ -1,14 +1,18 @@
 """Expert selection and mixtures vs brute-force oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab.counter import OpCounter
-from switchlab.moe import (ConfigError, SelectionConfig, mixture_project,
-                           select, sigma_moe_mlp)
+from switchlab.moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
+                           dispatch_to_heads, select, sigma_moe_mlp)
 from switchlab.rng import rng_for, uniform_init
-from switchlab.tensor import (Tensor, argtopk_rows, constant, matmul, mul,
-                              sigmoid, take_last, tsum)
+from switchlab.tensor import (ShapeError, Tensor, argtopk_rows, constant, matmul,
+                              mul, reshape, sigmoid, take_last, tsum)
 
 
 def rand_inputs(seed, n=7, dm=6, E=5):
@@ -84,20 +88,31 @@ def test_select_softmax_weights():
     assert np.allclose(sel.weights.data, got, atol=1e-12)
 
 
+def one_head_route(sel, gate_side="output", **kw):
+    # a [n, k] selection as one head's route over a batch of one sequence
+    return Route(sel.indices[None], np.zeros(1, dtype=int),
+                 reshape(sel.weights, (1,) + sel.weights.shape), gate_side, **kw)
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("gate", ["output", "input"])
 def test_mixture_project_matches_materialized_oracle(seed, gate):
+    # the head-major dispatch in both directions, on one head
     rng, x, w_sel = rand_inputs(seed)
-    E, d_in, d_out = 5, 6, 4
+    n, E, d_in, d_out = 7, 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
     sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid"))
-    y = mixture_project(x, bank[None], [sel], gate=gate)   # one head
+    route = one_head_route(sel, gate)
+    to_heads = dispatch_to_heads(reshape(x, (1, n, d_in)), bank, route, 1)
+    from_heads = dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank, route)
+    assert to_heads.shape == (1, 1, n, d_out) and from_heads.shape == (1, n, d_out)
     # oracle: per token, materialize the mixed projection matrix
-    for t in range(x.shape[0]):
+    for t in range(n):
         w_mix = np.zeros((d_in, d_out))
         for slot, e in enumerate(sel.indices[t]):
             w_mix += sel.weights.data[t, slot] * bank.data[e]
-        assert np.allclose(y.data[0, t], x.data[t] @ w_mix, atol=1e-12)
+        assert np.allclose(to_heads.data[0, 0, t], x.data[t] @ w_mix, atol=1e-12)
+        assert np.allclose(from_heads.data[0, t], x.data[t] @ w_mix, atol=1e-12)
 
 
 def test_mixture_project_counter():
@@ -105,39 +120,111 @@ def test_mixture_project_counter():
     E, d_in, d_out, k, n = 5, 6, 4, 2, 7
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
     sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid"))
-    c = OpCounter()
-    mixture_project(x, bank[None], [sel], c, gate="output")
-    assert c.terms["mixing"][0] == n * k * d_in * d_out + n * k * d_out
-    assert c.terms["mixing"][1] == n * d_out
-    c2 = OpCounter()
-    mixture_project(x, bank[None], [sel], c2, gate="input", store=False)
-    assert c2.terms["mixing"][0] == n * k * d_in * d_out + n * k * d_in
-    assert c2.terms["mixing"][1] == 0
+    c = OpCounter()     # stored head rows, gate on the d_out-wide results
+    dispatch_to_heads(reshape(x, (1, n, d_in)), bank, one_head_route(sel, "output"), 1, c)
+    assert c.terms["mixing"] == [n * k * d_in * d_out + n * k * d_out, n * d_out]
+    c2 = OpCounter()    # token rows, not stored, gate on the d_in-wide inputs
+    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank, one_head_route(sel, "input"), c2)
+    assert c2.terms["mixing"] == [n * k * d_in * d_out + n * k * d_in, 0]
+    c3 = OpCounter()    # the gate multiply itemized as an extra (MoA, head gating)
+    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank,
+                        one_head_route(sel, "output", term="projections",
+                                       gate_extra="selection"), c3)
+    assert c3.terms == {"projections": [n * k * d_in * d_out, 0]}
+    assert c3.extras["selection"] == [n * k * d_out, 0]
 
 
 def test_mixture_permutation_invariance():
     # permuting the expert bank together with the selector columns leaves
     # the mixture output unchanged
     rng, x, w_sel = rand_inputs(8)
-    E, d_in, d_out = 5, 6, 4
+    n, E, d_in, d_out = 7, 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
     cfg = SelectionConfig(E, 2, "sigmoid")
-    y1 = mixture_project(x, bank[None], [select(x, w_sel, cfg)], gate="output")
+    x3 = reshape(x, (1, n, d_in))
+    y1 = dispatch_to_heads(x3, bank, one_head_route(select(x, w_sel, cfg)), 1)
     perm = np.array([3, 0, 4, 1, 2])
-    bank_p = Tensor(bank.data[None, perm])
+    bank_p = Tensor(bank.data[perm])
     w_sel_p = Tensor(w_sel.data[:, perm])
-    y2 = mixture_project(x, bank_p, [select(x, w_sel_p, cfg)], gate="output")
+    y2 = dispatch_to_heads(x3, bank_p, one_head_route(select(x, w_sel_p, cfg)), 1)
     assert np.max(np.abs(y1.data - y2.data)) < 1e-12
 
 
 def test_mixture_shape_and_range_errors():
     rng, x, w_sel = rand_inputs(1)
-    bank = Tensor(np.zeros((1, 5, 9, 4)))
+    n = 7
     sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid"))
-    with pytest.raises(ConfigError):      # d_in 9 against inputs of width 6
-        mixture_project(x, bank, [sel])
-    with pytest.raises(ConfigError):      # a bank without its head axis
-        mixture_project(x, Tensor(np.zeros((5, 6, 4))), [sel])
+    route = one_head_route(sel)
+    x3 = reshape(x, (1, n, 6))
+    with pytest.raises(ShapeError):       # d_in 9 against inputs of width 6
+        dispatch_to_heads(x3, Tensor(np.zeros((5, 9, 4))), route, 1)
+    with pytest.raises(ShapeError):       # a bank of 3 experts, routes to expert 4
+        dispatch_to_heads(x3, Tensor(np.zeros((3, 6, 4))), route, 1)
+    with pytest.raises(ShapeError):       # head slot 1 of a single head
+        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
+                          Route(route.eid, np.ones(1, dtype=int), route.gate), 1)
+    with pytest.raises(ShapeError):       # a route over 5 tokens against 7
+        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
+                          Route(route.eid[:, :5], route.head), 1)
+    with pytest.raises(ShapeError):       # two heads to fill, one routed
+        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))), route, 2)
+
+
+@st.composite
+def head_major_cases(draw):
+    """Random (B, H, T, E) and per-token head slots. Into head rows, each
+    token writes every head slot m times, in random order; back from head
+    rows, it may instead read k distinct heads of H, as head gating does."""
+    B, H, T, E = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                  draw(st.integers(1, 4)), draw(st.integers(1, 5)))
+    to_heads = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if not to_heads and draw(st.booleans()):
+        head = np.argsort(rng.uniform(size=(B, T, H)), axis=-1)[..., :draw(st.integers(1, H))]
+    else:
+        head = np.argsort(rng.uniform(size=(B, T, H * draw(st.integers(1, 3)))), axis=-1) % H
+    return dict(B=B, H=H, T=T, E=E, head=head, to_heads=to_heads,
+                eid=rng.integers(0, E, size=head.shape), seed=draw(st.integers(0, 2**16)),
+                gate_side=draw(st.sampled_from([None, "input", "output"])),
+                d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(head_major_cases())
+def test_head_major_dispatch_matches_per_token_loop(case):
+    B, H, T, E, d_in, d_out = (case[k] for k in ("B", "H", "T", "E", "d_in", "d_out"))
+    head, eid, side, to_heads = case["head"], case["eid"], case["gate_side"], case["to_heads"]
+    rng = np.random.default_rng(case["seed"])
+    bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
+    gate = None if side is None else Tensor(rng.uniform(-1, 1, head.shape), requires_grad=True)
+    route = Route(eid, head, gate, side or "output")
+    x_shape = (B, T, d_in) if to_heads else (B, H, T, d_in)
+    x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
+    c = OpCounter()
+    y = (dispatch_to_heads(x, bank, route, H, c) if to_heads
+         else dispatch_from_heads(x, bank, route, c))
+    w = rng.uniform(-1, 1, y.shape)
+    tsum(mul(y, constant(w))).backward()
+
+    want, gx, gbank = np.zeros(y.shape), np.zeros(x_shape), np.zeros(bank.shape)
+    ggate = np.zeros(head.shape)
+    for b, t, j in product(range(B), range(T), range(head.shape[-1])):
+        h, W = head[b, t, j], bank.data[eid[b, t, j]]
+        scale = 1.0 if gate is None else gate.data[b, t, j]
+        xi = (b, t) if to_heads else (b, h, t)
+        yi = (b, h, t) if to_heads else (b, t)
+        want[yi] += scale * (x.data[xi] @ W)
+        gx[xi] += scale * (W @ w[yi])
+        gbank[eid[b, t, j]] += scale * np.outer(x.data[xi], w[yi])
+        ggate[b, t, j] = x.data[xi] @ W @ w[yi]
+    for got, ref in ((y.data, want), (x.grad, gx), (bank.grad, gbank)):
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+    if gate is not None:
+        assert np.allclose(gate.grad, ggate, rtol=1e-12, atol=1e-12)
+    A = head.size
+    gate_macs = 0 if side is None else A * (d_in if side == "input" else d_out)
+    stored = y.size if to_heads else 0
+    assert c.terms["mixing"] == [A * d_in * d_out + gate_macs, stored]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -92,8 +92,7 @@ def test_elementwise_chain_gradients(seed):
     w = rng.uniform(-1, 1, (3, 4))
 
     def loss_fn():
-        from switchlab.tensor import exp, log, sqrt
-        y = sigmoid(x) + relu(x - 0.7) * exp(-x) + log(x) + sqrt(x)
+        y = sigmoid(x) + relu(x - 0.7) * sigmoid(-x) + x * x
         return tsum(mul(y, constant(w)))
 
     loss = loss_fn()
@@ -180,6 +179,31 @@ def test_softmax_gradient():
         return float(tsum(mul(softmax_last(x), constant(w))).data)
 
     tsum(mul(softmax_last(x), constant(w))).backward()
+    assert rel_err(fd_grad(loss_fn, x.data), x.grad) < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=3), n=st.integers(1, 8),
+       shift=st.floats(-50, 50), seed=st.integers(0, 2**16))
+@example(lead=[], n=1, shift=0.0, seed=0)
+@example(lead=[2, 1, 3], n=8, shift=-50.0, seed=1)
+def test_softmax_last_matches_finite_differences(lead, n, shift, seed):
+    # float64 rows on random shapes, each shifted by a constant the max
+    # subtraction removes; the softmax is stored under its term
+    rng = rng_for(seed, "softmax-fd")
+    shape = tuple(lead) + (n,)
+    x = Tensor(rng.uniform(-4, 4, shape) + shift, requires_grad=True)
+    w = rng.uniform(-1, 1, shape)
+    c = OpCounter()
+    out = softmax_last(x, c, term="scores")
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    assert np.allclose(out.data, e / e.sum(axis=-1, keepdims=True), rtol=1e-14, atol=0)
+    assert c.terms == {"scores": [0, out.size]}
+    tsum(mul(out, constant(w))).backward()
+
+    def loss_fn():
+        return float(tsum(mul(softmax_last(x), constant(w))).data)
+
     assert rel_err(fd_grad(loss_fn, x.data), x.grad) < 1e-7
 
 
