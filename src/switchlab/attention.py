@@ -7,7 +7,8 @@ and ``model.count_params`` read) and a router that names its routed roles
 as ``moe.Route`` records. ``attention_forward`` is the one forward: K, Q
 and V are plain GEMMs or ``moe.dispatch_to_heads`` dispatches, the one
 core ``_attend_heads`` runs cache, XL or RoPE position terms, scores,
-mask and readout once on [B, H, T, S] for all heads, and O is the plain
+mask and readout once on [B, H, T, S] for all heads (scores to
+probabilities as the one op ``tensor.attention_probs``), and O is the plain
 merge-GEMM or a ``moe.dispatch_from_heads`` dispatch. Head gating routes
 O alone, to its k selected heads; SwitchHead routes any of its four
 roles, one ``select`` per head and side; MoA is multi-query attention,
@@ -35,8 +36,8 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
                   dispatch_to_heads, override_gates, select)
 from .rng import uniform_init
-from .tensor import (ShapeError, Tensor, concat, constant, matmul, mul, rel_shift,
-                     reshape, softmax_last, transpose)
+from .tensor import (ShapeError, Tensor, attention_probs, concat, constant, matmul,
+                     mul, reshape, transpose)
 
 NEG_INF = -1e30
 
@@ -229,20 +230,20 @@ def rope_angles(T: int, d_head: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-def _mask_scores(scores: Tensor, cache_len: int, causal: bool,
-                 key_mask: np.ndarray | None) -> Tensor:
-    T, S = scores.shape[-2], scores.shape[-1]
+def _score_mask(T: int, S: int, cache_len: int, causal: bool,
+                key_mask: np.ndarray | None) -> np.ndarray | None:
+    """The additive mask of [B, H, T, S] scores: NEG_INF on the keys after
+    each query's position (causal) and on the masked keys, 0 elsewhere;
+    None when nothing is masked."""
     add = None
     if causal:
         q_pos = cache_len + np.arange(T)[:, None]
         add = np.where(np.arange(S)[None, :] > q_pos, NEG_INF, 0.0)
     if key_mask is not None:
         km = np.where(np.asarray(key_mask, dtype=bool), 0.0, NEG_INF)
-        km = km.reshape(km.shape[0], *([1] * (scores.ndim - km.ndim)), S)
+        km = km.reshape(km.shape[0], 1, 1, S)
         add = km if add is None else add + km
-    if add is None:
-        return scores
-    return scores + constant(add.astype(scores.data.dtype))
+    return add
 
 
 # -- forward passes -------------------------------------------------------
@@ -290,28 +291,25 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
         cache_len = cache.length
     T = q.shape[2]
     S = cache_len + T
-    pos_scores = None
+    pos_q = pos_r = None
     if cfg.position == "xl_relative":
         # relative-position scores from the projected 2S-row sinusoid table;
-        # their interaction matmul is not in the closed forms, so its cost
-        # is itemized under 'pos_scores'
+        # their interaction product is not in the closed forms, so
+        # attention_probs itemizes its cost under 'pos_scores'
         w_r = params["w_r"]
         table = sinusoid_table(2 * S, cfg.d_model, offset=S - 1, dtype=w_r.data.dtype)
         r = matmul(constant(table), w_r, counter, term="position")
-        r = (transpose(reshape(r, (2 * S, cfg.n_heads, cfg.d_head)), (1, 2, 0))
-             if per_head_pos else transpose(r))          # [H, dh, 2S] or [dh, 2S]
-        p = matmul(q + params["v"], r, counter, extra="pos_scores")
-        pos_scores = rel_shift(p, cache_len)
+        pos_r = (transpose(reshape(r, (2 * S, cfg.n_heads, cfg.d_head)), (1, 2, 0))
+                 if per_head_pos else transpose(r))      # [H, dh, 2S] or [dh, 2S]
+        pos_q = q + params["v"]
         q = q + params["u"]
     elif cfg.position == "rope":
         cos, sin = rope_angles(T, cfg.d_head)
         q = rope_rotate(q, cos, sin, counter)
         k = rope_rotate(k, cos, sin, counter)
-    scores = matmul(q, transpose(k, (0, 1, 3, 2)), counter, term="scores")
-    if pos_scores is not None:
-        scores = scores + pos_scores
-    scores = _mask_scores(mul(scores, cfg.scale()), cache_len, cfg.causal, key_mask)
-    attn = softmax_last(scores, counter, term="scores")
+    attn = attention_probs(q, k, cfg.scale(),
+                           mask=_score_mask(T, S, cache_len, cfg.causal, key_mask),
+                           pos_q=pos_q, pos_r=pos_r, cache_len=cache_len, counter=counter)
     counter.count_score_matrices(attn.shape[0] * attn.shape[1])
     av = matmul(attn, v, counter, term="readout")
     return attn, av, new_cache

@@ -17,10 +17,13 @@ fails loudly instead of loading rounded.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .attention import attention_param_shapes
 from .config import dump_config, from_model_spec, parse_config, to_model_spec
-from .model import Model, build
+from .model import Model, build, count_params
 
 MAGIC = "switchlab-checkpoint 1"
 
@@ -45,8 +48,19 @@ def save(path: str, model: Model) -> None:
 
 
 def load(path: str) -> Model:
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read a checkpoint written by ``save``.
+
+    The index is checked against the spec before the model is built, so a
+    corrupt header cannot make ``build`` allocate a model that the file
+    does not hold: each layer's attention tensors must have the shapes of
+    ``attention_param_shapes``, the index must hold ``count_params`` values
+    in all, and the payload must be exactly that many float64 values.
+    """
+    try:
+        with open(path, "rb") as f:
+            blob = f.read()
+    except OSError as e:
+        raise CheckpointError(str(e)) from None
     head, sep, payload = blob.partition(b"\n===\n")
     if not sep:
         raise CheckpointError("missing tensor payload marker")
@@ -62,7 +76,7 @@ def load(path: str) -> Model:
     except ValueError:
         raise CheckpointError("missing config terminator") from None
     spec = to_model_spec(parse_config("\n".join(lines[1:split])))
-    index = []
+    index = {}
     for line in lines[split + 1:]:
         if not line:
             continue
@@ -71,21 +85,32 @@ def load(path: str) -> Model:
             ndim, shape = int(ndim), tuple(int(d) for d in dims)
         except ValueError:
             raise CheckpointError(f"malformed index line {line!r}") from None
-        if len(shape) != ndim:
+        if len(shape) != ndim or min(shape, default=0) < 0:
             raise CheckpointError(f"index line for '{name}' is inconsistent")
-        index.append((name, shape))
+        if name in index:
+            raise CheckpointError(f"tensor '{name}' is listed twice")
+        index[name] = shape
+    attn = {k: shape for k, (shape, _) in attention_param_shapes(spec.attention).items()}
+    for i in range(spec.n_layers):
+        prefix = f"layers.{i}.attn."
+        listed = {n[len(prefix):]: s for n, s in index.items() if n.startswith(prefix)}
+        if listed != attn:
+            raise CheckpointError(f"layer {i}'s attention tensors do not match the model spec")
+    total = sum(math.prod(shape) for shape in index.values())
+    if total != count_params(spec):
+        raise CheckpointError(f"checkpoint lists {total} values, the model spec has "
+                              f"{count_params(spec)}")
+    if len(payload) != 8 * total:
+        raise CheckpointError(f"payload holds {len(payload)} bytes, the index needs {8 * total}")
     model = build(spec, seed=0)
-    if sorted(model.params) != sorted(n for n, _ in index):
+    if sorted(model.params) != sorted(index):
         raise CheckpointError("checkpoint tensors do not match the model spec")
     offset = 0
-    for name, shape in index:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        chunk = payload[offset * 8:(offset + n) * 8]
-        if len(chunk) != n * 8:
-            raise CheckpointError(f"truncated payload at tensor '{name}'")
+    for name, shape in index.items():
+        n = math.prod(shape)
         if model.params[name].shape != shape:
             raise CheckpointError(f"shape mismatch for '{name}'")
-        values = np.frombuffer(chunk, dtype="<f8").reshape(shape)
+        values = np.frombuffer(payload[offset * 8:(offset + n) * 8], dtype="<f8").reshape(shape)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in tensor '{name}'")
         param = model.params[name]
@@ -96,6 +121,4 @@ def load(path: str) -> Model:
                                   "cannot represent exactly")
         param.data = cast
         offset += n
-    if offset * 8 != len(payload):
-        raise CheckpointError("trailing bytes after last tensor")
     return model

@@ -52,5 +52,11 @@ def from_bytes(raw: bytes, valid_fraction: float = 0.1) -> CharCorpus:
 
 
 def from_file(path: str, valid_fraction: float = 0.1) -> CharCorpus:
-    with open(path, "rb") as f:
-        return from_bytes(f.read(), valid_fraction)
+    """The corpus of a file's bytes; a file that cannot be read (missing, a
+    directory) is a ConfigError."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+    return from_bytes(raw, valid_fraction)

@@ -8,10 +8,11 @@ are held in the dtype of the data they belong to.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
 loss walks the tape in reverse topological order and frees it as it goes.
-Three ops consume an OpCounter: ``matmul`` (its MACs and, when stored, its
-output floats), ``expert_matmul`` (the MACs of its expert GEMMs) and
-``softmax_last`` (its stored output floats). Everything else is free in the
-MAC accounting convention used by the cost model; explicit elementwise
+Four ops consume an OpCounter: ``matmul`` (its MACs and, when stored, its
+output floats), ``expert_matmul`` (the MACs of its expert GEMMs),
+``softmax_last`` (its stored output floats) and ``attention_probs`` (the
+figures of the matmul and softmax chain it fuses). Everything else is free
+in the MAC accounting convention used by the cost model; explicit elementwise
 costs, such as a gate multiply, are added by the callers that need them.
 
 Importing this module sets glibc's allocation policy so that the memory a
@@ -313,6 +314,32 @@ def sigmoid(x: Tensor) -> Tensor:
 # -- matmul ---------------------------------------------------------------
 
 
+def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if b.ndim == 2 and a.ndim > 2:
+        # one GEMM over all leading rows instead of one per batch matrix
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return np.matmul(a, b)
+
+
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool,
+                  need_b: bool) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The grads of ``a @ b`` (as ``_matmul_data`` forms it) for the upstream
+    ``g``, each summed back to its operand's shape; None where not needed."""
+    ga = gb = None
+    if b.ndim == 2 and a.ndim > 2:
+        g2 = g.reshape(-1, g.shape[-1])
+        if need_a:
+            ga = (g2 @ b.T).reshape(a.shape)
+        if need_b:
+            gb = a.reshape(-1, a.shape[-1]).T @ g2
+        return ga, gb
+    if need_a:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape)
+    if need_b:
+        gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
            store: bool = True, term: str | None = None,
            extra: str | None = None) -> Tensor:
@@ -327,14 +354,7 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    flat = b.data.ndim == 2 and a.data.ndim > 2
-    if flat:
-        # one GEMM over all leading rows instead of one per batch matrix
-        k_dim = a.data.shape[-1]
-        data = (a.data.reshape(-1, k_dim) @ b.data).reshape(
-            a.data.shape[:-1] + b.data.shape[-1:])
-    else:
-        data = np.matmul(a.data, b.data)
+    data = _matmul_data(a.data, b.data)
     if counter.enabled:
         k = a.data.shape[-1]
         macs = int(np.prod(data.shape, dtype=np.int64)) * k
@@ -345,19 +365,11 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
             counter.add(macs=macs, mem=mem, term=term)
 
     def bw(g):
-        if flat:
-            g2 = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                a._accum((g2 @ b.data.T).reshape(a.data.shape), fresh=True)
-            if b.requires_grad:
-                b._accum(a.data.reshape(-1, a.data.shape[-1]).T @ g2, fresh=True)
-            return
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.data.shape), fresh=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accum(_unbroadcast(gb, b.data.shape), fresh=True)
+        ga, gb = _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
+        if ga is not None:
+            a._accum(ga, fresh=True)
+        if gb is not None:
+            b._accum(gb, fresh=True)
 
     return _make(data, (a, b), bw)
 
@@ -382,6 +394,116 @@ def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
         x._accum(out * (g - dot), fresh=True)
 
     return _make(out, (x,), bw)
+
+
+def _rel_shift_view(a: np.ndarray, cache_len: int) -> np.ndarray:
+    """Transformer-XL relative shift of a [..., T, 2S] distance-score table
+    as a [..., T, S] strided view, S = cache_len + T.
+
+    ``view[..., t, j] = a[..., t, cache_len + S - 1 + t - j]``: column c of
+    ``a`` holds distance c - (S - 1). The view starts at last-axis offset
+    cache_len + S - 1 and steps row + col per row and -col per column; its
+    entries are distinct, so a write through it scatters without overlap.
+    """
+    T = a.shape[-2]
+    S = cache_len + T
+    *lead, row, col = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a[..., cache_len + S - 1:], shape=a.shape[:-2] + (T, S),
+        strides=(*lead, row + col, -col))
+
+
+def attention_probs(q: Tensor, k: Tensor, scale: float, *,
+                    mask: np.ndarray | None = None, pos_q: Tensor | None = None,
+                    pos_r: Tensor | None = None, cache_len: int = 0,
+                    counter: OpCounter = NULL_COUNTER) -> Tensor:
+    """Attention probabilities as one op: the last-axis softmax of
+    ``scale * (q @ kᵀ + relshift(pos_q @ pos_r)) + mask``.
+
+    ``q`` is [..., T, dh] and ``k`` is [..., S, dh]; their leading axes
+    broadcast, so a [B, 1, S, dh] key head serves all H query heads.
+    ``mask`` is an additive array that broadcasts to the [..., T, S]
+    scores. With ``pos_q`` ([..., T, dh]) and ``pos_r`` ([dh, 2S], shared by
+    all heads, or [..., dh, 2S]), S = cache_len + T and score (t, j) gains
+    the position score of distance cache_len + t - j: the [..., T, 2S]
+    product ``pos_q @ pos_r`` is read through the Transformer-XL relative
+    shift (``_rel_shift_view``).
+
+    The arithmetic and its order are those of the unfused chain of matmul,
+    shift, add, scale, mask add and ``softmax_last``, so the results agree
+    bit for bit; but only the probabilities are kept. The backward forms
+    the softmax grad and scales it, sends it through q @ kᵀ to q and k, and
+    writes it through the shifted view into a zeroed [..., T, 2S] buffer,
+    which is the grad of the position product. The counter gets the
+    unfused chain's figures: the q @ kᵀ MACs with their output and the
+    probabilities as stored floats under ``scores``, and the position
+    product's MACs and output under the ``pos_scores`` extra.
+    """
+    if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
+        raise ShapeError(f"attention_probs needs q [..., T, dh] and k [..., S, dh], "
+                         f"got {q.shape} and {k.shape}")
+    T, S = q.shape[-2], k.shape[-2]
+    if (pos_q is None) != (pos_r is None):
+        raise ShapeError("attention_probs needs both pos_q and pos_r, or neither")
+    if pos_q is not None and (cache_len < 0 or S != cache_len + T
+                              or pos_q.shape[-2:] != q.shape[-2:] or pos_r.ndim < 2
+                              or pos_r.shape[-2:] != (q.shape[-1], 2 * S)):
+        raise ShapeError(f"relative positions need pos_q [..., {T}, {q.shape[-1]}] and "
+                         f"pos_r [..., {q.shape[-1]}, 2*(cache_len + T)] with S = cache_len "
+                         f"+ T = {S} keys, got {pos_q.shape} and {pos_r.shape} with "
+                         f"cache_len={cache_len}")
+    kt = np.swapaxes(k.data, -1, -2)
+    data = _matmul_data(q.data, kt)
+    inputs = (q, k)
+    if pos_q is not None:
+        p = _matmul_data(pos_q.data, pos_r.data)
+        if counter.enabled:
+            counter.add_extra("pos_scores", macs=p.size * q.shape[-1], mem=p.size)
+        data += _rel_shift_view(p, cache_len)
+        p_shape = p.shape
+        del p
+        inputs = (q, k, pos_q, pos_r)
+    scale = data.dtype.type(scale)
+    data *= scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=data.dtype)
+        try:
+            fits = np.broadcast_shapes(mask.shape, data.shape) == data.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"mask {mask.shape} does not broadcast to scores {data.shape}")
+        data += mask
+    data -= data.max(axis=-1, keepdims=True)
+    np.exp(data, out=data)
+    data /= data.sum(axis=-1, keepdims=True)
+    if counter.enabled:
+        counter.add(macs=data.size * q.shape[-1], mem=2 * data.size, term="scores")
+
+    def bw(g):
+        # the node's grad is its own (see Tensor._accum), so the softmax
+        # grad is formed in it
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        g -= dot
+        g *= data
+        g *= scale
+        if pos_q is not None and (pos_q.requires_grad or pos_r.requires_grad):
+            full = np.zeros(p_shape, dtype=g.dtype)
+            _rel_shift_view(full, cache_len)[...] = g
+            gpq, gpr = _matmul_grads(pos_q.data, pos_r.data, full,
+                                     pos_q.requires_grad, pos_r.requires_grad)
+            del full
+            if gpq is not None:
+                pos_q._accum(gpq, fresh=True)
+            if gpr is not None:
+                pos_r._accum(gpr, fresh=True)
+        gq, gkt = _matmul_grads(q.data, kt, g, q.requires_grad, k.requires_grad)
+        if gq is not None:
+            q._accum(gq, fresh=True)
+        if gkt is not None:
+            k._accum(np.swapaxes(gkt, -1, -2), fresh=True)
+
+    return _make(data, inputs, bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -532,35 +654,6 @@ def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
         x._accum(full, fresh=True)
 
     return _make(data, (x,), bw)
-
-
-def rel_shift(x: Tensor, cache_len: int) -> Tensor:
-    """Transformer-XL relative shift of a [..., T, 2S] distance-score table.
-
-    With S = cache_len + T, ``out[..., t, j] = x[..., t, cache_len + S - 1
-    + t - j]``: column c of ``x`` holds distance c - (S - 1). Every output
-    reads a distinct entry, so forward and backward are one strided view
-    (last-axis offset cache_len + S - 1, row stride row + col, column
-    stride -col); the backward writes ``g`` through the view into zeros.
-    """
-    T, width = x.shape[-2], x.shape[-1]
-    S = cache_len + T
-    if cache_len < 0 or width != 2 * S:
-        raise ShapeError(f"rel_shift needs [..., T, 2*(cache_len + T)], got {x.shape} "
-                         f"with cache_len={cache_len}")
-
-    def view(a: np.ndarray) -> np.ndarray:
-        *lead, row, col = a.strides
-        return np.lib.stride_tricks.as_strided(
-            a[..., cache_len + S - 1:], shape=a.shape[:-2] + (T, S),
-            strides=(*lead, row + col, -col))
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        view(full)[...] = g
-        x._accum(full, fresh=True)
-
-    return _make(view(x.data).copy(), (x,), bw)
 
 
 def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:

@@ -157,6 +157,8 @@ def evaluate(model: Model, task, split: str = "valid",
     """
     model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
     if task.kind == "classification":
+        if split not in task.splits:
+            raise ConfigError(f"unknown split '{split}'")
         pool = task.splits[split]
         if not pool:
             raise ConfigError(f"split '{split}' is empty")

@@ -1,11 +1,17 @@
 """Checkpoint round-trips and corruption detection."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from switchlab import checkpoint
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.checkpoint import MAGIC, CheckpointError, load, save
 from switchlab.model import MLPConfig, ModelSpec, build
+from switchlab.moe import ConfigError
 from switchlab.rng import rng_for
 
 
@@ -123,3 +129,72 @@ def test_value_float32_cannot_hold_is_rejected(tmp_path):
     with pytest.raises(CheckpointError, match="cannot represent"):
         load(str(path))
 
+
+
+@pytest.mark.parametrize("mismatch", ["d_model", "attention_shape", "payload"])
+def test_mismatched_header_fails_before_build(tmp_path, monkeypatch, mismatch):
+    path = _dense_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    if mismatch == "d_model":            # names a model far larger than the file holds
+        blob = blob.replace(b"d_model = 8\n", b"d_model = 4096\n", 1)
+    elif mismatch == "attention_shape":  # w_q [8, 4] listed as [4, 8]: the count holds
+        blob = blob.replace(b"layers.0.attn.w_q 2 8 4\n", b"layers.0.attn.w_q 2 4 8\n", 1)
+    else:
+        blob = blob[:-8]
+    path.write_bytes(blob)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called for a checkpoint whose index does not match")
+
+    monkeypatch.setattr(checkpoint, "build", no_build)
+    with pytest.raises(CheckpointError):
+        load(str(path))
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    path = _dense_checkpoint(tmp_path_factory.mktemp("tiny"))
+    return path, path.read_bytes()
+
+
+def _mutate(blob: bytes, mutations) -> bytes:
+    """Apply (kind, position, bytes) edits; all but 'payload' land in the
+    header, 'digits' rewrites one of its numbers."""
+    for kind, pos, raw in mutations:
+        head = blob.find(b"\n===\n") + 5
+        if kind == "payload" and len(blob) > head:
+            p = head + pos % (len(blob) - head)
+            blob = blob[:p] + raw + blob[p + len(raw):]
+            continue
+        p = pos % (head + 1)
+        if kind == "set":
+            blob = blob[:p] + raw[:1] + blob[p + 1:]
+        elif kind == "insert":
+            blob = blob[:p] + raw + blob[p:]
+        elif kind == "delete":
+            blob = blob[:p] + blob[p + len(raw):]
+        else:
+            runs = list(re.finditer(rb"\d+", blob[:head]))
+            if runs:
+                m = runs[pos % len(runs)]
+                number = str(int.from_bytes(raw, "little") - 2 ** 15).encode()
+                blob = blob[:m.start()] + number + blob[m.end():]
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary=st.booleans(), raw=st.binary(max_size=200),
+       mutations=st.lists(st.tuples(
+           st.sampled_from(["set", "insert", "delete", "digits", "payload"]),
+           st.integers(0, 2**20), st.binary(min_size=1, max_size=8)), min_size=1, max_size=4))
+def test_loader_raises_only_checkpoint_or_config_error(tiny_checkpoint, arbitrary, raw,
+                                                       mutations):
+    # arbitrary bytes, or a tiny checkpoint with edits to its header and
+    # payload: loading either succeeds or fails with one of the two errors
+    # the CLI maps to exit 2
+    path, blob = tiny_checkpoint
+    path.write_bytes(raw if arbitrary else _mutate(blob, mutations))
+    try:
+        load(str(path))
+    except (CheckpointError, ConfigError):
+        pass

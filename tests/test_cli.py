@@ -286,6 +286,30 @@ def test_char_lm_missing_path_is_usage_error(tmp_path, listops_cfg, capsys):
     assert code == EXIT_USAGE
 
 
+def test_char_lm_directory_path_is_usage_error(tmp_path, listops_cfg, capsys):
+    code = main(["train", "--config", listops_cfg, "--set", "task.name=char_lm",
+                 "--set", "model.n_classes=0", "--set", f"task.path={tmp_path}",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_checkpoint_directory_is_usage_error(tmp_path, listops_cfg, capsys):
+    assert main(["export-attn", "--checkpoint", str(tmp_path), "--sample", "5",
+                 "--out", str(tmp_path / "grids")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_unknown_split_is_usage_error(tmp_path, listops_cfg, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                 "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out / "model.ckpt"), "--config", listops_cfg,
+                 "--split", "bogus"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown split")
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     code = main(["train", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")])

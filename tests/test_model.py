@@ -139,6 +139,44 @@ def test_forward_shapes_and_determinism():
     assert not np.array_equal(logits.data, logits3.data)
 
 
+_ALL = ExpertFlags(v=True, k=True, q=True, o=True)
+
+
+@pytest.mark.parametrize("attn", [
+    AttentionConfig(12, 3, 4, variant="dense", context_mult=2),
+    AttentionConfig(12, 3, 4, variant="dense", position="rope"),
+    AttentionConfig(12, 3, 4, variant="dense", position="none"),
+    AttentionConfig(12, 3, 4, variant="head_gated", k_active=2, context_mult=2),
+    AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                    context_mult=2, expert_flags=ExpertFlags.value_output()),
+    AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                    expert_flags=_ALL),
+    AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
+], ids=["dense_xl", "dense_rope", "dense_none", "head_gated", "switchhead_vo",
+        "switchhead_all", "moa"])
+def test_tape_holds_only_the_probabilities_of_the_score_chain(attn):
+    # of the attention score chain, a layer's tape keeps its [B, H, T, S]
+    # probabilities alone, and no [..., T, 2S] position scores; no other
+    # array of these shapes has a trailing (T, S) or (T, 2S)
+    T, n_layers = 5, 2
+    model = build(ModelSpec(n_layers, 12, attn, MLPConfig("dense", 7), 11, T=T), 0)
+    toks = rng_for(0, "tape-toks").integers(11, size=(2, T))
+    caches = None
+    if attn.context_mult > 1:      # the second chunk attends to a cached one
+        _, _, caches = model.forward(toks)
+    logits, _, _ = model.forward(toks, caches=caches)
+    S = T * attn.context_mult
+    shapes, seen, stack = [], set(), [logits]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            shapes.append(node.shape[-2:])
+            stack.extend(node._prev)
+    assert shapes.count((T, S)) == n_layers
+    assert (T, 2 * S) not in shapes
+
+
 def test_forward_rejects_bad_tokens():
     m = build(dense_spec(), 0)
     from switchlab.tensor import ShapeError

@@ -12,10 +12,10 @@ from switchlab import tensor
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
 from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk,
-                              argtopk_rows, concat, constant, cross_entropy,
-                              expert_matmul, gather_rows, layer_norm, matmul,
-                              mul, rel_shift, relu, reshape, sigmoid, slice_,
-                              softmax_last, take_last, transpose, tsum)
+                              argtopk_rows, attention_probs, concat, constant,
+                              cross_entropy, expert_matmul, gather_rows,
+                              layer_norm, matmul, mul, relu, reshape, sigmoid,
+                              slice_, softmax_last, take_last, transpose, tsum)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -474,30 +474,90 @@ def test_take_last_rejects_repeated_index():
         take_last(x, np.array([[0, 1], [2, 2]]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(cache_len=st.integers(0, 8), T=st.integers(1, 8), lead=st.integers(1, 3),
-       seed=st.integers(0, 2**16))
-@example(cache_len=0, T=5, lead=2, seed=0)
-@example(cache_len=3, T=4, lead=1, seed=1)
-@example(cache_len=64, T=64, lead=2, seed=2)
-@example(cache_len=0, T=1, lead=1, seed=3)
-def test_rel_shift_matches_take_last_oracle(cache_len, T, lead, seed):
-    rng = rng_for(seed, "rel-shift")
+def _unfused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
+    """The chain attention_probs fuses, of the remaining primitives, with
+    the relative shift as a take_last gather of each row's distances."""
+    T, S = q.shape[-2], k.shape[-2]
+    scores = matmul(q, transpose(k, (0, 1, 3, 2)), counter, term="scores")
+    if pos_q is not None:
+        p = matmul(pos_q, pos_r, counter, extra="pos_scores")
+        # column c of p holds distance c - (S - 1); score (t, j) needs cache_len + t - j
+        oracle_idx = (cache_len + np.arange(T)[:, None] - np.arange(S)[None, :]) + (S - 1)
+        scores = add(scores, take_last(p, oracle_idx))
+    scores = mul(scores, scale)
+    if mask is not None:
+        scores = add(scores, constant(mask))
+    return softmax_last(scores, counter, term="scores")
+
+
+def _fused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
+    return attention_probs(q, k, scale, mask=mask, pos_q=pos_q, pos_r=pos_r,
+                           cache_len=cache_len, counter=counter)
+
+
+@settings(max_examples=30, deadline=None)
+@given(B=st.integers(1, 2), H=st.integers(1, 3), T=st.integers(1, 4),
+       cache_len=st.integers(0, 3), dh=st.integers(1, 3),
+       pos=st.sampled_from(["none", "shared", "per_head"]), shared_k=st.booleans(),
+       masked=st.booleans(), seed=st.integers(0, 2**16))
+@example(B=2, H=3, T=4, cache_len=3, dh=3, pos="per_head", shared_k=False, masked=True, seed=0)
+@example(B=1, H=2, T=3, cache_len=2, dh=2, pos="shared", shared_k=True, masked=True, seed=1)
+@example(B=1, H=1, T=1, cache_len=0, dh=1, pos="shared", shared_k=False, masked=False, seed=2)
+def test_attention_probs_matches_unfused_chain(B, H, T, cache_len, dh, pos, shared_k,
+                                               masked, seed):
+    # float64: the fused op against the unfused chain (the same arithmetic,
+    # so equal bit for bit, counter included) and against finite differences;
+    # a shared key head ([B, 1, S, dh]) broadcasts over the H query heads
+    rng = rng_for(seed, "attention-probs")
     S = cache_len + T
-    values = rng.uniform(-1, 1, (lead, T, 2 * S))
-    w = rng.uniform(-1, 1, (lead, T, S))
-    oracle_idx = (cache_len + np.arange(T)[:, None] - np.arange(S)[None, :]) + (S - 1)
-    x, x_ref = Tensor(values, requires_grad=True), Tensor(values, requires_grad=True)
-    out, ref = rel_shift(x, cache_len), take_last(x_ref, oracle_idx)
-    assert np.array_equal(out.data, ref.data)
-    tsum(mul(out, constant(w))).backward()
-    tsum(mul(ref, constant(w))).backward()
-    assert np.array_equal(x.grad, x_ref.grad)
+    q = Tensor(rng.uniform(-1, 1, (B, H, T, dh)), requires_grad=True)
+    k = Tensor(rng.uniform(-1, 1, (B, 1 if shared_k else H, S, dh)), requires_grad=True)
+    pos_q = pos_r = None
+    if pos != "none":
+        pos_q = Tensor(rng.uniform(-1, 1, (B, H, T, dh)), requires_grad=True)
+        r_shape = (dh, 2 * S) if pos == "shared" else (H, dh, 2 * S)
+        pos_r = Tensor(rng.uniform(-1, 1, r_shape), requires_grad=True)
+    mask = None
+    if masked:
+        # additive, as attention builds it: key 0 always visible
+        mask = np.where(rng.uniform(size=(B, 1, T, S)) < 0.3, -1e30, 0.0)
+        mask[..., 0] = 0.0
+    scale = float(rng.uniform(0.2, 2.0))
+    inputs = [t for t in (q, k, pos_q, pos_r) if t is not None]
+    w = constant(rng.uniform(-1, 1, (B, H, T, S)))
+
+    def run(fn, counter):
+        out = fn(q, k, scale, mask, pos_q, pos_r, cache_len, counter)
+        tsum(mul(out, w)).backward()
+        grads = [t.grad for t in inputs]
+        for t in inputs:
+            t.grad = None
+        return out.data, counter.snapshot(), grads
+
+    out_f, snap_f, grads_f = run(_fused_probs, OpCounter())
+    out_u, snap_u, grads_u = run(_unfused_probs, OpCounter())
+    assert np.array_equal(out_f, out_u)
+    assert snap_f == snap_u
+    for gf, gu in zip(grads_f, grads_u):
+        assert np.array_equal(gf, gu)
+
+    def loss_fn():
+        out = _fused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, OpCounter(False))
+        return float(tsum(mul(out, w)).data)
+
+    for t, g in zip(inputs, grads_f):
+        assert rel_err(fd_grad(loss_fn, t.data), g) < 1e-7
 
 
-def test_rel_shift_rejects_bad_width():
-    with pytest.raises(ShapeError):
-        rel_shift(Tensor(np.zeros((3, 7))), 1)
+def test_attention_probs_rejects_bad_position_width():
+    q = Tensor(np.zeros((1, 3, 2)))
+    k = Tensor(np.zeros((1, 4, 2)))
+    with pytest.raises(ShapeError):     # cache_len 1 + T 3 keys need 8 distance columns
+        attention_probs(q, k, 1.0, pos_q=q, pos_r=Tensor(np.zeros((2, 7))), cache_len=1)
+    with pytest.raises(ShapeError):     # 4 keys are not cache_len 0 + T 3
+        attention_probs(q, k, 1.0, pos_q=q, pos_r=Tensor(np.zeros((2, 8))))
+    with pytest.raises(ShapeError):     # a mask wider than the scores
+        attention_probs(q, k, 1.0, mask=np.zeros((3, 5)))
 
 
 def test_shaping_ops_grads():
