@@ -1,0 +1,124 @@
+"""A/B timing of two checkouts of the lab, one persistent worker each.
+
+    python3 scripts/ab_interleave.py PARENT_DIR CHANGE_DIR WORKLOAD {eval|step} N
+
+Each checkout gets one worker process that imports switchlab and the
+benchmark's workloads from that checkout (``bench/workloads.py``), sets the
+workload up once (data, model, a warm-up; seed 0) and then waits for
+requests. The two workers take turns, N times each, in a pair order that alternates
+which side goes first. A request times one ``evaluate()`` call (``eval``)
+or one batch cycle of training steps (``step``: 17 steps on ListOps, one
+on the LM), on the worker's process CPU clock, with BLAS pinned to one
+thread as in ``bench/run.py``. Both workers stay alive for the whole run,
+so neither pays start-up again, and alternating single requests exposes
+both sides to the same drift of the host: short alternating ``bench/run.py``
+runs spread by about 15% on a 2-vCPU virtual machine, more than the gains
+worth measuring. The script prints each side's median and quartiles, the
+ratio of the medians (change / parent) and the number of pairs in which
+the change was faster.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SEED = 0
+
+
+def worker(root: str, workload: str, mode: str) -> None:
+    """Serve timing requests on stdin ("run" lines), one JSON line each."""
+    sys.path[:0] = [os.path.join(root, "src"), root]
+    from bench import workloads as W
+
+    wl = W.WORKLOADS[workload]
+    _, (task, eval_task, model, opt) = W.setup(wl, SEED)
+    trainer = W.Trainer(wl, task, model, opt, SEED)
+
+    def once() -> float:
+        if mode == "eval":
+            return W.evaluate(wl, model, eval_task)[2]
+        c0 = W.cpu_clock()
+        for _ in range(W.cycle_steps(wl)):
+            trainer.step()
+        return W.cpu_clock() - c0
+
+    for _ in range(W.WARMUP_STEPS):
+        trainer.step()
+    once()
+    print("ready", flush=True)
+    for line in sys.stdin:
+        if line.strip() != "run":
+            break
+        print(json.dumps(once()), flush=True)
+
+
+def start(root: str, args) -> subprocess.Popen:
+    env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    proc = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--worker", root, args.workload,
+         args.mode],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    if proc.stdout.readline().strip() != "ready":
+        proc.kill()
+        raise SystemExit(f"worker for {root} failed to start")
+    return proc
+
+
+def request(proc: subprocess.Popen) -> float:
+    proc.stdin.write("run\n")
+    proc.stdin.flush()
+    line = proc.stdout.readline()
+    if not line:
+        raise SystemExit("a worker died")
+    return json.loads(line)
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_dir")
+    ap.add_argument("change_dir")
+    ap.add_argument("workload")
+    ap.add_argument("mode", choices=("eval", "step"))
+    ap.add_argument("n", type=int)
+    args = ap.parse_args()
+    if args.n < 1:
+        ap.error("N must be at least 1")
+    procs = {"parent": start(args.parent_dir, args), "change": start(args.change_dir, args)}
+    times = {"parent": [], "change": []}
+    try:
+        for i in range(args.n):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                times[side].append(request(procs[side]))
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait(timeout=60)
+    for side in ("parent", "change"):
+        q1, q2, q3 = quartiles(times[side])
+        print(f"{side:6s} median {q2 * 1e3:9.2f} ms  quartiles {q1 * 1e3:9.2f} "
+              f"{q3 * 1e3:9.2f} ms  (n={len(times[side])})")
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    ratio = statistics.median(times["change"]) / statistics.median(times["parent"])
+    print(f"{args.workload} {args.mode}: change/parent {ratio:.3f}x, "
+          f"change faster in {wins}/{args.n} pairs")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        # the form start() runs: --worker ROOT WORKLOAD MODE
+        worker(*sys.argv[2:5])
+    else:
+        main()

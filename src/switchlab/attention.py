@@ -36,8 +36,8 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
                   dispatch_to_heads, override_gates, select)
 from .rng import uniform_init
-from .tensor import (ShapeError, Tensor, attention_probs, concat, constant, matmul,
-                     mul, reshape, transpose)
+from .tensor import (ExpertPlan, ShapeError, Tensor, attention_probs, concat, constant,
+                     matmul, mul, reshape, transpose)
 
 NEG_INF = -1e30
 
@@ -319,7 +319,8 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
 #
 # A router selects, once per call, the experts of a variant's routed roles
 # and returns ({role: Route}, {trace key: selections}); a role it does not
-# name is a plain GEMM.
+# name is a plain GEMM. Each routing decision gets one ExpertPlan, which
+# every role it routes shares.
 
 
 def _select(x, w_sel, sel_cfg, counter, gate_override):
@@ -333,8 +334,8 @@ def _head_gate_routes(x, params, cfg, counter, gate_override):
     sel = _select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
                                                        cfg.sel_activation),
                   counter, gate_override)
-    route = Route(sel.indices, sel.indices, sel.weights, "input", term="projections",
-                  gate_extra="selection")
+    route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.indices, sel.weights, "input",
+                  term="projections", gate_extra="selection")
     return {"o": route}, {"heads": sel}
 
 
@@ -351,8 +352,9 @@ def _switchhead_routes(x, params, cfg, counter, gate_override):
             continue
         sels = [_select(x, params[w_name][h], sel_cfg, counter, gate_override)
                 for h in range(H)]
-        route = Route(np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1),
-                      np.repeat(np.arange(H), k), concat([s.weights for s in sels], axis=-1))
+        eid = np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1)
+        route = Route(ExpertPlan(eid, H * E), np.repeat(np.arange(H), k),
+                      concat([s.weights for s in sels], axis=-1))
         for r in roles:
             # the output gate scales the dh-wide head row, not the dm-wide result
             routes[r] = replace(route, gate_side="input") if r == "o" else route
@@ -366,9 +368,9 @@ def _moa_routes(x, params, cfg, counter, gate_override):
     sel = _select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active,
                                                          cfg.sel_activation),
                   counter, gate_override)
-    slots = np.arange(cfg.k_active)
-    return ({"q": Route(sel.indices, slots, term="projections"),
-             "o": Route(sel.indices, slots, sel.weights, term="projections",
+    plan, slots = ExpertPlan(sel.indices, cfg.n_experts), np.arange(cfg.k_active)
+    return ({"q": Route(plan, slots, term="projections"),
+             "o": Route(plan, slots, sel.weights, term="projections",
                         gate_extra="selection")},
             {"router": sel})
 

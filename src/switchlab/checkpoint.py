@@ -12,7 +12,8 @@ Payloads are float64 whatever the model's dtype: a float32 model is written
 as exact upcasts of its weights. ``load`` casts each payload into the dtype
 of the model ``build`` makes (float32) and raises ``CheckpointError`` if any
 value is not exactly representable there, so a file of float64 weights
-fails loudly instead of loading rounded.
+fails loudly instead of loading rounded. The model is made straight from
+the payload, in ``build``'s parameter order; nothing is drawn.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 
 import numpy as np
 
-from .attention import attention_param_shapes
 from .config import dump_config, from_model_spec, parse_config, to_model_spec
-from .model import Model, build, count_params
+from .model import Model, param_shapes
+from .tensor import Tensor
 
 MAGIC = "switchlab-checkpoint 1"
 
@@ -50,11 +51,11 @@ def save(path: str, model: Model) -> None:
 def load(path: str) -> Model:
     """Read a checkpoint written by ``save``.
 
-    The index is checked against the spec before the model is built, so a
-    corrupt header cannot make ``build`` allocate a model that the file
-    does not hold: each layer's attention tensors must have the shapes of
-    ``attention_param_shapes``, the index must hold ``count_params`` values
-    in all, and the payload must be exactly that many float64 values.
+    The index is checked against the spec before any tensor is made, so a
+    corrupt header cannot make ``load`` allocate a model that the file
+    does not hold: the index must name each tensor of ``model.param_shapes``
+    with its shape, and the payload must hold exactly their values as
+    float64.
     """
     try:
         with open(path, "rb") as f:
@@ -90,35 +91,24 @@ def load(path: str) -> Model:
         if name in index:
             raise CheckpointError(f"tensor '{name}' is listed twice")
         index[name] = shape
-    attn = {k: shape for k, (shape, _) in attention_param_shapes(spec.attention).items()}
-    for i in range(spec.n_layers):
-        prefix = f"layers.{i}.attn."
-        listed = {n[len(prefix):]: s for n, s in index.items() if n.startswith(prefix)}
-        if listed != attn:
-            raise CheckpointError(f"layer {i}'s attention tensors do not match the model spec")
-    total = sum(math.prod(shape) for shape in index.values())
-    if total != count_params(spec):
-        raise CheckpointError(f"checkpoint lists {total} values, the model spec has "
-                              f"{count_params(spec)}")
+    table = param_shapes(spec)
+    if index != table:
+        raise CheckpointError("checkpoint tensors do not match the model spec")
+    total = sum(math.prod(shape) for shape in table.values())
     if len(payload) != 8 * total:
         raise CheckpointError(f"payload holds {len(payload)} bytes, the index needs {8 * total}")
-    model = build(spec, seed=0)
-    if sorted(model.params) != sorted(index):
-        raise CheckpointError("checkpoint tensors do not match the model spec")
-    offset = 0
+    loaded, offset = {}, 0
     for name, shape in index.items():
         n = math.prod(shape)
-        if model.params[name].shape != shape:
-            raise CheckpointError(f"shape mismatch for '{name}'")
         values = np.frombuffer(payload[offset * 8:(offset + n) * 8], dtype="<f8").reshape(shape)
         if not np.all(np.isfinite(values)):
             raise CheckpointError(f"non-finite values in tensor '{name}'")
-        param = model.params[name]
         with np.errstate(over="ignore"):
-            cast = values.astype(param.data.dtype)
+            cast = values.astype(np.float32)
         if not np.array_equal(cast, values):
             raise CheckpointError(f"tensor '{name}' holds values that {cast.dtype} "
                                   "cannot represent exactly")
-        param.data = cast
+        loaded[name] = Tensor(cast, requires_grad=True)
         offset += n
-    return model
+    # in build's order, which sums such as Adam's grad norm follow
+    return Model(spec, {name: loaded[name] for name in table})

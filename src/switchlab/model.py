@@ -236,6 +236,33 @@ class Model:
         return self
 
 
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of ``build(spec)``, by name, in the order
+    ``build`` makes them; nothing is allocated."""
+    spec.validate()
+    dm = spec.d_model
+    table = {"embed": (spec.vocab_size, dm)}
+    for i in range(spec.n_layers):
+        for k, (shape, _) in attention_param_shapes(spec.attention).items():
+            table[f"layers.{i}.attn.{k}"] = shape
+        for ln in ("ln1", "ln2"):
+            table[f"layers.{i}.{ln}.g"] = table[f"layers.{i}.{ln}.b"] = (dm,)
+        mlp = spec.mlp
+        if mlp.kind == "dense":
+            table[f"layers.{i}.mlp.w_up"] = (dm, mlp.d_ff)
+            table[f"layers.{i}.mlp.w_down"] = (mlp.d_ff, dm)
+        else:
+            table[f"layers.{i}.mlp.up_bank"] = (mlp.n_experts, dm, mlp.d_ff)
+            table[f"layers.{i}.mlp.down_bank"] = (mlp.n_experts, mlp.d_ff, dm)
+            table[f"layers.{i}.mlp.w_sel"] = (dm, mlp.n_experts)
+    table["ln_f.g"] = table["ln_f.b"] = (dm,)
+    if spec.n_classes is not None:
+        table["head"] = (dm, spec.n_classes)
+    elif not spec.tied_embeddings:
+        table["readout"] = (dm, spec.vocab_size)
+    return table
+
+
 def build(spec: ModelSpec, seed: int) -> Model:
     """Instantiate a float32 model with deterministic weights derived from seed.
 

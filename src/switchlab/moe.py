@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (Tensor, argtopk_rows, constant, expert_matmul, gather_rows,
-                     matmul, relu, reshape, sigmoid, softmax_last, take_last)
+from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, constant, expert_matmul,
+                     gather_rows, matmul, relu, reshape, sigmoid, softmax_last, take_last)
 
 
 class ConfigError(ValueError):
@@ -91,41 +91,58 @@ def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
 class Route:
     """How one projection role is routed: ``a`` assignments per token.
 
-    ``eid`` [..., T, a] names each assignment's expert in the role's flat
-    bank [n_experts, d_in, d_out]; ``head`` ([a], or the shape of ``eid``)
-    names the head slot that the assignment writes (K, Q, V) or reads (O);
-    ``gate`` [..., T, a] is the matching gate, applied on ``gate_side`` of
-    the projection (see ``tensor.expert_matmul``). The expert GEMMs and any
-    stored result count under the OpCounter term ``term``, and so does the
-    gate multiply, unless ``gate_extra`` itemizes it as that extra.
+    ``plan`` is the routing decision's ``tensor.ExpertPlan`` over the
+    role's flat bank [n_experts, d_in, d_out]; roles routed by one decision
+    share it, and with it the one expert sort. ``head`` names the head slot
+    that each assignment writes (K, Q, V) or reads (O): an [a] table in
+    which slot j serves head j // m (m slots per head, as SwitchHead and
+    MoA route), or, on the reading side only, one head per assignment
+    ([..., T, a], the heads head gating selected). ``gate`` [..., T, a] is
+    the matching gate, applied on ``gate_side`` of the projection (see
+    ``tensor.expert_matmul``). The expert GEMMs and any stored result count
+    under the OpCounter term ``term``, and so does the gate multiply,
+    unless ``gate_extra`` itemizes it as that extra.
     """
-    eid: np.ndarray
+    plan: ExpertPlan
     head: np.ndarray
     gate: Tensor | None = None
     gate_side: str = "output"
     term: str = "mixing"
     gate_extra: str | None = None
 
+    def __post_init__(self):
+        a = self.plan.shape[-1]
+        if self.head.shape == (a,):
+            n_heads = int(self.head[-1]) + 1
+            if n_heads < 1 or a % n_heads or self.head.tolist() != [
+                    j // (a // n_heads) for j in range(a)]:
+                raise ShapeError(f"head table {self.head} does not give each head an "
+                                 "equal run of consecutive slots")
+        elif self.head.shape != self.plan.shape:
+            raise ShapeError(f"head table {self.head.shape} fits neither the {a} slots nor "
+                             f"the assignments {self.plan.shape}")
 
-def _head_major(route: Route, n_heads: int, T: int):
-    """Per assignment: its token row b*T + t, and its (b, h, t) row in the
-    head-major [B*H*T] layout."""
-    a = route.eid.shape[-1]
-    tokens = np.repeat(np.arange(route.eid.size // a), a)
-    heads = np.broadcast_to(route.head, route.eid.shape).reshape(-1)
-    return tokens, (tokens // T * n_heads + heads) * T + tokens % T
+    def check_heads(self, n_heads: int) -> None:
+        """Check that the [a] head table routes to exactly ``n_heads`` heads."""
+        if self.head.ndim != 1 or int(self.head[-1]) + 1 != n_heads:
+            raise ShapeError(f"the route's head table {self.head} does not fill {n_heads} heads")
 
 
-def _dispatch(x, bank, route, src, dst, n_out, counter):
-    y = expert_matmul(x, bank, route.eid, src, dst, n_out, counter, gate=route.gate,
+def _dispatch(x, bank, route, src, dst, counter):
+    y = expert_matmul(x, bank, route.plan, src, dst, counter, gate=route.gate,
                       gate_side=route.gate_side, term=route.term)
     if route.gate is not None:
-        macs = route.eid.size * bank.shape[1 if route.gate_side == "input" else 2]
+        macs = route.gate.size * bank.shape[1 if route.gate_side == "input" else 2]
         if route.gate_extra is not None:
             counter.add_extra(route.gate_extra, macs=macs)
         else:
             counter.add(macs=macs, term=route.term)
     return y
+
+
+def _check_tokens(x_shape, plan):
+    if x_shape != plan.shape[:-1]:
+        raise ShapeError(f"a route over tokens {plan.shape[:-1]} against inputs {x_shape}")
 
 
 def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
@@ -134,11 +151,14 @@ def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
 
     ``x`` is [B, T, d_in] and ``bank`` [n_experts, d_in, d_out]; head h of
     token (b, t) is the gated sum of its assignments to head slot h, and
-    the result is [B, n_heads, T, d_out]. One fused ``expert_matmul``.
+    the result is [B, n_heads, T, d_out]. One ``expert_matmul`` from the
+    plan's token rows to its head-major rows.
     """
     B, T, d_in = x.shape
-    tokens, rows = _head_major(route, n_heads, T)
-    y = _dispatch(reshape(x, (B * T, d_in)), bank, route, tokens, rows, B * n_heads * T,
+    _check_tokens((B, T), route.plan)
+    route.check_heads(n_heads)
+    plan = route.plan
+    y = _dispatch(reshape(x, (B * T, d_in)), bank, route, plan.rows(1), plan.rows(n_heads),
                   counter)
     counter.add(mem=y.size, term=route.term)
     return reshape(y, (B, n_heads, T, bank.shape[2]))
@@ -150,19 +170,25 @@ def dispatch_from_heads(x: Tensor, bank: Tensor, route: Route,
 
     ``x`` is [B, H, T, d_in] and ``bank`` [n_experts, d_in, d_out]; token
     (b, t) is the gated sum over its assignments of the projected (b, h, t)
-    row they read, and the result is [B, T, d_out]. One fused
-    ``expert_matmul``.
+    row they read, and the result is [B, T, d_out]. One ``expert_matmul``
+    from the plan's head-major rows to its token rows; with one head per
+    assignment (head gating reads only the selected heads) the rows read
+    are gathered first, into the [B, a, T] rows of one head per slot.
     """
     B, H, T, d_in = x.shape
-    tokens, rows = _head_major(route, H, T)
+    _check_tokens((B, T), route.plan)
+    plan = route.plan
     x = reshape(x, (B * H * T, d_in))
-    fan = np.bincount(rows, minlength=B * H * T)
-    if fan.min() != fan.max():
-        # some head rows are read more often than others (head gating reads
-        # only the selected heads), and expert_matmul needs a uniform
-        # fan-in, so the rows that are read are gathered first
-        x, rows = gather_rows(x, rows), np.arange(rows.size)
-    y = _dispatch(x, bank, route, rows, tokens, B * T, counter)
+    if route.head.ndim == 1:
+        route.check_heads(H)
+        src = plan.rows(H)
+    else:
+        head = route.head
+        if head.min() < 0 or head.max() >= H:
+            raise ShapeError(f"head index out of range [0, {H})")
+        rows = (np.arange(B)[:, None, None] * H + head.transpose(0, 2, 1)) * T + np.arange(T)
+        x, src = gather_rows(x, rows.reshape(-1)), plan.rows(head.shape[-1])
+    y = _dispatch(x, bank, route, src, plan.rows(1), counter)
     return reshape(y, (B, T, bank.shape[2]))
 
 
@@ -173,7 +199,9 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
     """Two-layer ReLU MLP with non-competitive expert routing, no biases.
 
     y[t] = sum over selected e of gate[t,e] * relu(x[t] @ up[e]) @ down[e].
-    ``gate_override`` replaces every gate with a constant (reduction tests).
+    Up and down share the selection's one plan, and the hidden rows stay
+    in its expert order between them. ``gate_override`` replaces every
+    gate with a constant (reduction tests).
     """
     cfg.validate()
     E, d_model, d_exp = up_bank.shape
@@ -184,12 +212,10 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
         sel = override_gates(sel, gate_override)
     lead = x.shape[:-1]
     n = int(np.prod(lead, dtype=np.int64))
-    eid = sel.indices.reshape(-1)
-    slots = np.arange(eid.size)
-    tokens = slots // cfg.k_active
-    h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, eid, tokens, slots,
-                           eid.size, counter, term="mlp"))
-    y = expert_matmul(h, down_bank, eid, slots, tokens, n, counter,
-                      gate=sel.weights, term="mlp")
-    counter.add(macs=eid.size * d_model, term="mlp")
+    plan = ExpertPlan(sel.indices, E)
+    tokens = plan.rows(1)
+    h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, plan, tokens, None, counter,
+                           term="mlp"))
+    y = expert_matmul(h, down_bank, plan, None, tokens, counter, gate=sel.weights, term="mlp")
+    counter.add(macs=sel.indices.size * d_model, term="mlp")
     return reshape(y, lead + (d_model,))

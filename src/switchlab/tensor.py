@@ -22,6 +22,9 @@ step frees stays with the process for the next step (``keep_freed_pages``).
 from __future__ import annotations
 
 import ctypes
+import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,10 +252,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, inputs, backward) -> Tensor:
-    req = any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=req,
-                 _prev=tuple(t for t in inputs if t.requires_grad))
-    if req:
+    prev = tuple(t for t in inputs if t.requires_grad)
+    out = Tensor(data, requires_grad=bool(prev), _prev=prev)
+    if prev:
         out._backward = backward
     return out
 
@@ -586,10 +588,9 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def bw(g):
+        offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
@@ -632,26 +633,44 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _make(x.data[idx], (x,), bw)
 
 
+def _flat_index(shape: tuple, idx: np.ndarray) -> np.ndarray:
+    """The flat offsets in a C-ordered array of ``shape`` of the entries
+    that ``idx`` picks along its last axis, row by row."""
+    offsets = np.arange(math.prod(shape[:-1])) * shape[-1]
+    try:
+        flat = offsets.reshape(shape[:-1] + (1,)) + idx
+    except ValueError:
+        flat = None
+    if flat is None or flat.shape[:-1] != shape[:-1]:
+        raise ShapeError(f"take_last indices {idx.shape} do not broadcast to rows {shape[:-1]}")
+    return flat
+
+
 def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
     """Gather along the last axis; ``idx`` broadcasts against x[..., :].
 
-    The indices within a row must be distinct, as top-k indices are, so the
-    backward writes ``g`` straight into zeros; a repeat raises ShapeError.
+    The gather reads the flattened x at each row's offset plus the index.
+    The indices must lie in [0, n) and be distinct within a row, as top-k
+    indices are, so the backward writes ``g`` straight into zeros; any
+    other index raises ShapeError.
     """
     idx = np.asarray(idx)
+    n = x.shape[-1]
     # rows in ascending order, as top-k gives them, are distinct; only other
     # rows pay for NumPy's per-row sort
-    if not np.all(idx[..., 1:] > idx[..., :-1]):
+    if not (idx[..., 1:] > idx[..., :-1]).all():
         ranked = np.sort(idx, axis=-1)
-        if np.any(ranked[..., 1:] == ranked[..., :-1]):
+        if (ranked[..., 1:] == ranked[..., :-1]).any():
             raise ShapeError("take_last indices must be distinct within a row")
-    idx_b = np.broadcast_to(idx, x.data.shape[:-1] + idx.shape[-1:])
-    data = np.take_along_axis(x.data, idx_b, axis=-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"take_last index out of range [0, {n})")
+    data = x.data.reshape(-1).take(_flat_index(x.shape, idx))
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        np.put_along_axis(full, idx_b, g, axis=-1)
-        x._accum(full, fresh=True)
+        # the offsets are formed again rather than kept from the forward
+        full = np.zeros(x.size, dtype=x.data.dtype)
+        full[_flat_index(x.shape, idx)] = g
+        x._accum(full.reshape(x.shape), fresh=True)
 
     return _make(data, (x,), bw)
 
@@ -664,104 +683,162 @@ def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _fan(rows: np.ndarray, n_rows: int, name: str) -> int:
-    """The number m >= 1 of assignments that each of the n_rows rows takes;
-    a ShapeError unless every row takes the same number."""
-    counts = np.bincount(rows, minlength=n_rows)
-    if counts.size == 0 or counts.min() < 1 or counts.min() != counts.max():
-        raise ShapeError(f"every {name} row must take the same number (>= 1) of "
-                         f"assignments, got {counts.min(initial=0)} to {counts.max(initial=0)}")
-    return int(counts[0])
+class ExpertRows(NamedTuple):
+    """One side of a dispatch: where each assignment's row lies on it.
 
-
-def _group_sum(rows: np.ndarray, vals: np.ndarray, m: int,
-               scale: np.ndarray | None = None) -> np.ndarray:
-    """out[r] = sum of scale[a] * vals[a] over the m assignments a with
-    rows[a] == r, where every row takes exactly m (see ``_fan``).
-
-    A stable sort by row lists each row's m contributions in turn, so the
-    j-th contributions of all rows are gathered and added, for j < m.
+    ``rows`` [A] is the side's row of each assignment, in expert order;
+    ``slots`` [m, n] gives, slot by slot, the expert-order position of the
+    assignment in slot i of each of the side's n rows, so a row's sum runs
+    over its m slots in order.
     """
-    order = _stable_order(rows, rows.size // m)
+    rows: np.ndarray
+    slots: np.ndarray
 
-    def take(idx):
-        part = np.take(vals, idx, axis=0)
-        if scale is not None:
-            part *= scale[idx, None]
-        return part
 
-    out = take(order[0::m])
-    for j in range(1, m):
-        out += take(order[j::m])
+class ExpertPlan:
+    """One routing decision's A = N*a assignments, sorted by expert once.
+
+    The decision routes each of N rows ([..., T] leading axes) to ``a``
+    experts; its expert ids ``eid`` [..., T, a] are read in that natural
+    (row, slot) order. ``order`` lists the assignments in stable expert
+    order, ``inverse`` gives each assignment's position in it, and
+    ``segments`` holds the (expert, lo, hi) range of every expert that has
+    assignments. Every ``expert_matmul`` of the decision, and its backward,
+    reuses the one sort; ``rows`` derives (and keeps) the row layouts.
+    """
+    __slots__ = ("shape", "n_experts", "order", "inverse", "segments", "_sides")
+
+    def __init__(self, eid: np.ndarray, n_experts: int):
+        eid = np.asarray(eid)
+        if eid.ndim < 2 or eid.size == 0:
+            raise ShapeError(f"expert ids must be a non-empty [..., T, a] array, got {eid.shape}")
+        flat = eid.reshape(-1)
+        if flat.min() < 0 or flat.max() >= n_experts:
+            raise ShapeError(f"expert index out of range [0, {n_experts})")
+        self.shape, self.n_experts = eid.shape, n_experts
+        self.order = _stable_order(flat, n_experts)
+        self.inverse = np.empty_like(self.order)
+        self.inverse[self.order] = np.arange(flat.size)
+        self.segments, lo = [], 0
+        for e, c in enumerate(np.bincount(flat, minlength=n_experts).tolist()):
+            if c:
+                self.segments.append((e, lo, lo + c))
+                lo += c
+        self._sides = {}
+
+    def rows(self, n_groups: int = 1) -> ExpertRows:
+        """The [B, n_groups, T] row layout in which slot j of row (b, t)
+        belongs to row (b, j // m, t), with m = a / n_groups slots per row.
+
+        One group is the N token rows, each holding its a slots; n_groups
+        heads are head-major rows, each holding m consecutive slots. Each
+        layout is derived once per plan and kept.
+        """
+        side = self._sides.get(n_groups)
+        if side is None:
+            T, a = self.shape[-2:]
+            if n_groups < 1 or a % n_groups:
+                raise ShapeError(f"{a} slots do not split into {n_groups} equal groups")
+            m = a // n_groups
+            slots = (self.inverse.reshape(-1, T, n_groups, m)
+                     .transpose(3, 0, 2, 1).reshape(m, -1))
+            rows = np.empty_like(self.order)
+            rows[slots] = np.arange(slots.shape[1])
+            side = self._sides[n_groups] = ExpertRows(rows, slots)
+        return side
+
+
+def _combine(vals: np.ndarray, slots: np.ndarray,
+             w: np.ndarray | None = None) -> np.ndarray:
+    """out[r] = the sum over i, in order, of w[p] * vals[p], p = slots[i, r].
+
+    One slot's rows are gathered at a time, so no [A, d] copy is made.
+    """
+    out = None
+    for s in slots:
+        part = vals.take(s, axis=0)
+        if w is not None:
+            part *= w.take(s)[:, None]
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 
-def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
-                  dst: np.ndarray, n_out: int, counter: OpCounter = NULL_COUNTER,
-                  *, gate: Tensor | None = None, gate_side: str = "output",
+def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | None,
+                  dst: ExpertRows | None, counter: OpCounter = NULL_COUNTER, *,
+                  gate: Tensor | None = None, gate_side: str = "output",
                   term: str | None = None) -> Tensor:
-    """Fused gated expert dispatch: y[dst[a]] += gate[a] * x[src[a]] @ bank[eid[a]].
+    """Gated expert dispatch of one plan: each assignment a of the plan
+    adds gate[a] * x[its src row] @ bank[its expert] to its dst row.
 
-    ``x`` is [n_in, d_in], ``bank`` is [E, d_in, d_out] and the assignment
-    arrays ``eid``, ``src`` and ``dst`` are 1-D of one length A; ``gate``
-    (optional) holds A values in the same order. The result is [n_out,
-    d_out]. Fan-in and fan-out must be uniform, as in every top-k layout:
-    each of the n_out rows takes the same number of assignments, and each
-    of the n_in rows feeds the same number. The A assignments are sorted
-    by expert once, each non-empty expert runs one GEMM over its gathered
-    rows, the gate scales the rows of ``gate_side`` ("input": the gathered
-    x rows, "output": the GEMM results; equal in value, the cheaper side
-    differs) and the rows are summed into their destinations. Backward is
-    hand-written for x, bank and gate. MACs are A*d_in*d_out under
-    ``term``; the gate multiply and the stored floats are left to the
-    caller, whose cost accounting names them.
+    ``x`` is [n_in, d_in] and ``bank`` is [E, d_in, d_out], E the plan's
+    expert count. ``src`` and ``dst`` are layouts of the plan (``rows``):
+    x holds the rows ``src`` names, and the result is [n_out, d_out], the
+    rows ``dst`` names, each the sum of its assignments in slot order. A
+    side of None is the plan's expert order itself, one row per
+    assignment: x rows already in that order, or results left in it
+    unsummed (the sigma-MoE hidden layer). ``gate`` (optional) holds the A
+    gates in the plan's natural [..., T, a] order and scales the rows of
+    ``gate_side`` ("input": the gathered x rows, "output": the GEMM
+    results; equal in value, the cheaper side differs). Each expert runs
+    one GEMM over its contiguous range of the gathered rows. Backward is
+    hand-written for x, bank and gate and keeps no forward temporary but
+    the ungated results of an output gate, which its grad needs. MACs are
+    A*d_in*d_out under ``term``; the gate multiply and the stored floats
+    are left to the caller, whose cost accounting names them.
     """
-    eid, src, dst = (np.asarray(a).reshape(-1) for a in (eid, src, dst))
     if x.ndim != 2 or bank.ndim != 3 or x.shape[1] != bank.shape[1]:
         raise ShapeError(f"expert_matmul needs x [n, d_in] and bank [E, d_in, d_out], "
                          f"got {x.shape} and {bank.shape}")
     E, d_in, d_out = bank.shape
-    A = eid.size
-    if src.size != A or dst.size != A or (gate is not None and gate.size != A):
-        raise ShapeError("eid, src, dst and gate must name the same assignments")
+    A = plan.order.size
+    if E != plan.n_experts:
+        raise ShapeError(f"a bank of {E} experts for a plan over {plan.n_experts}")
+    if x.shape[0] != (A if src is None else src.slots.shape[1]):
+        raise ShapeError(f"x has {x.shape[0]} rows, the plan's source side another number")
+    if gate is not None and gate.size != A:
+        raise ShapeError(f"{gate.size} gates for {A} assignments")
     if gate_side not in ("input", "output"):
         raise ShapeError(f"unknown gate side '{gate_side}'")
-    for name, a, hi in (("expert", eid, E), ("source", src, x.shape[0]),
-                        ("destination", dst, n_out)):
-        if A and (a.min() < 0 or a.max() >= hi):
-            raise ShapeError(f"{name} index out of range [0, {hi})")
-    m_out, m_in = _fan(dst, n_out, "destination"), _fan(src, x.shape[0], "source")
-    order = _stable_order(eid, E)
-    counts = np.bincount(eid, minlength=E)
-    ends = np.cumsum(counts)
-    segments = [(e, ends[e] - counts[e], ends[e]) for e in np.flatnonzero(counts)]
-    src_s, dst_s = src[order], dst[order]
-    w = None if gate is None else gate.data.reshape(-1)[order]
+    w = None if gate is None else gate.data.reshape(-1).take(plan.order)
     gate_in = w is not None and gate_side == "input"
     gate_out = w is not None and gate_side == "output"
-    xs = np.take(x.data, src_s, axis=0)
+
+    def gathered():
+        # x's rows in expert order: a fresh array, or x.data itself
+        return x.data if src is None else x.data.take(src.rows, axis=0)
+
+    xs = gathered()
     if gate_in:
-        xs *= w[:, None]
+        xs = xs * w[:, None] if src is None else np.multiply(xs, w[:, None], out=xs)
     ys = np.empty((A, d_out), dtype=np.result_type(x.data, bank.data))
-    for e, lo, hi in segments:
+    for e, lo, hi in plan.segments:
         np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
-    data = _group_sum(dst_s, ys, m_out, w if gate_out else None)
+    del xs                     # before the combine allocates
+    if dst is not None:
+        data = _combine(ys, dst.slots, w if gate_out else None)
+    else:
+        data = ys * w[:, None] if gate_out else ys
     counter.add(macs=A * d_in * d_out, term=term)
-    # the output-side gate's grad needs the ungated results; nothing else does
-    ys = ys if gate_out and gate.requires_grad else None
+    # the output-side gate's grad needs the ungated results; nothing else
+    # from the forward is kept (x rows are gathered again from x.data), and
+    # of the plan only what the backward reads
+    kept = ys if gate_out and gate.requires_grad else None
+    segments, inverse = plan.segments, plan.inverse
+    dst_rows = None if dst is None else dst.rows
 
     def bw(g):
-        gs = np.take(g, dst_s, axis=0)
+        gs = g if dst_rows is None else g.take(dst_rows, axis=0)
         ggate = None
         if gate_out:
             if gate.requires_grad:
-                ggate = np.einsum("ad,ad->a", gs, ys)
-            gs *= w[:, None]
-        # the x rows are gathered again from x.data, which the tape holds
-        # anyway, rather than kept from the forward
+                ggate = np.einsum("ad,ad->a", gs, kept)
+            gs = gs * w[:, None] if dst_rows is None else np.multiply(gs, w[:, None], out=gs)
         xs = None
         if bank.requires_grad or (gate_in and gate.requires_grad):
-            xs = np.take(x.data, src_s, axis=0)
+            xs = gathered()
         if bank.requires_grad:
             xb = xs * w[:, None] if gate_in else xs
             gbank = np.zeros_like(bank.data)
@@ -769,7 +846,7 @@ def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
                 np.matmul(xb[lo:hi].T, gs[lo:hi], out=gbank[e])
             bank._accum(gbank, fresh=True)
         if x.requires_grad or (gate_in and gate.requires_grad):
-            gxs = np.empty((A, d_in), dtype=data.dtype)
+            gxs = np.empty((A, d_in), dtype=gs.dtype)
             for e, lo, hi in segments:
                 np.matmul(gs[lo:hi], bank.data[e].T, out=gxs[lo:hi])
             if gate_in:
@@ -777,11 +854,9 @@ def expert_matmul(x: Tensor, bank: Tensor, eid: np.ndarray, src: np.ndarray,
                     ggate = np.einsum("ad,ad->a", gxs, xs)
                 gxs *= w[:, None]
             if x.requires_grad:
-                x._accum(_group_sum(src_s, gxs, m_in), fresh=True)
+                x._accum(gxs if src is None else _combine(gxs, src.slots), fresh=True)
         if ggate is not None:
-            full = np.empty_like(ggate)
-            full[order] = ggate
-            gate._accum(full.reshape(gate.shape), fresh=True)
+            gate._accum(ggate.take(inverse).reshape(gate.shape), fresh=True)
 
     return _make(data, (x, bank) if gate is None else (x, bank, gate), bw)
 
@@ -841,5 +916,5 @@ def argtopk_rows(arr: np.ndarray, k: int) -> np.ndarray:
     """Vectorized argtopk over the last axis; same tie rule, ascending."""
     if k < 1 or k > arr.shape[-1]:
         raise ValueError(f"argtopk requires 1 <= k <= {arr.shape[-1]}, got k={k}")
-    order = np.argsort(-arr, axis=-1, kind="stable")[..., :k]
+    order = (-arr).argsort(axis=-1, kind="stable")[..., :k]
     return np.sort(order, axis=-1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchlab import checkpoint
+from switchlab import attention, checkpoint, model, rng
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.checkpoint import MAGIC, CheckpointError, load, save
 from switchlab.model import MLPConfig, ModelSpec, build
@@ -143,12 +143,33 @@ def test_mismatched_header_fails_before_build(tmp_path, monkeypatch, mismatch):
         blob = blob[:-8]
     path.write_bytes(blob)
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("build called for a checkpoint whose index does not match")
+    def no_tensor(*args, **kwargs):
+        raise AssertionError("a tensor made for a checkpoint whose index does not match")
 
-    monkeypatch.setattr(checkpoint, "build", no_build)
+    monkeypatch.setattr(checkpoint, "Tensor", no_tensor)
     with pytest.raises(CheckpointError):
         load(str(path))
+
+
+def test_load_draws_no_weights(tmp_path, monkeypatch):
+    # load makes the model from the payload alone: with every binding of
+    # uniform_init raising, a round trip still gives the saved weights, in
+    # build's parameter order
+    m = build(small_spec(), 4)
+    path = str(tmp_path / "m.ckpt")
+    save(path, m)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load drew weights")
+
+    for module in (rng, model, attention):
+        monkeypatch.setattr(module, "uniform_init", no_draw)
+    m2 = load(path)
+    assert list(m2.params) == list(m.params)
+    for name, p in m.params.items():
+        q = m2.params[name]
+        assert q.requires_grad and q.data.dtype == np.float32
+        assert np.array_equal(p.data, q.data), name
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,10 @@ import pytest
 
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
-                             count_params, match_params, match_report)
+                             count_params, match_params, match_report, param_shapes)
 from switchlab.moe import ConfigError
 from switchlab.rng import rng_for
-from switchlab.tensor import cross_entropy
+from switchlab.tensor import Tensor, cross_entropy
 
 
 def dense_spec(H=2, dh=8, dff=32, L=2, dm=16, vocab=19, T=8, **kw):
@@ -100,7 +100,11 @@ def test_count_matches_instantiation_random_specs(seed):
     spec = ModelSpec(int(rng.integers(0, 3)), dm, attn, mlp,
                      int(rng.integers(5, 30)), T=8, n_classes=n_classes,
                      tied_embeddings=(n_classes is None and bool(rng.integers(2))))
-    assert count_params(spec) == build(spec, seed).param_sizes()
+    m = build(spec, seed)
+    assert count_params(spec) == m.param_sizes()
+    # the table checkpoint.load checks an index against, in build's order
+    shapes = param_shapes(spec)
+    assert list(shapes.items()) == [(n, p.shape) for n, p in m.params.items()]
 
 
 def test_switchhead_params_linear_in_experts_all_flags():
@@ -175,6 +179,76 @@ def test_tape_holds_only_the_probabilities_of_the_score_chain(attn):
             stack.extend(node._prev)
     assert shapes.count((T, S)) == n_layers
     assert (T, 2 * S) not in shapes
+
+
+def _closure_held_arrays(root):
+    """The float arrays that backward closures on the tape hold besides the
+    data of tensors: forward temporaries kept for the backward."""
+    nodes, held, seen, stack = [], [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._prev)
+        cells = list(node._backward.__closure__ or ()) if node._backward else []
+        values = [c.cell_contents for c in cells]
+        while values:
+            v = values.pop()
+            if isinstance(v, Tensor):
+                stack.append(v)
+            elif isinstance(v, (tuple, list)):
+                values.extend(v)
+            elif isinstance(v, np.ndarray) and v.dtype.kind == "f":
+                held.append(v)
+
+    def base(a):
+        while a.base is not None:
+            a = a.base
+        return id(a)
+
+    data = {base(n.data) for n in nodes}
+    return [a for a in held if base(a) not in data]
+
+
+_B, _T = 2, 5
+
+
+@pytest.mark.parametrize("attn, mlp, kept", [
+    # V's ungated [A, dh] results, A = B*T*H*K; O is gated on its inputs
+    (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                     expert_flags=ExpertFlags.value_output()),
+     MLPConfig("dense", 7), {(_B * _T * 4, 4): 1}),
+    # K, Q and V gate their results, O its inputs
+    (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                     context_mult=2, expert_flags=_ALL),
+     MLPConfig("dense", 7), {(_B * _T * 4, 4): 3}),
+    # MoA: the ungated q heads keep nothing, the gated o experts their results
+    (AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
+     MLPConfig("dense", 7), {(_B * _T * 2, 12): 1}),
+    # sigma-MoE: the hidden rows are tensor data, down keeps its ungated results
+    (AttentionConfig(12, 2, 4, variant="dense"),
+     MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), {(_B * _T * 2, 12): 1}),
+], ids=["switchhead_vo", "switchhead_all", "moa", "sigma_moe"])
+def test_tape_holds_no_routed_temporaries(attn, mlp, kept):
+    # of the routed path's [A, d] arrays (A = tokens x slots), a layer's
+    # backward closures keep only the ungated results of an output-gated
+    # dispatch, which the gate's grad needs; gathered rows, gated copies
+    # and the results of an input-gated dispatch are not kept
+    n_layers = 2
+    model = build(ModelSpec(n_layers, 12, attn, mlp, 11, T=_T), 0)
+    toks = rng_for(0, "routed-tape-toks").integers(11, size=(_B, _T))
+    caches = None
+    if attn.context_mult > 1:      # the second chunk attends to a cached one
+        _, _, caches = model.forward(toks)
+    logits, _, _ = model.forward(toks, caches=caches)
+    slot_rows = {A for A, _ in kept} | {_B * _T * a for a in (2, 3, 4)}
+    found = {}
+    for a in _closure_held_arrays(logits):
+        if a.ndim == 2 and a.shape[0] in slot_rows:
+            found[a.shape] = found.get(a.shape, 0) + 1
+    assert found == {shape: n * n_layers for shape, n in kept.items()}
 
 
 def test_forward_rejects_bad_tokens():

@@ -4,15 +4,18 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from switchlab import attention, moe, tensor
+from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.counter import OpCounter
+from switchlab.model import MLPConfig, ModelSpec, build
 from switchlab.moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
                            dispatch_to_heads, select, sigma_moe_mlp)
 from switchlab.rng import rng_for, uniform_init
-from switchlab.tensor import (ShapeError, Tensor, argtopk_rows, constant, matmul,
-                              mul, reshape, sigmoid, take_last, tsum)
+from switchlab.tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, constant,
+                              matmul, mul, reshape, sigmoid, take_last, tsum)
 
 
 def rand_inputs(seed, n=7, dm=6, E=5):
@@ -88,9 +91,10 @@ def test_select_softmax_weights():
     assert np.allclose(sel.weights.data, got, atol=1e-12)
 
 
-def one_head_route(sel, gate_side="output", **kw):
+def one_head_route(sel, gate_side="output", n_experts=5, **kw):
     # a [n, k] selection as one head's route over a batch of one sequence
-    return Route(sel.indices[None], np.zeros(1, dtype=int),
+    k = sel.indices.shape[-1]
+    return Route(ExpertPlan(sel.indices[None], n_experts), np.zeros(k, dtype=int),
                  reshape(sel.weights, (1,) + sel.weights.shape), gate_side, **kw)
 
 
@@ -158,46 +162,63 @@ def test_mixture_shape_and_range_errors():
     x3 = reshape(x, (1, n, 6))
     with pytest.raises(ShapeError):       # d_in 9 against inputs of width 6
         dispatch_to_heads(x3, Tensor(np.zeros((5, 9, 4))), route, 1)
-    with pytest.raises(ShapeError):       # a bank of 3 experts, routes to expert 4
+    with pytest.raises(ShapeError):       # a bank of 3 experts for a plan over 5
         dispatch_to_heads(x3, Tensor(np.zeros((3, 6, 4))), route, 1)
+    with pytest.raises(ShapeError):       # a plan over 3 experts, routes to expert 4
+        ExpertPlan(sel.indices[None], 3)
     with pytest.raises(ShapeError):       # head slot 1 of a single head
-        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
-                          Route(route.eid, np.ones(1, dtype=int), route.gate), 1)
+        Route(route.plan, np.ones(2, dtype=int), route.gate)
+    with pytest.raises(ShapeError):       # heads 0, 0, 1 take unequal runs of slots
+        Route(ExpertPlan(np.zeros((1, 7, 3), dtype=int), 5), np.array([0, 0, 1]))
     with pytest.raises(ShapeError):       # a route over 5 tokens against 7
         dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
-                          Route(route.eid[:, :5], route.head), 1)
+                          Route(ExpertPlan(sel.indices[None, :5], 5), route.head), 1)
     with pytest.raises(ShapeError):       # two heads to fill, one routed
         dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))), route, 2)
+    with pytest.raises(ShapeError):       # per-assignment heads read head 1 of one
+        dispatch_from_heads(reshape(x, (1, 1, n, 6)), Tensor(np.zeros((5, 6, 4))),
+                            Route(route.plan, np.ones((1, n, 2), dtype=int)))
 
 
 @st.composite
 def head_major_cases(draw):
-    """Random (B, H, T, E) and per-token head slots. Into head rows, each
-    token writes every head slot m times, in random order; back from head
-    rows, it may instead read k distinct heads of H, as head gating does."""
+    """Random (B, H, T, E) in the layouts the routers make. Into head rows
+    and back, slot j of a token serves head j // m, m slots per head
+    (SwitchHead: m = K; MoA: m = 1, each slot a head); back from head rows
+    only, a token may instead read k distinct heads of H in any order,
+    each through any expert, as head gating does and more."""
     B, H, T, E = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                   draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     to_heads = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     if not to_heads and draw(st.booleans()):
         head = np.argsort(rng.uniform(size=(B, T, H)), axis=-1)[..., :draw(st.integers(1, H))]
+        eid = rng.integers(0, E, size=head.shape)
     else:
-        head = np.argsort(rng.uniform(size=(B, T, H * draw(st.integers(1, 3)))), axis=-1) % H
-    return dict(B=B, H=H, T=T, E=E, head=head, to_heads=to_heads,
-                eid=rng.integers(0, E, size=head.shape), seed=draw(st.integers(0, 2**16)),
+        head = np.repeat(np.arange(H), draw(st.integers(1, 3)))
+        eid = rng.integers(0, E, size=(B, T, head.size))
+    return dict(B=B, H=H, T=T, E=E, head=head, to_heads=to_heads, eid=eid,
+                seed=draw(st.integers(0, 2**16)),
                 gate_side=draw(st.sampled_from([None, "input", "output"])),
                 d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(head_major_cases())
+# MoA: two slots, each its own head, ungated into heads
+@example(dict(B=2, H=2, T=3, E=4, head=np.arange(2), to_heads=True,
+              eid=np.array([[[0, 3], [1, 2], [0, 1]], [[2, 3], [0, 2], [1, 3]]]),
+              seed=1, gate_side=None, d_in=3, d_out=2))
+# head gating: 2 of 3 heads per token, gated on the read rows
+@example(dict(B=1, H=3, T=2, E=3, head=np.array([[[0, 2], [1, 2]]]), to_heads=False,
+              eid=np.array([[[0, 2], [1, 2]]]), seed=2, gate_side="input", d_in=2, d_out=3))
 def test_head_major_dispatch_matches_per_token_loop(case):
     B, H, T, E, d_in, d_out = (case[k] for k in ("B", "H", "T", "E", "d_in", "d_out"))
     head, eid, side, to_heads = case["head"], case["eid"], case["gate_side"], case["to_heads"]
     rng = np.random.default_rng(case["seed"])
     bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
-    gate = None if side is None else Tensor(rng.uniform(-1, 1, head.shape), requires_grad=True)
-    route = Route(eid, head, gate, side or "output")
+    gate = None if side is None else Tensor(rng.uniform(-1, 1, eid.shape), requires_grad=True)
+    route = Route(ExpertPlan(eid, E), head, gate, side or "output")
     x_shape = (B, T, d_in) if to_heads else (B, H, T, d_in)
     x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
     c = OpCounter()
@@ -206,10 +227,11 @@ def test_head_major_dispatch_matches_per_token_loop(case):
     w = rng.uniform(-1, 1, y.shape)
     tsum(mul(y, constant(w))).backward()
 
+    heads = np.broadcast_to(head, eid.shape)
     want, gx, gbank = np.zeros(y.shape), np.zeros(x_shape), np.zeros(bank.shape)
-    ggate = np.zeros(head.shape)
-    for b, t, j in product(range(B), range(T), range(head.shape[-1])):
-        h, W = head[b, t, j], bank.data[eid[b, t, j]]
+    ggate = np.zeros(eid.shape)
+    for b, t, j in product(range(B), range(T), range(eid.shape[-1])):
+        h, W = heads[b, t, j], bank.data[eid[b, t, j]]
         scale = 1.0 if gate is None else gate.data[b, t, j]
         xi = (b, t) if to_heads else (b, h, t)
         yi = (b, h, t) if to_heads else (b, t)
@@ -221,7 +243,7 @@ def test_head_major_dispatch_matches_per_token_loop(case):
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
     if gate is not None:
         assert np.allclose(gate.grad, ggate, rtol=1e-12, atol=1e-12)
-    A = head.size
+    A = eid.size
     gate_macs = 0 if side is None else A * (d_in if side == "input" else d_out)
     stored = y.size if to_heads else 0
     assert c.terms["mixing"] == [A * d_in * d_out + gate_macs, stored]
@@ -258,3 +280,32 @@ def test_sigma_moe_gradients_flow_to_selector():
     tsum(mul(sigma_moe_mlp(x, up, down, w_sel, cfg), constant(w))).backward()
     for t in (x, up, down, w_sel):
         assert t.grad is not None and np.any(t.grad != 0)
+
+
+def test_each_selection_is_sorted_once(monkeypatch):
+    # one forward and backward of a layer with SwitchHead on all four roles
+    # and a sigma-MoE MLP: the source side (K, V), the destination side
+    # (Q, O) and the MLP (up, down) are three routing decisions, and each is
+    # sorted by expert once, for all its dispatches and their backwards; the
+    # routers still make one select per head and side, and one for the MLP
+    H = 2
+    attn = AttentionConfig(12, H, 4, variant="switchhead", n_experts=3, k_active=2,
+                           expert_flags=ExpertFlags(v=True, k=True, q=True, o=True))
+    model = build(ModelSpec(1, 12, attn, MLPConfig("sigma_moe", 7, n_experts=3, k_active=2),
+                            11, T=5), 0)
+    calls = {"sort": 0, "select": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tensor, "_stable_order", counted("sort", tensor._stable_order))
+    counted_select = counted("select", moe.select)
+    for module in (moe, attention):
+        monkeypatch.setattr(module, "select", counted_select)
+    toks = rng_for(0, "sort-once").integers(11, size=(2, 5))
+    logits, _, _ = model.forward(toks)
+    tsum(logits).backward()
+    assert calls == {"sort": 3, "select": 2 * H + 1}
