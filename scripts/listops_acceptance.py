@@ -12,6 +12,10 @@ the results file and replaces it atomically with its own record added, so
 neither a kill mid-write nor a concurrent process loses a finished run.
 Training progress (every 500th step's metrics) is printed as it happens,
 prefixed with the run key.
+
+Float32 results depend on the BLAS thread count, so run as a script it
+pins BLAS to BLAS_THREADS threads before numpy loads, and each record
+names the count; a run is then reproducible on any host.
 """
 
 import fcntl
@@ -22,10 +26,15 @@ import sys
 import tempfile
 import time
 
-from switchlab.attention import AttentionConfig, ExpertFlags
-from switchlab.listops import VOCAB_SIZE, gen_listops
-from switchlab.model import MLPConfig, ModelSpec
-from switchlab.training import ListOpsTask, TrainRun, evaluate, train
+BLAS_THREADS = 1
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = str(BLAS_THREADS)
+
+from switchlab.attention import AttentionConfig, ExpertFlags  # noqa: E402
+from switchlab.listops import VOCAB_SIZE, gen_listops  # noqa: E402
+from switchlab.model import MLPConfig, ModelSpec  # noqa: E402
+from switchlab.training import ListOpsTask, TrainRun, evaluate, train  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "runs", "listops_results.json")
 CONFIGS = ("dense_h2", "dense_h8", "switchhead_h2")
@@ -110,6 +119,7 @@ def main(argv: list[str]) -> int:
             record = {
                 "config": config, "seed": seed, "steps": STEPS,
                 "dtype": str(next(iter(model.params.values())).data.dtype),
+                "blas_threads": BLAS_THREADS,
                 "accuracy": summary["accuracy"],
                 "final_train_loss": metrics[-1]["loss"],
                 "minutes": round((time.time() - t0) / 60, 1),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
 from .moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
-                  dispatch_to_heads, override_gates, select)
+                  dispatch_to_heads, select)
 from .rng import uniform_init
 from .tensor import (ExpertPlan, ShapeError, Tensor, attention_probs, concat, constant,
                      matmul, mul, reshape, transpose)
@@ -258,19 +258,6 @@ def cache_shape(cfg: AttentionConfig, batch: int, length: int) -> tuple[int, int
     return (batch, 1 if cfg.variant == "moa" else cfg.n_heads, length, cfg.d_head)
 
 
-def _update_cache(cfg: AttentionConfig, cache: LayerCache | None,
-                  k_new: np.ndarray, v_new: np.ndarray) -> LayerCache | None:
-    keep = (cfg.context_mult - 1) * k_new.shape[-2]
-    if keep <= 0:
-        return None
-    if cache is None:
-        k_all, v_all = k_new, v_new
-    else:
-        k_all = np.concatenate([cache.k, k_new], axis=-2)
-        v_all = np.concatenate([cache.v, v_new], axis=-2)
-    return LayerCache(k=k_all[..., -keep:, :].copy(), v=v_all[..., -keep:, :].copy())
-
-
 def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
                   per_head_pos: bool):
     """The one attention core: cache, position terms, scores and readout,
@@ -283,7 +270,6 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
     attention matrices [B, H, T, S], the readout [B, H, T, dh] and the new
     cache.
     """
-    new_cache = _update_cache(cfg, cache, k_cur.data, v_cur.data)
     k, v, cache_len = k_cur, v_cur, 0
     if cache is not None:
         k = concat([constant(cache.k), k_cur], axis=2)
@@ -291,6 +277,9 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
         cache_len = cache.length
     T = q.shape[2]
     S = cache_len + T
+    keep = (cfg.context_mult - 1) * T      # the FIFO keeps the last C-1 chunks
+    new_cache = (LayerCache(k=k.data[..., -keep:, :].copy(), v=v.data[..., -keep:, :].copy())
+                 if keep else None)
     pos_q = pos_r = None
     if cfg.position == "xl_relative":
         # relative-position scores from the projected 2S-row sinusoid table;
@@ -323,38 +312,30 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
 # every role it routes shares.
 
 
-def _select(x, w_sel, sel_cfg, counter, gate_override):
-    sel = select(x, w_sel, sel_cfg, counter)
-    return sel if gate_override is None else override_gates(sel, gate_override)
-
-
-def _head_gate_routes(x, params, cfg, counter, gate_override):
+def _head_gate_routes(x, params, cfg, counter):
     """The k selected heads are output experts over the [H, dh, dm] view of
     ``w_o``, gated on their readout rows."""
-    sel = _select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
-                                                       cfg.sel_activation),
-                  counter, gate_override)
-    route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.indices, sel.weights, "input",
-                  term="projections", gate_extra="selection")
+    sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
+                                                      cfg.sel_activation), counter)
+    route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, "input",
+                  term="projections", gate_extra="selection", head=sel.indices)
     return {"o": route}, {"heads": sel}
 
 
-def _switchhead_routes(x, params, cfg, counter, gate_override):
+def _switchhead_routes(x, params, cfg, counter):
     """One ``select`` per head and side: the source side routes K and V, the
     destination side Q and O; head h's experts are rows h*E.. of the flat
-    [H*E, d_in, d_out] bank."""
-    H, E, k, f = cfg.n_heads, cfg.n_experts, cfg.k_active, cfg.expert_flags
-    sel_cfg = SelectionConfig(E, k, "sigmoid")
+    [H*E, d_in, d_out] bank, and its k slots are a token's slots h*k.."""
+    H, E, f = cfg.n_heads, cfg.n_experts, cfg.expert_flags
+    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
     routes, selections = {}, {}
     for side, w_name, roles in (("source", "w_s", "kv"), ("dest", "w_d", "qo")):
         roles = [r for r in roles if getattr(f, r)]
         if not roles:
             continue
-        sels = [_select(x, params[w_name][h], sel_cfg, counter, gate_override)
-                for h in range(H)]
+        sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
         eid = np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1)
-        route = Route(ExpertPlan(eid, H * E), np.repeat(np.arange(H), k),
-                      concat([s.weights for s in sels], axis=-1))
+        route = Route(ExpertPlan(eid, H * E), concat([s.weights for s in sels], axis=-1))
         for r in roles:
             # the output gate scales the dh-wide head row, not the dm-wide result
             routes[r] = replace(route, gate_side="input") if r == "o" else route
@@ -362,16 +343,14 @@ def _switchhead_routes(x, params, cfg, counter, gate_override):
     return routes, selections
 
 
-def _moa_routes(x, params, cfg, counter, gate_override):
+def _moa_routes(x, params, cfg, counter):
     """Multi-query attention: each token's k routed query experts are its k
     query heads, and the matching output experts sum them with the gates."""
-    sel = _select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active,
-                                                         cfg.sel_activation),
-                  counter, gate_override)
-    plan, slots = ExpertPlan(sel.indices, cfg.n_experts), np.arange(cfg.k_active)
-    return ({"q": Route(plan, slots, term="projections"),
-             "o": Route(plan, slots, sel.weights, term="projections",
-                        gate_extra="selection")},
+    sel = select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active,
+                                                        cfg.sel_activation), counter)
+    plan = ExpertPlan(sel.indices, cfg.n_experts)
+    return ({"q": Route(plan, term="projections"),
+             "o": Route(plan, sel.weights, term="projections", gate_extra="selection")},
             {"router": sel})
 
 
@@ -388,15 +367,13 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
                       counter: OpCounter = NULL_COUNTER, *,
                       cache: LayerCache | None = None,
                       key_mask: np.ndarray | None = None,
-                      want_trace: bool = False,
-                      gate_override: float | None = None):
+                      want_trace: bool = False):
     """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache).
 
     K, Q and V are each a plain [dm, heads*dh] GEMM or a routed dispatch into
     head rows, ``_attend_heads`` runs on all heads at once, and O is the
     plain merge-GEMM or a routed dispatch back into token rows. The
-    variant's router says which roles are routed. ``gate_override`` forces
-    every routing gate to a constant.
+    variant's router says which roles are routed.
     """
     cfg.validate()
     if x.ndim != 3 or x.shape[-1] != cfg.d_model:
@@ -406,7 +383,7 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
     if cache is not None and cfg.context_mult == 1:
         raise ConfigError("cache passed to a variant with context_mult=1")
     router, per_head_pos = _VARIANTS[cfg.variant]
-    routes, selections = router(x, params, cfg, counter, gate_override)
+    routes, selections = router(x, params, cfg, counter)
     B, T, dm = x.shape
     H, dh = cfg.n_heads, cfg.d_head
 

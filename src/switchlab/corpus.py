@@ -31,9 +31,6 @@ class CharCorpus:
             return self.data[self.train_end:]
         raise ConfigError(f"unknown split '{name}'")
 
-    def decode(self, ids) -> bytes:
-        return bytes(self.vocab[np.asarray(ids)])
-
 
 def from_bytes(raw: bytes, valid_fraction: float = 0.1) -> CharCorpus:
     if not raw:

@@ -12,12 +12,11 @@ against instantiated tensor sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import (AttentionConfig, attention_forward,
-                        attention_param_shapes, init_attention_params)
+from .attention import AttentionConfig, attention_forward, attention_param_shapes
 from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, SelectionConfig, sigma_moe_mlp
 from .rng import rng_for, uniform_init
@@ -90,32 +89,56 @@ class MatchResult:
         return self.target - self.param_count
 
 
-# -- parameter counting ---------------------------------------------------
+# -- parameter layout -----------------------------------------------------
 
 
-def _mlp_param_count(mlp: MLPConfig, dm: int) -> int:
-    n = 2 * mlp.n_experts * dm * mlp.d_ff
-    if mlp.kind == "sigma_moe":
-        n += dm * mlp.n_experts
-    return n
+def _layout(spec: ModelSpec, per_head_pos: bool | None = None):
+    """Every parameter of ``build(spec)`` as (name, shape, init), in build's
+    order; building, counting and checkpoint checks all read this one walk.
+
+    ``init`` is a constant fill (1.0 for layer-norm gains, 0.0 for biases)
+    or the (stream, fan_in) of a uniform draw. A parameter's stream is its
+    own name, except that one layer's attention parameters share the
+    stream ``layers.{i}.attn``, drawn in ``attention_param_shapes`` order.
+    ``per_head_pos`` is ``attention_param_shapes``' counting convention.
+    """
+    dm, mlp = spec.d_model, spec.mlp
+    if mlp.kind == "dense":
+        mlp_table = {"w_up": ((dm, mlp.d_ff), dm), "w_down": ((mlp.d_ff, dm), mlp.d_ff)}
+    else:
+        E = mlp.n_experts
+        mlp_table = {"up_bank": ((E, dm, mlp.d_ff), dm),
+                     "down_bank": ((E, mlp.d_ff, dm), mlp.d_ff),
+                     "w_sel": ((dm, E), dm)}
+    attn_table = attention_param_shapes(spec.attention, per_head_pos)
+    yield "embed", (spec.vocab_size, dm), ("embed", dm)
+    for i in range(spec.n_layers):
+        for k, (shape, fan_in) in attn_table.items():
+            yield f"layers.{i}.attn.{k}", shape, (f"layers.{i}.attn", fan_in)
+        for ln in ("ln1", "ln2"):
+            yield f"layers.{i}.{ln}.g", (dm,), 1.0
+            yield f"layers.{i}.{ln}.b", (dm,), 0.0
+        for k, (shape, fan_in) in mlp_table.items():
+            yield f"layers.{i}.mlp.{k}", shape, (f"layers.{i}.mlp.{k}", fan_in)
+    yield "ln_f.g", (dm,), 1.0
+    yield "ln_f.b", (dm,), 0.0
+    if spec.n_classes is not None:
+        yield "head", (dm, spec.n_classes), ("head", dm)
+    elif not spec.tied_embeddings:
+        yield "readout", (dm, spec.vocab_size), ("readout", dm)
+
+
+def param_shapes(spec: ModelSpec, per_head_pos: bool | None = None
+                 ) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of ``build(spec)``, by name, in the order
+    ``build`` makes them; nothing is allocated."""
+    spec.validate()
+    return {name: shape for name, shape, _ in _layout(spec, per_head_pos)}
 
 
 def count_params(spec: ModelSpec, per_head_pos: bool | None = None) -> int:
     """Exact parameter count of build(spec): embeddings, blocks, head."""
-    spec.validate()
-    dm = spec.d_model
-    attn = attention_param_shapes(spec.attention, per_head_pos)
-    per_layer = (sum(math.prod(shape) for shape, _ in attn.values())
-                 + _mlp_param_count(spec.mlp, dm)
-                 + 4 * dm)                          # two layer norms
-    n = spec.n_layers * per_layer
-    n += spec.vocab_size * dm                       # input embedding
-    n += 2 * dm                                     # final layer norm
-    if spec.n_classes is not None:
-        n += dm * spec.n_classes
-    elif not spec.tied_embeddings:
-        n += dm * spec.vocab_size
-    return n
+    return sum(math.prod(shape) for shape in param_shapes(spec, per_head_pos).values())
 
 
 # -- model ----------------------------------------------------------------
@@ -139,8 +162,7 @@ class Model:
                 key_mask: np.ndarray | None = None,
                 counter: OpCounter = NULL_COUNTER,
                 dropout_rng: np.random.Generator | None = None,
-                want_trace: bool = False,
-                gate_override: float | None = None):
+                want_trace: bool = False):
         """Map token ids [B, T] to logits; returns (logits, traces, caches).
 
         Logits are [B, T, vocab] for language models or [B, n_classes] for
@@ -148,9 +170,6 @@ class Model:
         per-layer cached key/value chunks for XL streaming; pass the
         returned list back in for the next chunk. ``dropout_rng`` enables
         MLP-output dropout (training mode); omit it for evaluation.
-        ``gate_override`` forces every routing gate (attention and MoE MLP)
-        to a constant; with one expert and override 1.0 the model reduces to
-        its dense twin.
         """
         spec = self.spec
         tokens = np.asarray(tokens)
@@ -175,14 +194,13 @@ class Model:
                            self.params[f"layers.{i}.ln1.b"])
             y, trace, new_cache = attention_forward(
                 h, self._layer_params(i, "attn"), spec.attention, counter,
-                cache=caches[i], key_mask=key_mask, want_trace=want_trace,
-                gate_override=gate_override)
+                cache=caches[i], key_mask=key_mask, want_trace=want_trace)
             traces.append(trace)
             new_caches.append(new_cache)
             x = x + y
             h = layer_norm(x, self.params[f"layers.{i}.ln2.g"],
                            self.params[f"layers.{i}.ln2.b"])
-            m = self._mlp(i, h, counter, gate_override)
+            m = self._mlp(i, h, counter)
             if dropout_rng is not None and spec.dropout > 0.0:
                 keep = dropout_rng.random(m.shape) >= spec.dropout
                 scale = keep / (1.0 - spec.dropout)
@@ -206,8 +224,7 @@ class Model:
             logits = matmul(x, w_out, counter, store=False)
         return logits, traces, new_caches
 
-    def _mlp(self, i: int, h: Tensor, counter: OpCounter,
-             gate_override: float | None = None) -> Tensor:
+    def _mlp(self, i: int, h: Tensor, counter: OpCounter) -> Tensor:
         mlp = self.spec.mlp
         if mlp.kind == "dense":
             up = matmul(h, self.params[f"layers.{i}.mlp.w_up"], counter,
@@ -217,11 +234,7 @@ class Model:
         cfg = SelectionConfig(mlp.n_experts, mlp.k_active)
         return sigma_moe_mlp(h, self.params[f"layers.{i}.mlp.up_bank"],
                              self.params[f"layers.{i}.mlp.down_bank"],
-                             self.params[f"layers.{i}.mlp.w_sel"], cfg, counter,
-                             gate_override=gate_override)
-
-    def param_sizes(self) -> int:
-        return sum(t.size for t in self.params.values())
+                             self.params[f"layers.{i}.mlp.w_sel"], cfg, counter)
 
     def astype(self, dtype) -> "Model":
         """Cast every parameter (dropping its grad) to ``dtype``; returns self.
@@ -236,69 +249,24 @@ class Model:
         return self
 
 
-def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter of ``build(spec)``, by name, in the order
-    ``build`` makes them; nothing is allocated."""
-    spec.validate()
-    dm = spec.d_model
-    table = {"embed": (spec.vocab_size, dm)}
-    for i in range(spec.n_layers):
-        for k, (shape, _) in attention_param_shapes(spec.attention).items():
-            table[f"layers.{i}.attn.{k}"] = shape
-        for ln in ("ln1", "ln2"):
-            table[f"layers.{i}.{ln}.g"] = table[f"layers.{i}.{ln}.b"] = (dm,)
-        mlp = spec.mlp
-        if mlp.kind == "dense":
-            table[f"layers.{i}.mlp.w_up"] = (dm, mlp.d_ff)
-            table[f"layers.{i}.mlp.w_down"] = (mlp.d_ff, dm)
-        else:
-            table[f"layers.{i}.mlp.up_bank"] = (mlp.n_experts, dm, mlp.d_ff)
-            table[f"layers.{i}.mlp.down_bank"] = (mlp.n_experts, mlp.d_ff, dm)
-            table[f"layers.{i}.mlp.w_sel"] = (dm, mlp.n_experts)
-    table["ln_f.g"] = table["ln_f.b"] = (dm,)
-    if spec.n_classes is not None:
-        table["head"] = (dm, spec.n_classes)
-    elif not spec.tied_embeddings:
-        table["readout"] = (dm, spec.vocab_size)
-    return table
-
-
 def build(spec: ModelSpec, seed: int) -> Model:
     """Instantiate a float32 model with deterministic weights derived from seed.
 
     The weights are drawn in float64 and rounded to float32 once, at the end.
     """
     spec.validate()
-    dm = spec.d_model
-    p: dict[str, Tensor] = {}
-
-    def par(name, shape, fan_in):
-        rng = rng_for(seed, "model", name)
-        p[name] = Tensor(uniform_init(rng, shape, fan_in), requires_grad=True)
-
-    par("embed", (spec.vocab_size, dm), dm)
-    for i in range(spec.n_layers):
-        attn_rng = rng_for(seed, "model", f"layers.{i}.attn")
-        for k, t in init_attention_params(spec.attention, attn_rng).items():
-            p[f"layers.{i}.attn.{k}"] = t
-        for ln in ("ln1", "ln2"):
-            p[f"layers.{i}.{ln}.g"] = Tensor(np.ones(dm), requires_grad=True)
-            p[f"layers.{i}.{ln}.b"] = Tensor(np.zeros(dm), requires_grad=True)
-        mlp = spec.mlp
-        if mlp.kind == "dense":
-            par(f"layers.{i}.mlp.w_up", (dm, mlp.d_ff), dm)
-            par(f"layers.{i}.mlp.w_down", (mlp.d_ff, dm), mlp.d_ff)
+    streams: dict[str, np.random.Generator] = {}
+    params: dict[str, Tensor] = {}
+    for name, shape, init in _layout(spec):
+        if isinstance(init, tuple):
+            stream, fan_in = init
+            if stream not in streams:
+                streams[stream] = rng_for(seed, "model", stream)
+            data = uniform_init(streams[stream], shape, fan_in)
         else:
-            par(f"layers.{i}.mlp.up_bank", (mlp.n_experts, dm, mlp.d_ff), dm)
-            par(f"layers.{i}.mlp.down_bank", (mlp.n_experts, mlp.d_ff, dm), mlp.d_ff)
-            par(f"layers.{i}.mlp.w_sel", (dm, mlp.n_experts), dm)
-    p["ln_f.g"] = Tensor(np.ones(dm), requires_grad=True)
-    p["ln_f.b"] = Tensor(np.zeros(dm), requires_grad=True)
-    if spec.n_classes is not None:
-        par("head", (dm, spec.n_classes), dm)
-    elif not spec.tied_embeddings:
-        par("readout", (dm, spec.vocab_size), dm)
-    return Model(spec, p).astype(np.float32)
+            data = np.full(shape, init)
+        params[name] = Tensor(data, requires_grad=True)
+    return Model(spec, params).astype(np.float32)
 
 
 # -- parameter matching ---------------------------------------------------

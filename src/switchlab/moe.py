@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, constant, expert_matmul,
+from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, expert_matmul,
                      gather_rows, matmul, relu, reshape, sigmoid, softmax_last, take_last)
 
 
@@ -72,19 +72,8 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
         # the top-k of the gates, and only the k selected logits need it
         weights = sigmoid(take_last(logits, indices))
     else:
-        weights = take_last(softmax_last(logits, counter, store=False), indices)
+        weights = take_last(softmax_last(logits), indices)
     return ExpertSelection(indices=indices, weights=weights)
-
-
-def override_gates(sel: ExpertSelection, value: float) -> ExpertSelection:
-    """Replace the routing gate weights with a constant, keeping the indices.
-
-    Used by the reduction oracles: with one expert and gates forced to 1 the
-    mixture collapses to a plain dense projection.
-    """
-    forced = constant(np.full(sel.weights.shape, float(value),
-                              dtype=sel.weights.data.dtype))
-    return ExpertSelection(indices=sel.indices, weights=forced)
 
 
 @dataclass
@@ -93,39 +82,27 @@ class Route:
 
     ``plan`` is the routing decision's ``tensor.ExpertPlan`` over the
     role's flat bank [n_experts, d_in, d_out]; roles routed by one decision
-    share it, and with it the one expert sort. ``head`` names the head slot
-    that each assignment writes (K, Q, V) or reads (O): an [a] table in
-    which slot j serves head j // m (m slots per head, as SwitchHead and
-    MoA route), or, on the reading side only, one head per assignment
-    ([..., T, a], the heads head gating selected). ``gate`` [..., T, a] is
+    share it, and with it the one expert sort. By default slot j of a
+    token serves head j // m, m slots per head (SwitchHead: m = k; MoA:
+    m = 1), which ``plan.rows(n_heads)`` derives. ``gate`` [..., T, a] is
     the matching gate, applied on ``gate_side`` of the projection (see
     ``tensor.expert_matmul``). The expert GEMMs and any stored result count
     under the OpCounter term ``term``, and so does the gate multiply,
-    unless ``gate_extra`` itemizes it as that extra.
+    unless ``gate_extra`` itemizes it as that extra. ``head`` [..., T, a]
+    instead names one head per assignment, on the reading side only (the
+    heads head gating selected).
     """
     plan: ExpertPlan
-    head: np.ndarray
     gate: Tensor | None = None
     gate_side: str = "output"
     term: str = "mixing"
     gate_extra: str | None = None
+    head: np.ndarray | None = None
 
     def __post_init__(self):
-        a = self.plan.shape[-1]
-        if self.head.shape == (a,):
-            n_heads = int(self.head[-1]) + 1
-            if n_heads < 1 or a % n_heads or self.head.tolist() != [
-                    j // (a // n_heads) for j in range(a)]:
-                raise ShapeError(f"head table {self.head} does not give each head an "
-                                 "equal run of consecutive slots")
-        elif self.head.shape != self.plan.shape:
-            raise ShapeError(f"head table {self.head.shape} fits neither the {a} slots nor "
+        if self.head is not None and self.head.shape != self.plan.shape:
+            raise ShapeError(f"per-assignment heads {self.head.shape} do not match "
                              f"the assignments {self.plan.shape}")
-
-    def check_heads(self, n_heads: int) -> None:
-        """Check that the [a] head table routes to exactly ``n_heads`` heads."""
-        if self.head.ndim != 1 or int(self.head[-1]) + 1 != n_heads:
-            raise ShapeError(f"the route's head table {self.head} does not fill {n_heads} heads")
 
 
 def _dispatch(x, bank, route, src, dst, counter):
@@ -150,13 +127,14 @@ def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
     """Routed projection of token rows into head rows, stored.
 
     ``x`` is [B, T, d_in] and ``bank`` [n_experts, d_in, d_out]; head h of
-    token (b, t) is the gated sum of its assignments to head slot h, and
-    the result is [B, n_heads, T, d_out]. One ``expert_matmul`` from the
-    plan's token rows to its head-major rows.
+    token (b, t) is the gated sum of its slots j with j // m = h, m = a /
+    n_heads, and the result is [B, n_heads, T, d_out]. One
+    ``expert_matmul`` from the plan's token rows to its head-major rows.
     """
     B, T, d_in = x.shape
     _check_tokens((B, T), route.plan)
-    route.check_heads(n_heads)
+    if route.head is not None:
+        raise ShapeError("per-assignment heads name head rows to read, not to write")
     plan = route.plan
     y = _dispatch(reshape(x, (B * T, d_in)), bank, route, plan.rows(1), plan.rows(n_heads),
                   counter)
@@ -179,8 +157,7 @@ def dispatch_from_heads(x: Tensor, bank: Tensor, route: Route,
     _check_tokens((B, T), route.plan)
     plan = route.plan
     x = reshape(x, (B * H * T, d_in))
-    if route.head.ndim == 1:
-        route.check_heads(H)
+    if route.head is None:
         src = plan.rows(H)
     else:
         head = route.head
@@ -194,22 +171,18 @@ def dispatch_from_heads(x: Tensor, bank: Tensor, route: Route,
 
 def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
                   w_sel: Tensor, cfg: SelectionConfig,
-                  counter: OpCounter = NULL_COUNTER, *,
-                  gate_override: float | None = None) -> Tensor:
+                  counter: OpCounter = NULL_COUNTER) -> Tensor:
     """Two-layer ReLU MLP with non-competitive expert routing, no biases.
 
     y[t] = sum over selected e of gate[t,e] * relu(x[t] @ up[e]) @ down[e].
     Up and down share the selection's one plan, and the hidden rows stay
-    in its expert order between them. ``gate_override`` replaces every
-    gate with a constant (reduction tests).
+    in its expert order between them.
     """
     cfg.validate()
     E, d_model, d_exp = up_bank.shape
     if down_bank.shape != (E, d_exp, d_model):
         raise ConfigError(f"down bank shape {down_bank.shape} does not match up bank {up_bank.shape}")
     sel = select(x, w_sel, cfg, counter)
-    if gate_override is not None:
-        sel = override_gates(sel, gate_override)
     lead = x.shape[:-1]
     n = int(np.prod(lead, dtype=np.int64))
     plan = ExpertPlan(sel.indices, E)

@@ -8,10 +8,10 @@ are held in the dtype of the data they belong to.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
 loss walks the tape in reverse topological order and frees it as it goes.
-Four ops consume an OpCounter: ``matmul`` (its MACs and, when stored, its
-output floats), ``expert_matmul`` (the MACs of its expert GEMMs),
-``softmax_last`` (its stored output floats) and ``attention_probs`` (the
-figures of the matmul and softmax chain it fuses). Everything else is free
+Three ops consume an OpCounter: ``matmul`` (its MACs and, when stored,
+its output floats), ``expert_matmul`` (the MACs of its expert GEMMs) and
+``attention_probs`` (the figures of the matmul and softmax chain it
+fuses, softmax output included). Everything else is free
 in the MAC accounting convention used by the cost model; explicit elementwise
 costs, such as a gate multiply, are added by the callers that need them.
 
@@ -379,8 +379,7 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
 # -- softmax / losses -----------------------------------------------------
 
 
-def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
-                 store: bool = True, term: str | None = None) -> Tensor:
+def softmax_last(x: Tensor) -> Tensor:
     """Stable softmax over the last dimension."""
     x = _coerce(x)
     if x.data.ndim == 0 or x.data.shape[-1] == 0:
@@ -388,8 +387,6 @@ def softmax_last(x: Tensor, counter: OpCounter = NULL_COUNTER, *,
     z = x.data - x.data.max(axis=-1, keepdims=True)
     ez = np.exp(z)
     out = ez / ez.sum(axis=-1, keepdims=True)
-    if counter.enabled and store:
-        counter.add(mem=out.size, term=term)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)

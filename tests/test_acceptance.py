@@ -139,7 +139,7 @@ def _fuse_dense(params, H, dh, dm):
     return out
 
 
-def test_reduction_oracles():
+def test_reduction_oracles(unit_gates):
     dm, H, dh = 8, 2, 4
     rng = rng_for(0, "acc-reduce")
     x = Tensor(rng.uniform(-1, 1, (1, 5, dm)))
@@ -149,14 +149,14 @@ def test_reduction_oracles():
                           expert_flags=ExpertFlags(v=True, k=True, q=True,
                                                    o=True))
     params = init_attention_params(cfg, rng)
-    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg)
     dcfg = AttentionConfig(dm, H, dh, variant="dense", position="none")
     y_d, _, _ = attention_forward(x, _fuse_dense(params, H, dh, dm), dcfg)
     err_sh = np.max(np.abs(y_sh.data - y_d.data))
 
     hcfg = AttentionConfig(dm, H, dh, variant="head_gated", k_active=H)
     hparams = init_attention_params(hcfg, rng)
-    y_hg, _, _ = attention_forward(x, hparams, hcfg, gate_override=1.0)
+    y_hg, _, _ = attention_forward(x, hparams, hcfg)
     y_hd, _, _ = attention_forward(x, {k: v for k, v in hparams.items()
                                        if k != "w_gate"},
                                    AttentionConfig(dm, H, dh, variant="dense"))

@@ -119,20 +119,20 @@ def _dense_params_from_switchhead(sh_params, cfg):
 
 
 @pytest.mark.parametrize("position", ["none", "rope"])
-def test_switchhead_e1_forced_gate_equals_dense(position):
+def test_switchhead_e1_forced_gate_equals_dense(position, unit_gates):
     cfg = AttentionConfig(DM, 2, 4, variant="switchhead", position=position,
                           n_experts=1, k_active=1,
                           expert_flags=ExpertFlags(v=True, k=True, q=True, o=True))
     rng = rng_for(3, "reduce", position)
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 5, DM)
-    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg)
     dcfg = AttentionConfig(DM, 2, 4, variant="dense", position=position)
     y_d, _, _ = attention_forward(x, _dense_params_from_switchhead(params, cfg), dcfg)
     assert np.max(np.abs(y_sh.data - y_d.data)) < 1e-12
 
 
-def test_switchhead_e1_xl_single_head_equals_dense():
+def test_switchhead_e1_xl_single_head_equals_dense(unit_gates):
     # H=1 so the shared and per-head position projections coincide
     cfg = AttentionConfig(DM, 1, 4, variant="switchhead", context_mult=2,
                           n_experts=1, k_active=1,
@@ -140,7 +140,7 @@ def test_switchhead_e1_xl_single_head_equals_dense():
     rng = rng_for(4, "reduce-xl")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 1, 5, DM)
-    y_sh, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
+    y_sh, _, _ = attention_forward(x, params, cfg)
     dcfg = AttentionConfig(DM, 1, 4, variant="dense", context_mult=2)
     dparams = _dense_params_from_switchhead(params, cfg)
     dparams["w_r"] = Tensor(params["w_r"].data.copy())
@@ -150,14 +150,14 @@ def test_switchhead_e1_xl_single_head_equals_dense():
     assert np.max(np.abs(y_sh.data - y_d.data)) < 1e-12
 
 
-def test_head_gated_all_heads_forced_equals_dense():
+def test_head_gated_all_heads_forced_equals_dense(unit_gates):
     H = 3
     cfg = AttentionConfig(DM, H, 4, variant="head_gated", k_active=H,
                           context_mult=2)
     rng = rng_for(5, "hg")
     params = init_attention_params(cfg, rng)
     x = rand_x(rng, 2, 4, DM)
-    y_hg, _, _ = attention_forward(x, params, cfg, gate_override=1.0)
+    y_hg, _, _ = attention_forward(x, params, cfg)
     dcfg = AttentionConfig(DM, H, 4, variant="dense", context_mult=2)
     dparams = {k: v for k, v in params.items() if k != "w_gate"}
     y_d, _, _ = attention_forward(x, dparams, dcfg)

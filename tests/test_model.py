@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from switchlab.attention import AttentionConfig, ExpertFlags
+from switchlab.attention import AttentionConfig, ExpertFlags, init_attention_params
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
                              count_params, match_params, match_report, param_shapes)
 from switchlab.moe import ConfigError
@@ -59,7 +59,7 @@ def test_mlp_config_validation():
 def test_zero_layer_model_counts():
     spec = dense_spec(L=0)
     m = build(spec, 0)
-    assert count_params(spec) == m.param_sizes()
+    assert list(param_shapes(spec).items()) == [(n, p.shape) for n, p in m.params.items()]
     # embedding + readout + final layer norm only
     assert count_params(spec) == 2 * 19 * 16 + 2 * 16
 
@@ -101,10 +101,60 @@ def test_count_matches_instantiation_random_specs(seed):
                      int(rng.integers(5, 30)), T=8, n_classes=n_classes,
                      tied_embeddings=(n_classes is None and bool(rng.integers(2))))
     m = build(spec, seed)
-    assert count_params(spec) == m.param_sizes()
+    assert count_params(spec) == sum(p.size for p in m.params.values())
     # the table checkpoint.load checks an index against, in build's order
     shapes = param_shapes(spec)
     assert list(shapes.items()) == [(n, p.shape) for n, p in m.params.items()]
+
+
+def layout_grid():
+    """Every attention variant x MLP kind x head kind, at two layers."""
+    dm = 12
+    attns = [
+        AttentionConfig(dm, 2, 4, variant="dense", context_mult=2),
+        AttentionConfig(dm, 3, 4, variant="head_gated", k_active=2),
+        AttentionConfig(dm, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                        expert_flags=ExpertFlags(v=True, k=True, q=True, o=True)),
+        AttentionConfig(dm, 2, 4, variant="switchhead", position="rope", n_experts=3,
+                        k_active=1, expert_flags=ExpertFlags.value_output()),
+        AttentionConfig(dm, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
+    ]
+    mlps = [MLPConfig("dense", 10), MLPConfig("sigma_moe", 5, 3, 2)]
+    heads = [dict(n_classes=4), dict(), dict(tied_embeddings=True)]
+    return [ModelSpec(2, dm, a, m, 9, T=4, **h) for a in attns for m in mlps for h in heads]
+
+
+@pytest.mark.parametrize("spec", layout_grid())
+def test_param_layout_matches_build(spec):
+    m = build(spec, 7)
+    assert list(param_shapes(spec).items()) == [(n, p.shape) for n, p in m.params.items()]
+    built = sum(p.size for p in m.params.values())
+    assert count_params(spec) == built
+    # the counting conventions differ from the build in w_r's width only:
+    # one [dm, dh] block per position head, or one shared block
+    a, L = spec.attention, spec.n_layers
+    pos_heads = 1 if a.variant == "moa" else a.n_heads
+    for per_head in (True, False):
+        if a.position != "xl_relative":
+            want = built
+        else:
+            w_r = m.params["layers.0.attn.w_r"].size
+            want = built + L * (a.d_model * a.d_head * (pos_heads if per_head else 1) - w_r)
+        assert count_params(spec, per_head) == want
+
+
+@pytest.mark.parametrize("spec", layout_grid())
+def test_layer_attention_draws_from_one_shared_stream(spec):
+    # each layer's attention parameters are one draw of the stream
+    # layers.{i}.attn, in attention_param_shapes order
+    seed = 5
+    m = build(spec, seed)
+    for i in range(spec.n_layers):
+        lone = init_attention_params(spec.attention, rng_for(seed, "model", f"layers.{i}.attn"))
+        for k, p in lone.items():
+            got = m.params[f"layers.{i}.attn.{k}"].data
+            assert got.dtype == np.float32
+            assert np.array_equal(got, p.data.astype(np.float32))
 
 
 def test_switchhead_params_linear_in_experts_all_flags():
@@ -268,7 +318,7 @@ def test_47m_row_builds_and_runs_small():
     assert logits.shape == (1, 8, 64)
 
 
-def test_switchall_double_reduction_matches_dense():
+def test_switchall_double_reduction_matches_dense(unit_gates):
     # E=1 everywhere with gates forced to 1 equals the dense twin built from
     # the same weights.
     dm, vocab, T = 12, 13, 6
@@ -297,7 +347,7 @@ def test_switchall_double_reduction_matches_dense():
     md.params["layers.0.mlp.w_up"].data = m.params["layers.0.mlp.up_bank"].data[0].copy()
     md.params["layers.0.mlp.w_down"].data = m.params["layers.0.mlp.down_bank"].data[0].copy()
     toks = rng_for(1, "sw-toks").integers(vocab, size=(1, T))
-    y_moe, _, _ = m.forward(toks, gate_override=1.0)
+    y_moe, _, _ = m.forward(toks)
     y_dense, _, _ = md.forward(toks)
     assert np.max(np.abs(y_moe.data - y_dense.data)) < 1e-10
 
