@@ -215,8 +215,7 @@ def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray,
     c, s = constant(cos.astype(x.data.dtype)), constant(sin.astype(x.data.dtype))
     o1 = mul(x1, c) - mul(x2, s)
     o2 = mul(x1, s) + mul(x2, c)
-    if counter.enabled:
-        counter.add_extra("rotary", macs=2 * x.size)
+    counter.add("rotary", macs=2 * x.size)
     half = o1.shape
     o1 = reshape(o1, half + (1,))
     o2 = reshape(o2, half + (1,))
@@ -318,7 +317,7 @@ def _head_gate_routes(x, params, cfg, counter):
     sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
                                                       cfg.sel_activation), counter)
     route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, "input",
-                  term="projections", gate_extra="selection", head=sel.indices)
+                  term="projections", gate_term="selection", head=sel.indices)
     return {"o": route}, {"heads": sel}
 
 
@@ -350,7 +349,7 @@ def _moa_routes(x, params, cfg, counter):
                                                         cfg.sel_activation), counter)
     plan = ExpertPlan(sel.indices, cfg.n_experts)
     return ({"q": Route(plan, term="projections"),
-             "o": Route(plan, sel.weights, term="projections", gate_extra="selection")},
+             "o": Route(plan, sel.weights, term="projections", gate_term="selection")},
             {"router": sel})
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 
 from .attention import AttentionConfig, ExpertFlags
 from .model import MLPConfig, ModelSpec
@@ -83,10 +84,13 @@ def _parse_value(section: str, key: str, raw: str):
             return False
         raise ConfigError(f"[{section}] {key}: expected a boolean, got '{raw}'")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
             f"[{section}] {key}: expected {typ.__name__}, got '{raw}'") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got '{raw}'")
+    return value
 
 
 def defaults() -> dict:
@@ -154,7 +158,7 @@ def to_model_spec(cfg: dict) -> ModelSpec:
         tied_embeddings=m["tied_embeddings"], dropout=m["dropout"])
 
 
-def from_model_spec(spec: ModelSpec, extra: dict | None = None) -> dict:
+def from_model_spec(spec: ModelSpec) -> dict:
     """Config dict (defaults elsewhere) reproducing a ModelSpec."""
     cfg = defaults()
     a, f = spec.attention, spec.attention.expert_flags
@@ -172,9 +176,6 @@ def from_model_spec(spec: ModelSpec, extra: dict | None = None) -> dict:
                             expert_v=f.v, expert_k=f.k, expert_q=f.q, expert_o=f.o)
     cfg["mlp"].update(kind=spec.mlp.kind, d_ff=spec.mlp.d_ff,
                       n_experts=spec.mlp.n_experts, k_active=spec.mlp.k_active)
-    if extra:
-        for section, keys in extra.items():
-            cfg[section].update(keys)
     return cfg
 
 

@@ -95,14 +95,14 @@ def cost_xl(ci: CostInputs) -> CostReport:
     return _finish(terms, extras, H)
 
 
-def cost_switchhead(ci: CostInputs, shared_pos: bool = True) -> CostReport:
+def cost_switchhead(ci: CostInputs) -> CostReport:
     """SwitchHead attention layer cost for any expert-flag combination.
 
     With the default V+O flags the MAC total reduces to
     H (2 T dh dm + 2 T K dh (dm + 1) + 2 C T^2 dh + 2 C T dh dm), with the
-    position term counted once when ``shared_pos`` (the single shared
-    position projection of the implementation). Memory follows the dense
-    formula (not affected by K), with the same shared-position adjustment.
+    position term counted once (the single position projection all heads
+    share). Memory follows the dense formula (not affected by K), with the
+    same shared-position adjustment.
     """
     ci.validate()
     H, T, dh, dm, C, K = ci.H, ci.T, ci.d_head, ci.d_model, ci.C, ci.k_active
@@ -127,8 +127,7 @@ def cost_switchhead(ci: CostInputs, shared_pos: bool = True) -> CostReport:
     if n_sides:
         extras["selection"] = (n_sides * T * dm * ci.E * H, n_sides * T * ci.E * H)
     if ci.position == "xl_relative":
-        mult = 1 if shared_pos else H
-        terms["position"] = (2 * C * T * dh * dm * mult, 2 * C * T * dh * mult)
+        terms["position"] = (2 * C * T * dh * dm, 2 * C * T * dh)
         ex_m, ex_mem = extras.get("pos_scores", (0, 0))
         extras["pos_scores"] = (ex_m + 2 * C * T * T * dh * H, ex_mem + 2 * C * T * T * H)
     elif ci.position == "rope":
@@ -160,11 +159,11 @@ def cost_moa(ci: CostInputs) -> CostReport:
     return _finish(terms, extras, H)
 
 
-def cost_attention(ci: CostInputs, shared_pos: bool = True) -> CostReport:
+def cost_attention(ci: CostInputs) -> CostReport:
     if ci.variant == "dense":
         return cost_xl(ci)
     if ci.variant == "switchhead":
-        return cost_switchhead(ci, shared_pos=shared_pos)
+        return cost_switchhead(ci)
     if ci.variant == "moa":
         return cost_moa(ci)
     raise ConfigError(f"no closed-form cost for variant '{ci.variant}'")

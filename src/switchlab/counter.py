@@ -1,14 +1,21 @@
 """Instrumented MAC / stored-float accounting for forward passes.
 
 A single OpCounter is threaded explicitly through the primitive ops of one
-forward pass. Headline ``macs`` / ``mem_floats`` cover the terms that the
-closed-form layer cost formulas account for; everything the formulas ignore
-(selection logic, relative-position score interaction, rotary rotations) is
-accumulated in ``extras`` so that measured and closed-form costs can be
-compared with exact integer equality while the ignored terms stay visible.
+forward pass, and ``add(term, macs, mem)`` is the only way to count, so
+every cost lands under one term name. The costs the closed-form layer
+formulas deliberately ignore, named in ``EXTRAS`` (selection logic,
+relative-position score interaction, rotary rotations), are itemized in
+``extras``. Every other term, ``other`` included (the LM readout and the
+classifier head), adds to its bucket in ``terms`` and to the headline
+``macs`` / ``mem_floats``, which so always equal the sums over ``terms``.
+Measured and closed-form costs can then be compared with exact integer
+equality while the ignored costs stay visible.
 """
 
 from __future__ import annotations
+
+#: Terms itemized beside the headline instead of adding to it.
+EXTRAS = ("selection", "pos_scores", "rotary")
 
 
 class OpCounter:
@@ -26,24 +33,19 @@ class OpCounter:
         self.mem_floats = 0
         # term name -> [macs, mem]; these sum to the headline counters
         self.terms: dict[str, list[int]] = {}
-        # itemized costs excluded from the headline (selection logic, ...)
+        # EXTRAS name -> [macs, mem], excluded from the headline
         self.extras: dict[str, list[int]] = {}
         self.score_matrices = 0
 
-    def add(self, macs: int = 0, mem: int = 0, term: str | None = None) -> None:
+    def add(self, term: str, macs: int = 0, mem: int = 0) -> None:
         if not self.enabled:
             return
-        self.macs += macs
-        self.mem_floats += mem
-        if term is not None:
+        if term in EXTRAS:
+            bucket = self.extras.setdefault(term, [0, 0])
+        else:
+            self.macs += macs
+            self.mem_floats += mem
             bucket = self.terms.setdefault(term, [0, 0])
-            bucket[0] += macs
-            bucket[1] += mem
-
-    def add_extra(self, name: str, macs: int = 0, mem: int = 0) -> None:
-        if not self.enabled:
-            return
-        bucket = self.extras.setdefault(name, [0, 0])
         bucket[0] += macs
         bucket[1] += mem
 

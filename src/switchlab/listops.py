@@ -88,6 +88,12 @@ def _sample_tree(rng: np.random.Generator, depth_left: int, max_args: int) -> tu
     """Sample (token strings, depth) of one subexpression."""
     if depth_left == 0 or rng.random() < 0.35:
         return [str(rng.integers(10))], 0
+    return _sample_op(rng, depth_left, max_args)
+
+
+def _sample_op(rng: np.random.Generator, depth_left: int, max_args: int) -> tuple[list[str], int]:
+    """Sample (token strings, depth) of one operator application whose
+    arguments are subexpressions of up to ``depth_left - 1`` levels."""
     op = OPERATORS[rng.integers(len(OPERATORS))]
     n_args = int(rng.integers(MIN_ARGS, max_args + 1))
     toks = ["(", op]
@@ -117,20 +123,12 @@ def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
     for i in range(n):
         rng = rng_for(seed, "listops", i)
         while True:
-            op = OPERATORS[rng.integers(len(OPERATORS))]
-            n_args = int(rng.integers(MIN_ARGS, max_args + 1))
-            toks = ["(", op]
-            depth = 0
-            for _ in range(n_args):
-                sub, d = _sample_tree(rng, max_depth - 1, max_args)
-                toks.extend(sub)
-                depth = max(depth, d)
-            toks.append(")")
+            toks, depth = _sample_op(rng, max_depth, max_args)
             if len(toks) <= max_len:
                 break
         label = eval_tokens(toks)
         out.append(ListOpsExample(tokens=[TOKEN_ID[t] for t in toks],
-                                  label=label, depth=depth + 1, length=len(toks)))
+                                  label=label, depth=depth, length=len(toks)))
     return out
 
 
@@ -151,18 +149,3 @@ def pad_batch(examples: list[ListOpsExample]) -> tuple[np.ndarray, np.ndarray, n
 
 def to_line(e: ListOpsExample) -> str:
     return " ".join(TOKENS[i] for i in e.tokens) + "\t" + str(e.label)
-
-
-def from_line(line: str) -> ListOpsExample:
-    text, label = line.rstrip("\n").split("\t")
-    toks = text.split()
-    ids = [TOKEN_ID[t] for t in toks]
-    depth = 0
-    cur = 0
-    for t in toks:
-        if t == "(":
-            cur += 1
-            depth = max(depth, cur)
-        elif t == ")":
-            cur -= 1
-    return ListOpsExample(tokens=ids, label=int(label), depth=depth, length=len(ids))

@@ -59,13 +59,12 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
 
     Sigmoid gates are non-competitive: weights are the per-expert sigmoid
     values, not normalized across experts. Softmax gates are the softmax of
-    the full logit row restricted to the selected indices. Selection cost
-    is itemized separately from the headline MAC count.
+    the full logit row restricted to the selected indices. The router's
+    MACs and its stored logits count under the ``selection`` extra, apart
+    from the headline.
     """
     cfg.validate()
-    logits = matmul(x, w_sel, counter, store=False, extra="selection")
-    if counter.enabled:
-        counter.add_extra("selection", mem=logits.size)
+    logits = matmul(x, w_sel, counter, term="selection")
     indices = argtopk_rows(logits.data, cfg.k_active)
     if cfg.activation == "sigmoid":
         # sigmoid is monotone and elementwise, so the top-k of the logits is
@@ -87,8 +86,8 @@ class Route:
     m = 1), which ``plan.rows(n_heads)`` derives. ``gate`` [..., T, a] is
     the matching gate, applied on ``gate_side`` of the projection (see
     ``tensor.expert_matmul``). The expert GEMMs and any stored result count
-    under the OpCounter term ``term``, and so does the gate multiply,
-    unless ``gate_extra`` itemizes it as that extra. ``head`` [..., T, a]
+    under the OpCounter term ``term``, and the gate multiply under
+    ``gate_term`` (None: ``term``). ``head`` [..., T, a]
     instead names one head per assignment, on the reading side only (the
     heads head gating selected).
     """
@@ -96,7 +95,7 @@ class Route:
     gate: Tensor | None = None
     gate_side: str = "output"
     term: str = "mixing"
-    gate_extra: str | None = None
+    gate_term: str | None = None
     head: np.ndarray | None = None
 
     def __post_init__(self):
@@ -109,11 +108,8 @@ def _dispatch(x, bank, route, src, dst, counter):
     y = expert_matmul(x, bank, route.plan, src, dst, counter, gate=route.gate,
                       gate_side=route.gate_side, term=route.term)
     if route.gate is not None:
-        macs = route.gate.size * bank.shape[1 if route.gate_side == "input" else 2]
-        if route.gate_extra is not None:
-            counter.add_extra(route.gate_extra, macs=macs)
-        else:
-            counter.add(macs=macs, term=route.term)
+        counter.add(route.gate_term or route.term,
+                    macs=route.gate.size * bank.shape[1 if route.gate_side == "input" else 2])
     return y
 
 
@@ -138,7 +134,7 @@ def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
     plan = route.plan
     y = _dispatch(reshape(x, (B * T, d_in)), bank, route, plan.rows(1), plan.rows(n_heads),
                   counter)
-    counter.add(mem=y.size, term=route.term)
+    counter.add(route.term, mem=y.size)
     return reshape(y, (B, n_heads, T, bank.shape[2]))
 
 
@@ -189,6 +185,5 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
     tokens = plan.rows(1)
     h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, plan, tokens, None, counter,
                            term="mlp"))
-    y = expert_matmul(h, down_bank, plan, None, tokens, counter, gate=sel.weights, term="mlp")
-    counter.add(macs=sel.indices.size * d_model, term="mlp")
+    y = _dispatch(h, down_bank, Route(plan, sel.weights, term="mlp"), None, tokens, counter)
     return reshape(y, lead + (d_model,))

@@ -8,12 +8,14 @@ are held in the dtype of the data they belong to.
 
 Tensors record a tape of primitive operations; ``backward()`` on a scalar
 loss walks the tape in reverse topological order and frees it as it goes.
-Three ops consume an OpCounter: ``matmul`` (its MACs and, when stored,
-its output floats), ``expert_matmul`` (the MACs of its expert GEMMs) and
-``attention_probs`` (the figures of the matmul and softmax chain it
-fuses, softmax output included). Everything else is free
-in the MAC accounting convention used by the cost model; explicit elementwise
-costs, such as a gate multiply, are added by the callers that need them.
+Three ops consume an OpCounter, each filing its cost under a term name
+(see ``counter``): ``matmul`` (its MACs and, when stored, its output
+floats, under ``term``, by default ``other``), ``expert_matmul`` (the MACs
+of its expert GEMMs, likewise) and ``attention_probs`` (the figures of the
+matmul and softmax chain it fuses, softmax output included, under
+``scores`` and ``pos_scores``). Everything else is free in the MAC
+accounting convention used by the cost model; explicit elementwise costs,
+such as a gate multiply, are added by the callers that need them.
 
 Importing this module sets glibc's allocation policy so that the memory a
 step frees stays with the process for the next step (``keep_freed_pages``).
@@ -110,9 +112,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add ``g`` into this tensor's grad.
@@ -343,13 +342,12 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool,
 
 
 def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
-           store: bool = True, term: str | None = None,
-           extra: str | None = None) -> Tensor:
+           store: bool = True, term: str = "other") -> Tensor:
     """Batched matrix product ``a @ b`` with broadcasting over leading dims.
 
     MAC count is prod(batch) * m * n * k; when ``store`` is set the output
     size is added to the stored-float count (training-mode accounting).
-    ``extra`` routes the cost to an itemized bucket instead of the headline.
+    Both count under ``term``.
     """
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -357,14 +355,7 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     data = _matmul_data(a.data, b.data)
-    if counter.enabled:
-        k = a.data.shape[-1]
-        macs = int(np.prod(data.shape, dtype=np.int64)) * k
-        mem = data.size if store else 0
-        if extra is not None:
-            counter.add_extra(extra, macs=macs, mem=mem)
-        else:
-            counter.add(macs=macs, mem=mem, term=term)
+    counter.add(term, macs=data.size * a.data.shape[-1], mem=data.size if store else 0)
 
     def bw(g):
         ga, gb = _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
@@ -456,8 +447,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
     inputs = (q, k)
     if pos_q is not None:
         p = _matmul_data(pos_q.data, pos_r.data)
-        if counter.enabled:
-            counter.add_extra("pos_scores", macs=p.size * q.shape[-1], mem=p.size)
+        counter.add("pos_scores", macs=p.size * q.shape[-1], mem=p.size)
         data += _rel_shift_view(p, cache_len)
         p_shape = p.shape
         del p
@@ -476,8 +466,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
     data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
-    if counter.enabled:
-        counter.add(macs=data.size * q.shape[-1], mem=2 * data.size, term="scores")
+    counter.add("scores", macs=data.size * q.shape[-1], mem=2 * data.size)
 
     def bw(g):
         # the node's grad is its own (see Tensor._accum), so the softmax
@@ -766,7 +755,7 @@ def _combine(vals: np.ndarray, slots: np.ndarray,
 def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | None,
                   dst: ExpertRows | None, counter: OpCounter = NULL_COUNTER, *,
                   gate: Tensor | None = None, gate_side: str = "output",
-                  term: str | None = None) -> Tensor:
+                  term: str = "other") -> Tensor:
     """Gated expert dispatch of one plan: each assignment a of the plan
     adds gate[a] * x[its src row] @ bank[its expert] to its dst row.
 
@@ -818,7 +807,7 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         data = _combine(ys, dst.slots, w if gate_out else None)
     else:
         data = ys * w[:, None] if gate_out else ys
-    counter.add(macs=A * d_in * d_out, term=term)
+    counter.add(term, macs=A * d_in * d_out)
     # the output-side gate's grad needs the ungated results; nothing else
     # from the forward is kept (x rows are gathered again from x.data), and
     # of the plan only what the backward reads

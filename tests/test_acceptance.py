@@ -58,7 +58,7 @@ def test_memory_column_reproduction():
     ]
     for (T, dh), want, disp in sh_cells:
         rep = cost_switchhead(CostInputs("switchhead", 2, T, dh, 412, C=2,
-                                         E=5, k_active=2), shared_pos=True)
+                                         E=5, k_active=2))
         ok = ok and rep.mem_floats == want and human(rep.mem_floats) == disp
     _report("memory columns reproduce exactly (6 cells incl. display)", ok)
 

@@ -279,6 +279,20 @@ def test_train_set_override_shrinks_run(tmp_path, listops_cfg, capsys):
     assert steps == {"1", "2"}
 
 
+@pytest.mark.parametrize("override", [
+    "train.log_every=0", "train.log_every=-1",
+    "train.clip_norm=nan", "train.lr=inf", "task.valid_fraction=-inf",
+])
+def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, override):
+    # a zero log_every once died in `step % log_every`, a nan clip_norm
+    # silently switched clipping off, and an infinite lr trained to a divergence
+    code = main(["train", "--config", listops_cfg, "--set", override,
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_char_lm_missing_path_is_usage_error(tmp_path, listops_cfg, capsys):
     out = tmp_path / "out"
     code = main(["train", "--config", listops_cfg, "--set", "task.name=char_lm",

@@ -40,7 +40,7 @@ def test_xl_memory_cells(H, T, dh, want, disp):
 ])
 def test_switchhead_memory_cells_shared_pos(T, dh, want, disp):
     ci = CostInputs("switchhead", 2, T, dh, 412, C=2, E=5, k_active=2)
-    rep = cost_switchhead(ci, shared_pos=True)
+    rep = cost_switchhead(ci)
     assert rep.mem_floats == want
     assert human(rep.mem_floats) == disp
 

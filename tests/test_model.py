@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab.attention import AttentionConfig, ExpertFlags, init_attention_params
+from switchlab.counter import OpCounter
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
                              count_params, match_params, match_report, param_shapes)
 from switchlab.moe import ConfigError
@@ -191,6 +192,31 @@ def test_forward_shapes_and_determinism():
     m3 = build(spec, 8)
     logits3, _, _ = m3.forward(toks)
     assert not np.array_equal(logits.data, logits3.data)
+
+
+@pytest.mark.parametrize("head", [dict(n_classes=4), dict()], ids=["classifier", "lm"])
+@pytest.mark.parametrize("attn,mlp", [
+    (AttentionConfig(12, 2, 4, variant="dense", context_mult=2), MLPConfig("dense", 10)),
+    (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                     context_mult=2, expert_flags=ExpertFlags.value_output()),
+     MLPConfig("sigma_moe", 5, 3, 2)),
+    (AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
+     MLPConfig("dense", 10)),
+    (AttentionConfig(12, 3, 4, variant="head_gated", k_active=2, context_mult=2),
+     MLPConfig("dense", 10)),
+], ids=["dense", "switchhead_sigma_moe", "moa", "head_gated"])
+def test_headline_counts_are_the_sums_of_the_terms(attn, mlp, head):
+    # every counted MAC and stored float of a whole model lands in one term;
+    # the LM readout and the classifier head have none of their own and
+    # count under 'other'
+    B, T, dm, vocab = 3, 5, 12, 9
+    model = build(ModelSpec(2, dm, attn, mlp, vocab, T=T, **head), 0)
+    c = OpCounter()
+    model.forward(rng_for(0, "count-toks").integers(vocab, size=(B, T)), counter=c)
+    assert c.macs == sum(m for m, _ in c.terms.values())
+    assert c.mem_floats == sum(v for _, v in c.terms.values())
+    out = head.get("n_classes") or T * vocab
+    assert c.terms["other"] == [B * dm * out, 0]
 
 
 _ALL = ExpertFlags(v=True, k=True, q=True, o=True)

@@ -132,7 +132,7 @@ def test_mixture_project_counter():
     c3 = OpCounter()    # the gate multiply itemized as an extra (MoA, head gating)
     dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank,
                         one_head_route(sel, "output", term="projections",
-                                       gate_extra="selection"), c3)
+                                       gate_term="selection"), c3)
     assert c3.terms == {"projections": [n * k * d_in * d_out, 0]}
     assert c3.extras["selection"] == [n * k * d_out, 0]
 

@@ -528,7 +528,7 @@ def _unfused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
     T, S = q.shape[-2], k.shape[-2]
     scores = matmul(q, transpose(k, (0, 1, 3, 2)), counter, term="scores")
     if pos_q is not None:
-        p = matmul(pos_q, pos_r, counter, extra="pos_scores")
+        p = matmul(pos_q, pos_r, counter, term="pos_scores")
         # column c of p holds distance c - (S - 1); score (t, j) needs cache_len + t - j
         oracle_idx = (cache_len + np.arange(T)[:, None] - np.arange(S)[None, :]) + (S - 1)
         scores = add(scores, take_last(p, oracle_idx))
@@ -536,7 +536,7 @@ def _unfused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
     if mask is not None:
         scores = add(scores, constant(mask))
     probs = softmax_last(scores)
-    counter.add(mem=probs.size, term="scores")     # the stored probabilities
+    counter.add("scores", mem=probs.size)     # the stored probabilities
     return probs
 
 
