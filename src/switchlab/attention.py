@@ -28,7 +28,7 @@ Conventions shared by every variant:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,20 +206,17 @@ def _sinusoid_table(n_rows: int, d_model: int, offset: int,
 
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray,
                 counter: OpCounter = NULL_COUNTER) -> Tensor:
-    """Rotate interleaved channel pairs of [..., T, dh] by position angles."""
+    """Rotate interleaved channel pairs of [..., T, dh] by position angles:
+    each pair (a, b) becomes (a cos - b sin, b cos + a sin), the pairs times
+    [cos, cos] plus the swapped pairs times [-sin, sin]."""
     dh = x.shape[-1]
     if dh % 2 != 0:
         raise ShapeError("rotary rotation needs channel pairs (even d_head)")
-    x1 = x[..., 0::2]
-    x2 = x[..., 1::2]
-    c, s = constant(cos.astype(x.data.dtype)), constant(sin.astype(x.data.dtype))
-    o1 = mul(x1, c) - mul(x2, s)
-    o2 = mul(x1, s) + mul(x2, c)
+    pairs = reshape(x, x.shape[:-1] + (dh // 2, 2))
+    c = constant(np.stack([cos, cos], axis=-1).astype(x.data.dtype))
+    s = constant(np.stack([-sin, sin], axis=-1).astype(x.data.dtype))
     counter.add("rotary", macs=2 * x.size)
-    half = o1.shape
-    o1 = reshape(o1, half + (1,))
-    o2 = reshape(o2, half + (1,))
-    return reshape(concat([o1, o2], axis=-1), x.shape)
+    return reshape(mul(pairs, c) + mul(pairs[..., ::-1], s), x.shape)
 
 
 def rope_angles(T: int, d_head: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,11 +310,11 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
 
 def _head_gate_routes(x, params, cfg, counter):
     """The k selected heads are output experts over the [H, dh, dm] view of
-    ``w_o``, gated on their readout rows."""
+    ``w_o``, each scaled by its head's gate."""
     sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
                                                       cfg.sel_activation), counter)
-    route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, "input",
-                  term="projections", gate_term="selection", head=sel.indices)
+    route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, term="projections",
+                  gate_term="selection", head=sel.indices)
     return {"o": route}, {"heads": sel}
 
 
@@ -335,9 +332,7 @@ def _switchhead_routes(x, params, cfg, counter):
         sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
         eid = np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1)
         route = Route(ExpertPlan(eid, H * E), concat([s.weights for s in sels], axis=-1))
-        for r in roles:
-            # the output gate scales the dh-wide head row, not the dm-wide result
-            routes[r] = replace(route, gate_side="input") if r == "o" else route
+        routes.update(dict.fromkeys(roles, route))
         selections[side] = sels
     return routes, selections
 

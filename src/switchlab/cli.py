@@ -175,13 +175,17 @@ def _grid(path: str, matrix: np.ndarray) -> None:
 
 
 def _tokenize_sample(model, text: str) -> np.ndarray:
+    """The [1, T] ids of a sample of ListOps tokens for a ListOps classifier.
+
+    A language model trains on indices into its corpus's byte vocabulary,
+    which the checkpoint does not hold, so no sample maps onto its ids."""
+    if model.spec.n_classes is None:
+        raise ConfigError("export-attn reads ListOps classifiers only; a language-model "
+                          "checkpoint holds no corpus vocabulary to map a sample onto")
     toks = text.split()
-    if toks and all(t in TOKEN_ID for t in toks):
-        return np.array([[TOKEN_ID[t] for t in toks]])
-    ids = np.frombuffer(text.encode(), dtype=np.uint8).astype(np.int64)
-    if ids.size == 0 or ids.max() >= model.spec.vocab_size:
-        raise ConfigError("sample has tokens outside the model vocabulary")
-    return ids[None, :]
+    if not toks or not all(t in TOKEN_ID for t in toks):
+        raise ConfigError("the sample must be space-separated ListOps tokens")
+    return np.array([[TOKEN_ID[t] for t in toks]])
 
 
 def cmd_export_attn(args) -> int:
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("export-attn", help="dump attention / selection grids")
     x.add_argument("--checkpoint", required=True)
     x.add_argument("--sample", required=True,
-                   help="space-separated task tokens or raw byte text")
+                   help="space-separated ListOps tokens (ListOps classifiers only)")
     x.add_argument("--out", required=True)
     x.set_defaults(fn=cmd_export_attn)
 

@@ -99,10 +99,11 @@ def cost_switchhead(ci: CostInputs) -> CostReport:
     """SwitchHead attention layer cost for any expert-flag combination.
 
     With the default V+O flags the MAC total reduces to
-    H (2 T dh dm + 2 T K dh (dm + 1) + 2 C T^2 dh + 2 C T dh dm), with the
-    position term counted once (the single position projection all heads
-    share). Memory follows the dense formula (not affected by K), with the
-    same shared-position adjustment.
+    H (2 T dh dm + 2 T K (dh dm + min(dh, dm)) + 2 C T^2 dh + 2 C T dh dm),
+    with the position term counted once (the single position projection
+    all heads share). A routed role's gate multiply scales the narrower of
+    its dh-wide and dm-wide sides. Memory follows the dense formula (not
+    affected by K), with the same shared-position adjustment.
     """
     ci.validate()
     H, T, dh, dm, C, K = ci.H, ci.T, ci.d_head, ci.d_model, ci.C, ci.k_active
@@ -110,7 +111,7 @@ def cost_switchhead(ci: CostInputs) -> CostReport:
     proj_macs = mix_macs = 0
     for role_expert in (f.k, f.q, f.v, f.o):
         if role_expert:
-            mix_macs += T * K * dh * dm + T * K * dh
+            mix_macs += T * K * dh * dm + T * K * min(dh, dm)
         else:
             proj_macs += T * dh * dm
     # K, Q, V stores are one T*dh block each no matter how they are produced;
@@ -140,6 +141,9 @@ def cost_moa(ci: CostInputs) -> CostReport:
 
     macs = (2H + 2) T dh dm + 2 H C T^2 dh + 2 C T dh dm
     mem  = (2H + 2) T dh + 2 H C T^2 + 2 C T dh
+
+    The router and the output gates, H T min(dh, dm) multiplies on the
+    narrower side of the output experts, are the ``selection`` extra.
     """
     ci.validate()
     H, T, dh, dm, C = ci.H, ci.T, ci.d_head, ci.d_model, ci.C
@@ -149,7 +153,7 @@ def cost_moa(ci: CostInputs) -> CostReport:
         "readout": (H * C * T * T * dh, H * T * dh),
     }
     extras = {
-        "selection": (T * dm * ci.E + H * T * dm, T * ci.E),
+        "selection": (T * dm * ci.E + H * T * min(dh, dm), T * ci.E),
     }
     if ci.position == "xl_relative":
         terms["position"] = (2 * C * T * dh * dm, 2 * C * T * dh)

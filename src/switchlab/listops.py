@@ -80,10 +80,6 @@ def eval_tokens(tokens: list[str]) -> int:
     return result
 
 
-def eval_ids(ids) -> int:
-    return eval_tokens([TOKENS[i] for i in ids if i != PAD])
-
-
 def _sample_tree(rng: np.random.Generator, depth_left: int, max_args: int) -> tuple[list[str], int]:
     """Sample (token strings, depth) of one subexpression."""
     if depth_left == 0 or rng.random() < 0.35:

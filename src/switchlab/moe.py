@@ -84,16 +84,15 @@ class Route:
     share it, and with it the one expert sort. By default slot j of a
     token serves head j // m, m slots per head (SwitchHead: m = k; MoA:
     m = 1), which ``plan.rows(n_heads)`` derives. ``gate`` [..., T, a] is
-    the matching gate, applied on ``gate_side`` of the projection (see
-    ``tensor.expert_matmul``). The expert GEMMs and any stored result count
-    under the OpCounter term ``term``, and the gate multiply under
-    ``gate_term`` (None: ``term``). ``head`` [..., T, a]
-    instead names one head per assignment, on the reading side only (the
-    heads head gating selected).
+    the matching gate, which ``tensor.expert_matmul`` applies on the
+    narrower side of the projection. The expert GEMMs and any stored result
+    count under the OpCounter term ``term``, and the gate multiply under
+    ``gate_term`` (None: ``term``). ``head`` [..., T, a] instead names one
+    head per assignment, on the reading side only (the heads head gating
+    selected).
     """
     plan: ExpertPlan
     gate: Tensor | None = None
-    gate_side: str = "output"
     term: str = "mixing"
     gate_term: str | None = None
     head: np.ndarray | None = None
@@ -105,12 +104,8 @@ class Route:
 
 
 def _dispatch(x, bank, route, src, dst, counter):
-    y = expert_matmul(x, bank, route.plan, src, dst, counter, gate=route.gate,
-                      gate_side=route.gate_side, term=route.term)
-    if route.gate is not None:
-        counter.add(route.gate_term or route.term,
-                    macs=route.gate.size * bank.shape[1 if route.gate_side == "input" else 2])
-    return y
+    return expert_matmul(x, bank, route.plan, src, dst, counter, gate=route.gate,
+                         term=route.term, gate_term=route.gate_term)
 
 
 def _check_tokens(x_shape, plan):
@@ -185,5 +180,5 @@ def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,
     tokens = plan.rows(1)
     h = relu(expert_matmul(reshape(x, (n, d_model)), up_bank, plan, tokens, None, counter,
                            term="mlp"))
-    y = _dispatch(h, down_bank, Route(plan, sel.weights, term="mlp"), None, tokens, counter)
+    y = expert_matmul(h, down_bank, plan, None, tokens, counter, gate=sel.weights, term="mlp")
     return reshape(y, lead + (d_model,))

@@ -11,11 +11,12 @@ loss walks the tape in reverse topological order and frees it as it goes.
 Three ops consume an OpCounter, each filing its cost under a term name
 (see ``counter``): ``matmul`` (its MACs and, when stored, its output
 floats, under ``term``, by default ``other``), ``expert_matmul`` (the MACs
-of its expert GEMMs, likewise) and ``attention_probs`` (the figures of the
-matmul and softmax chain it fuses, softmax output included, under
-``scores`` and ``pos_scores``). Everything else is free in the MAC
-accounting convention used by the cost model; explicit elementwise costs,
-such as a gate multiply, are added by the callers that need them.
+of its expert GEMMs, likewise, and of its gate multiply) and
+``attention_probs`` (the figures of the matmul and softmax chain it fuses,
+softmax output included, under ``scores`` and ``pos_scores``). Everything
+else is free in the MAC accounting convention used by the cost model;
+explicit elementwise costs, such as a rotary rotation, are added by the
+callers that need them.
 
 Importing this module sets glibc's allocation policy so that the memory a
 step frees stays with the process for the next step (``keep_freed_pages``).
@@ -79,12 +80,10 @@ class GraphError(RuntimeError):
     """Raised on misuse of the computation graph (double backward, ...)."""
 
 
-def _as_array(values, shape=None) -> np.ndarray:
+def _as_array(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype != np.float32 and arr.dtype != np.float64:
         arr = arr.astype(np.float64)
-    if shape is not None:
-        arr = arr.reshape(shape)
     return arr
 
 
@@ -211,8 +210,8 @@ class Tensor:
         return transpose(self, axes if axes else None)
 
 
-def constant(values, shape=None) -> Tensor:
-    return Tensor(_as_array(values, shape))
+def constant(values) -> Tensor:
+    return Tensor(_as_array(values))
 
 
 def _coerce(x, like: Tensor | None = None) -> Tensor:
@@ -494,13 +493,10 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
     return _make(data, inputs, bw)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer ``targets`` under ``logits``.
 
     ``logits`` has shape [..., V]; ``targets`` the matching leading shape.
-    ``mask`` (same shape as targets, truthy = counted) selects which
-    positions contribute to the mean.
     """
     targets = np.asarray(targets)
     lead = logits.data.shape[:-1]
@@ -510,44 +506,30 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     lse = np.log(np.exp(z).sum(axis=-1))
     tgt_logit = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - tgt_logit
-    if mask is not None:
-        m = np.asarray(mask, dtype=logits.data.dtype)
-        count = m.sum()
-        if count == 0:
-            raise ShapeError("cross_entropy mask selects no positions")
-        loss = (nll * m).sum() / count
-    else:
-        m = None
-        count = nll.size
-        loss = nll.mean()
+    count = nll.size
 
     def bw(g):
         p = np.exp(z - lse[..., None])
         # each position has exactly one target: subtract 1 there
         tgt = targets[..., None]
         np.put_along_axis(p, tgt, np.take_along_axis(p, tgt, axis=-1) - 1.0, axis=-1)
-        if m is not None:
-            p *= m[..., None]
         p *= float(g) / count
         logits._accum(p, fresh=True)
 
-    return _make(np.asarray(loss), (logits,), bw)
+    return _make(np.asarray(nll.mean()), (logits,), bw)
 
 
 # -- reductions / shaping -------------------------------------------------
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+def tsum(x: Tensor, axis=None) -> Tensor:
+    data = x.data.sum(axis=axis)
 
     def bw(g):
         if axis is None:
-            x._accum(np.broadcast_to(g, x.data.shape).copy() if np.ndim(g)
-                     else np.full_like(x.data, g), fresh=True)
+            x._accum(np.full_like(x.data, g), fresh=True)
         else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            x._accum(np.broadcast_to(g, x.data.shape))
+            x._accum(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
     return _make(data, (x,), bw)
 
@@ -754,8 +736,8 @@ def _combine(vals: np.ndarray, slots: np.ndarray,
 
 def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | None,
                   dst: ExpertRows | None, counter: OpCounter = NULL_COUNTER, *,
-                  gate: Tensor | None = None, gate_side: str = "output",
-                  term: str = "other") -> Tensor:
+                  gate: Tensor | None = None, term: str = "other",
+                  gate_term: str | None = None) -> Tensor:
     """Gated expert dispatch of one plan: each assignment a of the plan
     adds gate[a] * x[its src row] @ bank[its expert] to its dst row.
 
@@ -766,14 +748,16 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     side of None is the plan's expert order itself, one row per
     assignment: x rows already in that order, or results left in it
     unsummed (the sigma-MoE hidden layer). ``gate`` (optional) holds the A
-    gates in the plan's natural [..., T, a] order and scales the rows of
-    ``gate_side`` ("input": the gathered x rows, "output": the GEMM
-    results; equal in value, the cheaper side differs). Each expert runs
-    one GEMM over its contiguous range of the gathered rows. Backward is
-    hand-written for x, bank and gate and keeps no forward temporary but
-    the ungated results of an output gate, which its grad needs. MACs are
-    A*d_in*d_out under ``term``; the gate multiply and the stored floats
-    are left to the caller, whose cost accounting names them.
+    gates in the plan's natural [..., T, a] order. A gated sum has one
+    value whichever side the gate scales, so it scales the narrower one:
+    the gathered x rows when d_in <= d_out, the GEMM results otherwise.
+    Each expert runs one GEMM over its contiguous range of the gathered
+    rows. Backward is hand-written for x, bank and gate and keeps no
+    forward temporary but the ungated results of an output gate, which
+    its grad needs. MACs are A*d_in*d_out under ``term`` and the gate
+    multiply's A*min(d_in, d_out) under ``gate_term`` (None: ``term``);
+    the stored floats are left to the caller, whose cost accounting
+    names them.
     """
     if x.ndim != 2 or bank.ndim != 3 or x.shape[1] != bank.shape[1]:
         raise ShapeError(f"expert_matmul needs x [n, d_in] and bank [E, d_in, d_out], "
@@ -786,11 +770,9 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         raise ShapeError(f"x has {x.shape[0]} rows, the plan's source side another number")
     if gate is not None and gate.size != A:
         raise ShapeError(f"{gate.size} gates for {A} assignments")
-    if gate_side not in ("input", "output"):
-        raise ShapeError(f"unknown gate side '{gate_side}'")
     w = None if gate is None else gate.data.reshape(-1).take(plan.order)
-    gate_in = w is not None and gate_side == "input"
-    gate_out = w is not None and gate_side == "output"
+    gate_in = w is not None and d_in <= d_out
+    gate_out = w is not None and d_in > d_out
 
     def gathered():
         # x's rows in expert order: a fresh array, or x.data itself
@@ -808,6 +790,8 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     else:
         data = ys * w[:, None] if gate_out else ys
     counter.add(term, macs=A * d_in * d_out)
+    if w is not None:
+        counter.add(gate_term or term, macs=A * min(d_in, d_out))
     # the output-side gate's grad needs the ungated results; nothing else
     # from the forward is kept (x rows are gathered again from x.data), and
     # of the plan only what the backward reads

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,8 +180,6 @@ def evaluate(model: Model, task, split: str = "valid",
         y = data[lo + 1:lo + 1 + x.shape[1]][None, :]
         if y.shape[1] < x.shape[1]:
             x = x[:, :y.shape[1]]
-        if x.shape[1] == 0:
-            break
         logits, _, caches = model.forward(x, caches=caches)
         nll = cross_entropy(logits, y)
         total_nll += float(nll.data) * y.size

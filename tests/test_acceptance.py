@@ -91,6 +91,10 @@ def _tiny_cases():
         K = 2 if f.any() else 1
         cases.append(CostInputs("switchhead", 2, 4, 4, 8, C=2, E=E,
                                 k_active=K, expert_flags=f))
+    for f in (ExpertFlags.value_output(), ExpertFlags(v=True, k=True, q=True, o=True)):
+        # dh > dm: every routed role gates its dm-wide side
+        cases.append(CostInputs("switchhead", 2, 4, 8, 4, C=2, E=3, k_active=2,
+                                expert_flags=f))
     return cases
 
 

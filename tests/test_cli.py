@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchlab.attention import AttentionConfig
+from switchlab.checkpoint import save
 from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_cost_row
 from switchlab.config import SCHEMA, dump_config, parse_config, to_model_spec
 from switchlab.costmodel import CostInputs, cost_attention
-from switchlab.model import count_params
+from switchlab.model import MLPConfig, ModelSpec, build, count_params
 from switchlab.moe import ConfigError
 
 LISTOPS_CFG = """
@@ -268,6 +270,24 @@ def test_export_attn_writes_head_gating_selections(tmp_path, listops_cfg, capsys
     assert gates.shape == (5, 3)                  # [T, H]
     assert np.all((gates > 0).sum(axis=1) == 2)   # k = 2 selected heads per token
     assert np.all(gates <= 1)                     # sigmoid gates
+
+
+@pytest.mark.parametrize("n_classes, sample", [
+    (None, "hello"), (None, "( MAX 1 2 )"), (10, "( MAX 1 x )")])
+def test_export_attn_needs_listops_classifier_and_tokens(tmp_path, capsys, n_classes,
+                                                         sample):
+    # a char LM reads indices into its corpus's byte vocabulary, which the
+    # checkpoint does not hold: neither raw bytes nor ListOps ids are its
+    # tokens, and a classifier reads ListOps tokens only; nothing is exported
+    spec = ModelSpec(1, 8, AttentionConfig(8, 2, 4, variant="dense"), MLPConfig("dense", 16),
+                     256, T=8, n_classes=n_classes)
+    ckpt = tmp_path / "model.ckpt"
+    save(str(ckpt), build(spec, 0))
+    grids = tmp_path / "grids"
+    assert main(["export-attn", "--checkpoint", str(ckpt), "--sample", sample,
+                 "--out", str(grids)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not grids.exists()
 
 
 def test_train_set_override_shrinks_run(tmp_path, listops_cfg, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchlab.listops import (DEFAULT_MAX_LEN, PAD, TOKEN_ID, TOKENS, VOCAB_SIZE,
-                               ListOpsExample, apply_op, eval_ids, eval_tokens,
+                               ListOpsExample, apply_op, eval_tokens,
                                gen_listops, pad_batch, to_line)
 from switchlab.moe import ConfigError
 
@@ -49,11 +49,6 @@ def test_eval_rejects_malformed(bad):
         eval_tokens(bad.split())
 
 
-def test_eval_ids_skips_padding():
-    ids = [TOKENS.index(t) for t in "( MAX 2 7 3 )".split()] + [PAD, PAD]
-    assert eval_ids(ids) == 7
-
-
 # -- generator -------------------------------------------------------------
 
 
@@ -63,7 +58,7 @@ def test_generated_labels_reevaluate():
     examples = gen_listops(10_000, max_depth=3, max_args=5, seed=0)
     hist = np.zeros(10, dtype=int)
     for e in examples:
-        assert eval_ids(e.tokens) == e.label
+        assert eval_tokens([TOKENS[i] for i in e.tokens]) == e.label
         assert 0 <= e.label <= 9
         assert e.length == len(e.tokens) <= DEFAULT_MAX_LEN
         assert e.tokens[0] == TOKENS.index("(")   # root is an application

@@ -300,12 +300,12 @@ _B, _T = 2, 5
     (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
                      context_mult=2, expert_flags=_ALL),
      MLPConfig("dense", 7), {(_B * _T * 4, 4): 3}),
-    # MoA: the ungated q heads keep nothing, the gated o experts their results
+    # MoA: the ungated q heads keep nothing, the o experts gate their inputs
     (AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
-     MLPConfig("dense", 7), {(_B * _T * 2, 12): 1}),
-    # sigma-MoE: the hidden rows are tensor data, down keeps its ungated results
+     MLPConfig("dense", 7), {}),
+    # sigma-MoE: the hidden rows are tensor data, down gates its 7-wide inputs
     (AttentionConfig(12, 2, 4, variant="dense"),
-     MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), {(_B * _T * 2, 12): 1}),
+     MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), {}),
 ], ids=["switchhead_vo", "switchhead_all", "moa", "sigma_moe"])
 def test_tape_holds_no_routed_temporaries(attn, mlp, kept):
     # of the routed path's [A, d] arrays (A = tokens x slots), a layer's

@@ -91,21 +91,23 @@ def test_select_softmax_weights():
     assert np.allclose(sel.weights.data, got, atol=1e-12)
 
 
-def one_head_route(sel, gate_side="output", n_experts=5, **kw):
+def one_head_route(sel, n_experts=5, **kw):
     # a [n, k] selection as one head's route over a batch of one sequence
     return Route(ExpertPlan(sel.indices[None], n_experts),
-                 reshape(sel.weights, (1,) + sel.weights.shape), gate_side, **kw)
+                 reshape(sel.weights, (1,) + sel.weights.shape), **kw)
 
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("gate", ["output", "input"])
 def test_mixture_project_matches_materialized_oracle(seed, gate):
-    # the head-major dispatch in both directions, on one head
+    # the head-major dispatch in both directions, on one head, with widths
+    # that gate the 4-wide results or the 6-wide inputs
     rng, x, w_sel = rand_inputs(seed)
-    n, E, d_in, d_out = 7, 5, 6, 4
+    n, E, d_in = 7, 5, 6
+    d_out = 4 if gate == "output" else 8
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
     sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid"))
-    route = one_head_route(sel, gate)
+    route = one_head_route(sel)
     to_heads = dispatch_to_heads(reshape(x, (1, n, d_in)), bank, route, 1)
     from_heads = dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank, route)
     assert to_heads.shape == (1, 1, n, d_out) and from_heads.shape == (1, n, d_out)
@@ -119,22 +121,24 @@ def test_mixture_project_matches_materialized_oracle(seed, gate):
 
 
 def test_mixture_project_counter():
+    # the dispatch gates, and counts, the narrower of its two sides
     rng, x, w_sel = rand_inputs(0)
-    E, d_in, d_out, k, n = 5, 6, 4, 2, 7
-    bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
+    E, d_in, k, n = 5, 6, 2, 7
+    narrow = Tensor(uniform_init(rng, (E, d_in, 4), d_in))     # gates the results
+    wide = Tensor(uniform_init(rng, (E, d_in, 9), d_in))       # gates the inputs
     sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid"))
-    c = OpCounter()     # stored head rows, gate on the d_out-wide results
-    dispatch_to_heads(reshape(x, (1, n, d_in)), bank, one_head_route(sel, "output"), 1, c)
-    assert c.terms["mixing"] == [n * k * d_in * d_out + n * k * d_out, n * d_out]
-    c2 = OpCounter()    # token rows, not stored, gate on the d_in-wide inputs
-    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank, one_head_route(sel, "input"), c2)
-    assert c2.terms["mixing"] == [n * k * d_in * d_out + n * k * d_in, 0]
+    route = one_head_route(sel)
+    c = OpCounter()     # stored head rows, gate on the 4-wide results
+    dispatch_to_heads(reshape(x, (1, n, d_in)), narrow, route, 1, c)
+    assert c.terms["mixing"] == [n * k * d_in * 4 + n * k * 4, n * 4]
+    c2 = OpCounter()    # token rows, not stored, gate on the 6-wide inputs
+    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), wide, route, c2)
+    assert c2.terms["mixing"] == [n * k * d_in * 9 + n * k * d_in, 0]
     c3 = OpCounter()    # the gate multiply itemized as an extra (MoA, head gating)
-    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank,
-                        one_head_route(sel, "output", term="projections",
-                                       gate_term="selection"), c3)
-    assert c3.terms == {"projections": [n * k * d_in * d_out, 0]}
-    assert c3.extras["selection"] == [n * k * d_out, 0]
+    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), wide,
+                        one_head_route(sel, term="projections", gate_term="selection"), c3)
+    assert c3.terms == {"projections": [n * k * d_in * 9, 0]}
+    assert c3.extras["selection"] == [n * k * d_in, 0]
 
 
 def test_mixture_permutation_invariance():
@@ -200,7 +204,7 @@ def head_major_cases(draw):
         eid = rng.integers(0, E, size=(B, T, H * draw(st.integers(1, 3))))
     return dict(B=B, H=H, T=T, E=E, head=head, to_heads=to_heads, eid=eid,
                 seed=draw(st.integers(0, 2**16)),
-                gate_side=draw(st.sampled_from([None, "input", "output"])),
+                gated=draw(st.booleans()),
                 d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)))
 
 
@@ -209,17 +213,18 @@ def head_major_cases(draw):
 # MoA: two slots, each its own head, ungated into heads
 @example(dict(B=2, H=2, T=3, E=4, head=None, to_heads=True,
               eid=np.array([[[0, 3], [1, 2], [0, 1]], [[2, 3], [0, 2], [1, 3]]]),
-              seed=1, gate_side=None, d_in=3, d_out=2))
-# head gating: 2 of 3 heads per token, gated on the read rows
+              seed=1, gated=False, d_in=3, d_out=2))
+# head gating: 2 of 3 heads per token, gated on the narrower read rows
 @example(dict(B=1, H=3, T=2, E=3, head=np.array([[[0, 2], [1, 2]]]), to_heads=False,
-              eid=np.array([[[0, 2], [1, 2]]]), seed=2, gate_side="input", d_in=2, d_out=3))
+              eid=np.array([[[0, 2], [1, 2]]]), seed=2, gated=True, d_in=2, d_out=3))
 def test_head_major_dispatch_matches_per_token_loop(case):
     B, H, T, E, d_in, d_out = (case[k] for k in ("B", "H", "T", "E", "d_in", "d_out"))
-    head, eid, side, to_heads = case["head"], case["eid"], case["gate_side"], case["to_heads"]
+    head, eid, to_heads = case["head"], case["eid"], case["to_heads"]
     rng = np.random.default_rng(case["seed"])
     bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
-    gate = None if side is None else Tensor(rng.uniform(-1, 1, eid.shape), requires_grad=True)
-    route = Route(ExpertPlan(eid, E), gate, side or "output", head=head)
+    gate = (Tensor(rng.uniform(-1, 1, eid.shape), requires_grad=True) if case["gated"]
+            else None)
+    route = Route(ExpertPlan(eid, E), gate, head=head)
     x_shape = (B, T, d_in) if to_heads else (B, H, T, d_in)
     x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
     c = OpCounter()
@@ -247,7 +252,7 @@ def test_head_major_dispatch_matches_per_token_loop(case):
     if gate is not None:
         assert np.allclose(gate.grad, ggate, rtol=1e-12, atol=1e-12)
     A = eid.size
-    gate_macs = 0 if side is None else A * (d_in if side == "input" else d_out)
+    gate_macs = A * min(d_in, d_out) if case["gated"] else 0
     stored = y.size if to_heads else 0
     assert c.terms["mixing"] == [A * d_in * d_out + gate_macs, stored]
 

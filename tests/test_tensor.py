@@ -221,49 +221,35 @@ def test_cross_entropy_matches_manual_and_grad():
     rng = rng_for(11, "xent")
     logits = Tensor(rng.uniform(-2, 2, (3, 4, 6)), requires_grad=True)
     targets = rng.integers(6, size=(3, 4))
-    mask = rng.integers(2, size=(3, 4)).astype(bool)
-    mask[0, 0] = True
-    loss = cross_entropy(logits, targets, mask)
+    loss = cross_entropy(logits, targets)
     z = logits.data - logits.data.max(-1, keepdims=True)
     p = np.exp(z) / np.exp(z).sum(-1, keepdims=True)
     nll = -np.log(np.take_along_axis(p, targets[..., None], -1)[..., 0])
-    assert abs(float(loss.data) - nll[mask].mean()) < 1e-12
+    assert abs(float(loss.data) - nll.mean()) < 1e-12
     loss.backward()
 
     def loss_fn():
-        return float(cross_entropy(logits, targets, mask).data)
+        return float(cross_entropy(logits, targets).data)
 
     assert rel_err(fd_grad(loss_fn, logits.data), logits.grad) < 1e-7
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_cross_entropy_grad_matches_subtract_at_oracle(masked):
+@pytest.mark.parametrize("per_token", [False, True])
+def test_cross_entropy_grad_matches_subtract_at_oracle(per_token):
     # the backward subtracts 1 at each position's one target through
-    # take/put_along_axis; np.subtract.at over all positions is the oracle
+    # take/put_along_axis; np.subtract.at over all positions is the oracle,
+    # for a classifier's [B] targets and a language model's [B, T]
     rng = rng_for(12, "xent-at")
-    logits = Tensor(rng.uniform(-3, 3, (2, 5, 7)), requires_grad=True)
-    targets = rng.integers(7, size=(2, 5))
-    mask = rng.integers(2, size=(2, 5)).astype(bool) if masked else None
-    if masked:
-        mask[0, 0] = True
-    cross_entropy(logits, targets, mask).backward()
+    lead = (2, 5) if per_token else (2,)
+    logits = Tensor(rng.uniform(-3, 3, lead + (7,)), requires_grad=True)
+    targets = rng.integers(7, size=lead)
+    cross_entropy(logits, targets).backward()
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
     p = np.exp(z - lse[..., None])
     np.subtract.at(p, tuple(np.indices(targets.shape)) + (targets,), 1.0)
-    if masked:
-        m = mask.astype(np.float64)
-        p *= m[..., None]
-        p *= 1.0 / m.sum()
-    else:
-        p *= 1.0 / targets.size
+    p *= 1.0 / targets.size
     assert np.array_equal(logits.grad, p)
-
-
-def test_cross_entropy_empty_mask_rejected():
-    with pytest.raises(ShapeError):
-        cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int),
-                      np.zeros(2, dtype=bool))
 
 
 def test_layer_norm_values_and_grad():
@@ -361,11 +347,12 @@ def test_gather_rows_repeated_indices_grad():
     assert np.array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
 
 
-def _case(eid, E, src, dst, gate_side="output", d_in=3, d_out=2, seed=0):
+def _case(eid, E, src, dst, gated=True, d_in=3, d_out=2, seed=0):
     """A plan over ``eid`` [B, T, a] and its dispatch from the ``src`` side
     to the ``dst`` side: a group count of the plan's row layouts, or None
-    for its expert order."""
-    return dict(eid=np.array(eid, dtype=int), E=E, src=src, dst=dst, gate_side=gate_side,
+    for its expert order. The gate, if any, scales the narrower side:
+    the x rows when d_in <= d_out, the results otherwise."""
+    return dict(eid=np.array(eid, dtype=int), E=E, src=src, dst=dst, gated=gated,
                 d_in=d_in, d_out=d_out, seed=seed)
 
 
@@ -380,7 +367,7 @@ def dispatch_cases(draw):
     sides = st.sampled_from([None] + [g for g in range(1, a + 1) if a % g == 0])
     eid = draw(st.lists(st.integers(0, E - 1), min_size=B * T * a, max_size=B * T * a))
     return _case(np.reshape(eid, (B, T, a)), E, draw(sides), draw(sides),
-                 gate_side=draw(st.sampled_from([None, "input", "output"])),
+                 gated=draw(st.booleans()),
                  d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)),
                  seed=draw(st.integers(0, 2**16)))
 
@@ -397,18 +384,19 @@ def _row(side, order_pos, b, t, j, T, a):
 @given(dispatch_cases())
 # one token, expert 2 of 4 only: experts 0, 1 and 3 are unused
 @example(_case([[[2]]], 4, 1, 1))
-# SwitchHead's O role: H*K = 2*2 slots read from two heads into each token
-@example(_case([[[0, 2, 5, 7], [1, 1, 4, 6]]], 8, 2, 1, gate_side="input"))
+# SwitchHead's O role: H*K = 2*2 slots read from two heads into each token,
+# gated on the narrower head rows
+@example(_case([[[0, 2, 5, 7], [1, 1, 4, 6]]], 8, 2, 1, d_in=2, d_out=3))
 # a repeated expert within one token's row sums both contributions
 @example(_case([[[1, 1], [0, 1]]], 3, 1, 1))
 # sigma-MoE: token rows to hidden rows in expert order, and back, gated
 @example(_case([[[0, 3], [1, 3], [0, 2]]], 4, 1, None))
-@example(_case([[[0, 3], [1, 3], [0, 2]]], 4, None, 1, gate_side="output"))
+@example(_case([[[0, 3], [1, 3], [0, 2]]], 4, None, 1))
 # MoA: each of two slots is a head, ungated into heads, gated back out
-@example(_case([[[1, 3], [0, 2]], [[2, 3], [0, 1]]], 4, 1, 2, gate_side=None))
-@example(_case([[[1, 3], [0, 2]], [[2, 3], [0, 1]]], 4, 2, 1, gate_side="output"))
+@example(_case([[[1, 3], [0, 2]], [[2, 3], [0, 1]]], 4, 1, 2, gated=False))
+@example(_case([[[1, 3], [0, 2]], [[2, 3], [0, 1]]], 4, 2, 1))
 def test_expert_matmul_matches_per_assignment_loop(case):
-    eid, E, src, dst, side = case["eid"], case["E"], case["src"], case["dst"], case["gate_side"]
+    eid, E, src, dst = case["eid"], case["E"], case["src"], case["dst"]
     B, T, a = eid.shape
     d_in, d_out = case["d_in"], case["d_out"]
     A = eid.size
@@ -419,15 +407,16 @@ def test_expert_matmul_matches_per_assignment_loop(case):
     x = Tensor(rng.uniform(-1, 1, (n_in, d_in)), requires_grad=True)
     bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
     gate = None
-    if side is not None:
+    if case["gated"]:
         gate = Tensor(rng.uniform(-1, 1, eid.shape), requires_grad=True)
     w = rng.uniform(-1, 1, (n_out, d_out))
     counter = OpCounter()
     out = expert_matmul(x, bank, plan, None if src is None else plan.rows(src),
                         None if dst is None else plan.rows(dst), counter,
-                        gate=gate, gate_side=side or "output", term="mixing")
+                        gate=gate, term="mixing")
     tsum(mul(out, constant(w))).backward()
-    assert counter.terms["mixing"] == [A * d_in * d_out, 0]
+    gate_macs = A * min(d_in, d_out) if case["gated"] else 0
+    assert counter.terms["mixing"] == [A * d_in * d_out + gate_macs, 0]
 
     # expert order: assignments in (b, t, j) order, stably sorted by expert
     flat = eid.reshape(-1).tolist()
@@ -465,8 +454,6 @@ def test_expert_matmul_rejects_bad_shapes():
         expert_matmul(x, bank, plan, tokens, tokens, gate=Tensor(np.ones(2)))
     with pytest.raises(ShapeError):      # a bank of 4 experts for a plan over 3
         expert_matmul(x, Tensor(np.zeros((4, 2, 4))), plan, tokens, tokens)
-    with pytest.raises(ShapeError):
-        expert_matmul(x, bank, plan, tokens, tokens, gate=Tensor(np.ones(1)), gate_side="both")
     with pytest.raises(ShapeError):      # expert out of range
         tensor.ExpertPlan(np.array([[[3]]]), 3)
     with pytest.raises(ShapeError):      # negative expert
