@@ -5,12 +5,13 @@ The variants differ only in how they project and route. Each is a
 parameter table (``attention_param_shapes``, which both initialisation
 and ``model.count_params`` read) and a router that names its routed roles
 as ``moe.Route`` records. ``attention_forward`` is the one forward: K, Q
-and V are plain GEMMs or ``moe.dispatch_to_heads`` dispatches, the one
-core ``_attend_heads`` runs cache, XL or RoPE position terms, scores,
-mask and readout once on [B, H, T, S] for all heads (scores to
-probabilities as the one op ``tensor.attention_probs``), and O is the plain
-merge-GEMM or a ``moe.dispatch_from_heads`` dispatch. Head gating routes
-O alone, to its k selected heads; SwitchHead routes any of its four
+and V are plain GEMMs or ``moe.dispatch`` calls from token rows into head
+rows, the one core ``_attend_heads`` runs cache, XL or RoPE position
+terms, scores, mask and readout once on [B, H, T, S] for all heads (scores
+to probabilities as the one op ``tensor.attention_probs``), and O is the
+plain merge-GEMM or a ``moe.dispatch`` call from head rows back into token
+rows. Head gating routes O alone, each token reading its k selected heads
+as its own experts' rows; SwitchHead routes any of its four
 roles, one ``select`` per head and side; MoA is multi-query attention,
 its k routed query experts as k heads against one shared K/V head, so
 its cache is [B, 1, S, dh].
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
-                  dispatch_to_heads, select)
+from .moe import ConfigError, Route, SelectionConfig, dispatch, select
 from .rng import uniform_init
 from .tensor import (ExpertPlan, ShapeError, Tensor, attention_probs, concat, constant,
                      matmul, mul, reshape, transpose)
@@ -310,11 +310,11 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
 
 def _head_gate_routes(x, params, cfg, counter):
     """The k selected heads are output experts over the [H, dh, dm] view of
-    ``w_o``, each scaled by its head's gate."""
+    ``w_o``, each reading its own head's row and scaled by its gate."""
     sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
                                                       cfg.sel_activation), counter)
     route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, term="projections",
-                  gate_term="selection", head=sel.indices)
+                  gate_term="selection", own_rows=True)
     return {"o": route}, {"heads": sel}
 
 
@@ -384,7 +384,8 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
     def project(role):
         w = params[f"w_{role}"]
         if role in routes:
-            return dispatch_to_heads(x, reshape(w, (-1, dm, dh)), routes[role], H, counter)
+            return dispatch(reshape(x, (B, 1, T, dm)), reshape(w, (-1, dm, dh)), routes[role],
+                            H, counter)
         if w.ndim == 3:                       # per head [H, dm, dh] -> [dm, H*dh]
             w = reshape(transpose(w, (1, 0, 2)), (dm, -1))
         heads = reshape(matmul(x, w, counter, term="projections"), (B, T, -1, dh))
@@ -394,8 +395,8 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
     attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
                                         key_mask, per_head_pos=per_head_pos)
     if "o" in routes:
-        y = dispatch_from_heads(av, reshape(params["w_o"], (-1, dh, dm)), routes["o"],
-                                counter)
+        y = reshape(dispatch(av, reshape(params["w_o"], (-1, dh, dm)), routes["o"], 1,
+                             counter, store=False), (B, T, dm))
     else:
         merged = reshape(transpose(av, (0, 2, 1, 3)), (B, T, H * dh))
         y = matmul(merged, reshape(params["w_o"], (H * dh, dm)), counter, store=False,

@@ -139,8 +139,6 @@ def cmd_train(args) -> int:
     tr = cfg["train"]
     seed = args.seed if args.seed is not None else tr["seed"]
     task = _build_task(cfg, tr["batch_size"])
-    if task.kind == "classification" and spec.n_classes is None:
-        raise ConfigError("listops training needs [model] n_classes = 10")
     run = TrainRun(spec=spec, seed=seed, steps=tr["steps"],
                    batch_size=tr["batch_size"], lr=tr["lr"],
                    warmup_steps=tr["warmup_steps"],

@@ -38,8 +38,7 @@ class CheckResult:
         return self.max_rel_err < 1e-5
 
 
-def _fd_vs_analytic(params: dict[str, Tensor], loss_fn, seed: int,
-                    h: float = H_STEP) -> tuple[float, str]:
+def _fd_vs_analytic(params: dict[str, Tensor], loss_fn, seed: int) -> tuple[float, str]:
     """Max per-parameter relative 2-norm error between FD and backward()."""
     loss = loss_fn()
     loss.backward()
@@ -57,12 +56,12 @@ def _fd_vs_analytic(params: dict[str, Tensor], loss_fn, seed: int,
         g_fd = np.empty(len(idx))
         for j, i in enumerate(idx):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + H_STEP
             up = float(loss_fn().data)
-            flat[i] = orig - h
+            flat[i] = orig - H_STEP
             down = float(loss_fn().data)
             flat[i] = orig
-            g_fd[j] = (up - down) / (2.0 * h)
+            g_fd[j] = (up - down) / (2.0 * H_STEP)
         g_an = analytic[name].reshape(-1)[idx]
         denom = max(np.linalg.norm(g_fd), np.linalg.norm(g_an), 1e-12)
         err = float(np.linalg.norm(g_fd - g_an) / denom)

@@ -22,6 +22,7 @@ TOKEN_ID = {t: i for i, t in enumerate(TOKENS)}
 VOCAB_SIZE = len(TOKENS)
 OPERATORS = ("MAX", "MIN", "MED", "SM")
 
+N_LABELS = 10              # every label is one digit
 DEFAULT_MAX_LEN = 64
 MIN_ARGS = 2
 

@@ -209,13 +209,11 @@ class Model:
         x = layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
         if spec.n_classes is not None:
-            if key_mask is not None:
-                w = np.asarray(key_mask, dtype=x.data.dtype)
-                pooled = tsum(mul(x, constant(w[:, :, None])), axis=1)
-                counts = np.maximum(w.sum(axis=1), 1.0)
-                pooled = mul(pooled, constant(1.0 / counts[:, None]))
-            else:
-                pooled = mul(tsum(x, axis=1), 1.0 / T)
+            w = (np.ones((B, T), dtype=x.data.dtype) if key_mask is None
+                 else np.asarray(key_mask, dtype=x.data.dtype))
+            pooled = tsum(mul(x, constant(w[:, :, None])), axis=1)
+            counts = np.maximum(w.sum(axis=1), 1.0)
+            pooled = mul(pooled, constant(1.0 / counts[:, None]))
             logits = matmul(pooled, self.params["head"], counter, store=False)
         else:
             w_out = self.params["embed"] if spec.tied_embeddings else self.params["readout"]

@@ -4,11 +4,12 @@
 gating, the MoA router and the sigma-MoE MLP): a bias-free linear gating
 projection, sigmoid (or softmax) activation and top-k. Every routed
 projection is one ``tensor.expert_matmul`` dispatch. An attention
-variant's routed roles are ``Route`` records, and ``dispatch_to_heads``
-(token rows into head rows) and ``dispatch_from_heads`` (head rows back
-into token rows) place each assignment in the one head-major (b, h, t)
-row layout; ``sigma_moe_mlp`` dispatches token rows to token rows.
-There is deliberately no load-balancing regularizer anywhere.
+variant's routed roles are ``Route`` records, and ``dispatch`` moves rows
+from one [B, n, T] row layout of the route's plan to another: token rows
+(n = 1) into head rows, or head rows back into token rows. Head gating's
+experts are its heads, so its route reads each assignment's own expert
+row. ``sigma_moe_mlp`` dispatches token rows to token rows. There is
+deliberately no load-balancing regularizer anywhere.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
-from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, expert_matmul,
-                     gather_rows, matmul, relu, reshape, sigmoid, softmax_last, take_last)
+from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, expert_matmul, matmul,
+                     relu, reshape, sigmoid, softmax_last, take_last)
 
 
 class ConfigError(ValueError):
@@ -81,83 +82,46 @@ class Route:
 
     ``plan`` is the routing decision's ``tensor.ExpertPlan`` over the
     role's flat bank [n_experts, d_in, d_out]; roles routed by one decision
-    share it, and with it the one expert sort. By default slot j of a
-    token serves head j // m, m slots per head (SwitchHead: m = k; MoA:
-    m = 1), which ``plan.rows(n_heads)`` derives. ``gate`` [..., T, a] is
-    the matching gate, which ``tensor.expert_matmul`` applies on the
-    narrower side of the projection. The expert GEMMs and any stored result
-    count under the OpCounter term ``term``, and the gate multiply under
-    ``gate_term`` (None: ``term``). ``head`` [..., T, a] instead names one
-    head per assignment, on the reading side only (the heads head gating
-    selected).
+    share it, and with it the one expert sort. Slot j of a token lies in
+    group j // m of a layout of n groups, m = a / n slots per group
+    (SwitchHead: m = k; MoA: m = 1), which ``plan.rows(n)`` derives; with
+    ``own_rows`` the slot instead reads row (b, e, t) of its own expert e
+    (``plan.own_rows()``; head gating, whose experts are its heads).
+    ``gate`` [..., T, a] is the matching gate, which ``tensor.expert_matmul``
+    applies on the narrower side of the projection. The expert GEMMs and
+    any stored result count under the OpCounter term ``term``, and the gate
+    multiply under ``gate_term`` (None: ``term``).
     """
     plan: ExpertPlan
     gate: Tensor | None = None
     term: str = "mixing"
     gate_term: str | None = None
-    head: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.head is not None and self.head.shape != self.plan.shape:
-            raise ShapeError(f"per-assignment heads {self.head.shape} do not match "
-                             f"the assignments {self.plan.shape}")
+    own_rows: bool = False
 
 
-def _dispatch(x, bank, route, src, dst, counter):
-    return expert_matmul(x, bank, route.plan, src, dst, counter, gate=route.gate,
-                         term=route.term, gate_term=route.gate_term)
+def dispatch(x: Tensor, bank: Tensor, route: Route, n_out: int,
+             counter: OpCounter = NULL_COUNTER, *, store: bool = True) -> Tensor:
+    """Routed projection from the plan's [B, n_in, T] rows to its
+    [B, n_out, T] rows; n = 1 is the token rows.
 
-
-def _check_tokens(x_shape, plan):
-    if x_shape != plan.shape[:-1]:
-        raise ShapeError(f"a route over tokens {plan.shape[:-1]} against inputs {x_shape}")
-
-
-def dispatch_to_heads(x: Tensor, bank: Tensor, route: Route, n_heads: int,
-                      counter: OpCounter = NULL_COUNTER) -> Tensor:
-    """Routed projection of token rows into head rows, stored.
-
-    ``x`` is [B, T, d_in] and ``bank`` [n_experts, d_in, d_out]; head h of
-    token (b, t) is the gated sum of its slots j with j // m = h, m = a /
-    n_heads, and the result is [B, n_heads, T, d_out]. One
-    ``expert_matmul`` from the plan's token rows to its head-major rows.
+    ``x`` is [B, n_in, T, d_in] and ``bank`` [n_experts, d_in, d_out]; each
+    assignment of token (b, t) projects the row it reads through its
+    expert and adds it, gated, to the row it writes, and the result is
+    [B, n_out, T, d_out]. One ``expert_matmul`` from the source rows
+    (``plan.rows(n_in)``, or ``plan.own_rows()``) to ``plan.rows(n_out)``.
+    With ``store`` the result's floats count as stored under the route's
+    term, as ``matmul`` counts its output.
     """
-    B, T, d_in = x.shape
-    _check_tokens((B, T), route.plan)
-    if route.head is not None:
-        raise ShapeError("per-assignment heads name head rows to read, not to write")
+    B, n_in, T, d_in = x.shape
     plan = route.plan
-    y = _dispatch(reshape(x, (B * T, d_in)), bank, route, plan.rows(1), plan.rows(n_heads),
-                  counter)
-    counter.add(route.term, mem=y.size)
-    return reshape(y, (B, n_heads, T, bank.shape[2]))
-
-
-def dispatch_from_heads(x: Tensor, bank: Tensor, route: Route,
-                        counter: OpCounter = NULL_COUNTER) -> Tensor:
-    """Routed projection of head rows back into token rows, not stored.
-
-    ``x`` is [B, H, T, d_in] and ``bank`` [n_experts, d_in, d_out]; token
-    (b, t) is the gated sum over its assignments of the projected (b, h, t)
-    row they read, and the result is [B, T, d_out]. One ``expert_matmul``
-    from the plan's head-major rows to its token rows; with one head per
-    assignment (head gating reads only the selected heads) the rows read
-    are gathered first, into the [B, a, T] rows of one head per slot.
-    """
-    B, H, T, d_in = x.shape
-    _check_tokens((B, T), route.plan)
-    plan = route.plan
-    x = reshape(x, (B * H * T, d_in))
-    if route.head is None:
-        src = plan.rows(H)
-    else:
-        head = route.head
-        if head.min() < 0 or head.max() >= H:
-            raise ShapeError(f"head index out of range [0, {H})")
-        rows = (np.arange(B)[:, None, None] * H + head.transpose(0, 2, 1)) * T + np.arange(T)
-        x, src = gather_rows(x, rows.reshape(-1)), plan.rows(head.shape[-1])
-    y = _dispatch(x, bank, route, src, plan.rows(1), counter)
-    return reshape(y, (B, T, bank.shape[2]))
+    if (B, T) != plan.shape[:-1]:
+        raise ShapeError(f"a route over tokens {plan.shape[:-1]} against inputs {(B, T)}")
+    src = plan.own_rows() if route.own_rows else plan.rows(n_in)
+    y = expert_matmul(reshape(x, (B * n_in * T, d_in)), bank, plan, src, plan.rows(n_out),
+                      counter, gate=route.gate, term=route.term, gate_term=route.gate_term)
+    if store:
+        counter.add(route.term, mem=y.size)
+    return reshape(y, (B, n_out, T, bank.shape[2]))
 
 
 def sigma_moe_mlp(x: Tensor, up_bank: Tensor, down_bank: Tensor,

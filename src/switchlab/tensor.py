@@ -41,6 +41,7 @@ from .counter import NULL_COUNTER, OpCounter
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 256 << 20
+LN_EPS = 1e-5
 
 
 def keep_freed_pages() -> bool:
@@ -174,40 +175,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division not supported; use reciprocal explicitly")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 or not isinstance(shape[0], (tuple, list)) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
 
 
 def constant(values) -> Tensor:
@@ -654,13 +623,16 @@ def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
 class ExpertRows(NamedTuple):
     """One side of a dispatch: where each assignment's row lies on it.
 
-    ``rows`` [A] is the side's row of each assignment, in expert order;
-    ``slots`` [m, n] gives, slot by slot, the expert-order position of the
-    assignment in slot i of each of the side's n rows, so a row's sum runs
-    over its m slots in order.
+    ``rows`` [A] is the side's row of each assignment, in expert order, and
+    ``n`` the side's row count. ``slots`` [m, n] gives, slot by slot, the
+    expert-order position of the assignment in slot i of each of the side's
+    n rows, so a row's sum runs over its m slots in order. A side whose
+    rows are each read by one assignment at most (``ExpertPlan.own_rows``)
+    has no slot table: ``slots`` is None, and it serves as a source only.
     """
     rows: np.ndarray
-    slots: np.ndarray
+    slots: np.ndarray | None
+    n: int
 
 
 class ExpertPlan:
@@ -672,7 +644,8 @@ class ExpertPlan:
     order, ``inverse`` gives each assignment's position in it, and
     ``segments`` holds the (expert, lo, hi) range of every expert that has
     assignments. Every ``expert_matmul`` of the decision, and its backward,
-    reuses the one sort; ``rows`` derives (and keeps) the row layouts.
+    reuses the one sort; ``rows`` and ``own_rows`` derive (and keep) the
+    row layouts.
     """
     __slots__ = ("shape", "n_experts", "order", "inverse", "segments", "_sides")
 
@@ -712,7 +685,29 @@ class ExpertPlan:
                      .transpose(3, 0, 2, 1).reshape(m, -1))
             rows = np.empty_like(self.order)
             rows[slots] = np.arange(slots.shape[1])
-            side = self._sides[n_groups] = ExpertRows(rows, slots)
+            side = self._sides[n_groups] = ExpertRows(rows, slots, slots.shape[1])
+        return side
+
+    def own_rows(self) -> ExpertRows:
+        """The [B, n_experts, T] row layout in which each assignment of row
+        (b, t) reads row (b, e, t) of its own expert e (head gating: the
+        experts are the heads). A token's experts are distinct, so each row
+        is read once at most and the layout has no slot table; a token that
+        names one expert twice raises ShapeError. Derived once and kept.
+        """
+        side = self._sides.get("own")
+        if side is None:
+            T, a = self.shape[-2:]
+            E = self.n_experts
+            token = self.order // a
+            expert = np.repeat([e for e, _, _ in self.segments],
+                               [hi - lo for _, lo, hi in self.segments])
+            rows = (token // T * E + expert) * T + token % T
+            # the stable sort keeps an expert's tokens ascending, so a
+            # repeated (token, expert) pair is two equal neighbouring rows
+            if (rows[1:] == rows[:-1]).any():
+                raise ShapeError("own-expert rows need distinct experts per token")
+            side = self._sides["own"] = ExpertRows(rows, None, self.order.size // a * E)
         return side
 
 
@@ -747,7 +742,9 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     rows ``dst`` names, each the sum of its assignments in slot order. A
     side of None is the plan's expert order itself, one row per
     assignment: x rows already in that order, or results left in it
-    unsummed (the sigma-MoE hidden layer). ``gate`` (optional) holds the A
+    unsummed (the sigma-MoE hidden layer). A source without slots
+    (``own_rows``) reads each x row once at most, so its x grad is
+    written straight into zeros at those rows. ``gate`` (optional) holds the A
     gates in the plan's natural [..., T, a] order. A gated sum has one
     value whichever side the gate scales, so it scales the narrower one:
     the gathered x rows when d_in <= d_out, the GEMM results otherwise.
@@ -766,8 +763,10 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     A = plan.order.size
     if E != plan.n_experts:
         raise ShapeError(f"a bank of {E} experts for a plan over {plan.n_experts}")
-    if x.shape[0] != (A if src is None else src.slots.shape[1]):
+    if x.shape[0] != (A if src is None else src.n):
         raise ShapeError(f"x has {x.shape[0]} rows, the plan's source side another number")
+    if dst is not None and dst.slots is None:
+        raise ShapeError("a layout without slots is a source side only")
     if gate is not None and gate.size != A:
         raise ShapeError(f"{gate.size} gates for {A} assignments")
     w = None if gate is None else gate.data.reshape(-1).take(plan.order)
@@ -824,15 +823,23 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
                     ggate = np.einsum("ad,ad->a", gxs, xs)
                 gxs *= w[:, None]
             if x.requires_grad:
-                x._accum(gxs if src is None else _combine(gxs, src.slots), fresh=True)
+                if src is None:
+                    gx = gxs
+                elif src.slots is None:
+                    gx = np.zeros((src.n, d_in), dtype=gxs.dtype)
+                    gx[src.rows] = gxs
+                else:
+                    gx = _combine(gxs, src.slots)
+                x._accum(gx, fresh=True)
         if ggate is not None:
             gate._accum(ggate.take(inverse).reshape(gate.shape), fresh=True)
 
     return _make(data, (x, bank) if gate is None else (x, bank, gate), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last dimension.
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer normalization over the last dimension, with ``LN_EPS`` added to
+    the variance.
 
     The rows are normalised as one [rows, n] matrix: the row mean is a GEMV
     against a 1/n vector, the variance a row dot of the centred rows, and
@@ -845,7 +852,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     x2 = x.data.reshape(-1, n)
     mean_w = np.full(n, 1.0 / n, dtype=x2.dtype)
     xhat = x2 - (x2 @ mean_w)[:, None]
-    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + eps))[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + LN_EPS))[:, None]
     xhat *= inv
     out = xhat * gain.data
     out += bias.data

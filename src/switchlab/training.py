@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .listops import ListOpsExample, pad_batch
+from .listops import N_LABELS, ListOpsExample, pad_batch
 from .corpus import CharCorpus
 from .model import Model, ModelSpec, build
 from .moe import ConfigError
@@ -49,6 +49,7 @@ class ListOpsTask:
     """Classification over padded expressions; causal masking off."""
 
     kind = "classification"
+    n_labels = N_LABELS
 
     def __init__(self, train_examples: list[ListOpsExample],
                  valid_examples: list[ListOpsExample]):
@@ -102,6 +103,19 @@ class CharLMTask:
         return x, y, reset
 
 
+def _check_head(spec: ModelSpec, task) -> None:
+    """Raise ConfigError unless the model's head fits the task: a
+    classifier with a logit for every label, or a language-model head."""
+    if task.kind == "classification":
+        if spec.n_classes is None or spec.n_classes < task.n_labels:
+            raise ConfigError(f"a classification task with labels 0-{task.n_labels - 1} "
+                              f"needs a classifier head of n_classes >= {task.n_labels}, "
+                              f"got {spec.n_classes or 'a language-model head'}")
+    elif spec.n_classes is not None:
+        raise ConfigError(f"a language-model task needs a language-model head "
+                          f"(n_classes = 0), got a classifier of {spec.n_classes} classes")
+
+
 def _check_finite(value: float, step: int, extra: dict) -> None:
     if not math.isfinite(value):
         snapshot = {"step": step, "loss": value, **extra}
@@ -113,6 +127,7 @@ def train(run: TrainRun, task) -> tuple[Model, list[dict]]:
     """Train a fresh model on a task; returns (model, metrics log)."""
     if run.steps < 0 or run.batch_size < 1 or run.log_every < 1:
         raise ConfigError("steps must be >= 0, batch_size >= 1 and log_every >= 1")
+    _check_head(run.spec, task)
     model = build(run.spec, run.seed)
     opt = Adam(model.params, lr=run.lr, warmup_steps=run.warmup_steps,
                clip_norm=run.clip_norm)
@@ -155,6 +170,7 @@ def evaluate(model: Model, task, split: str = "valid",
     the same arrays but do not require grad, so no tape is recorded and the
     live parameters' grads are left alone.
     """
+    _check_head(model.spec, task)
     model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
     if task.kind == "classification":
         if split not in task.splits:

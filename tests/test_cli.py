@@ -313,6 +313,27 @@ def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, overrid
     assert not (tmp_path / "out").exists()
 
 
+def test_train_head_too_small_for_labels_is_usage_error(tmp_path, listops_cfg, capsys):
+    # a 3-class head once met ListOps label 6 as an IndexError traceback
+    code = main(["train", "--config", listops_cfg, "--set", "model.n_classes=3",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_language_model_on_listops_is_usage_error(tmp_path, listops_cfg, capsys):
+    # a char-LM checkpoint once met ListOps labels as a broadcast ValueError
+    spec = ModelSpec(1, 16, AttentionConfig(16, 2, 4, variant="dense"), MLPConfig("dense", 16),
+                     256, T=24)
+    ckpt = tmp_path / "model.ckpt"
+    save(str(ckpt), build(spec, 0))
+    assert main(["eval", "--checkpoint", str(ckpt), "--config", listops_cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_char_lm_missing_path_is_usage_error(tmp_path, listops_cfg, capsys):
     out = tmp_path / "out"
     code = main(["train", "--config", listops_cfg, "--set", "task.name=char_lm",

@@ -1,5 +1,6 @@
 """Expert selection and mixtures vs brute-force oracles."""
 
+import sys
 from itertools import product
 
 import numpy as np
@@ -11,8 +12,7 @@ from switchlab import attention, moe, tensor
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.counter import OpCounter
 from switchlab.model import MLPConfig, ModelSpec, build
-from switchlab.moe import (ConfigError, Route, SelectionConfig, dispatch_from_heads,
-                           dispatch_to_heads, select, sigma_moe_mlp)
+from switchlab.moe import ConfigError, Route, SelectionConfig, dispatch, select, sigma_moe_mlp
 from switchlab.rng import rng_for, uniform_init
 from switchlab.tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, constant,
                               matmul, mul, reshape, sigmoid, take_last, tsum)
@@ -100,24 +100,24 @@ def one_head_route(sel, n_experts=5, **kw):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("gate", ["output", "input"])
 def test_mixture_project_matches_materialized_oracle(seed, gate):
-    # the head-major dispatch in both directions, on one head, with widths
-    # that gate the 4-wide results or the 6-wide inputs
+    # token rows into the rows of one head, stored or not, with widths that
+    # gate the 4-wide results or the 6-wide inputs
     rng, x, w_sel = rand_inputs(seed)
     n, E, d_in = 7, 5, 6
     d_out = 4 if gate == "output" else 8
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
     sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid"))
     route = one_head_route(sel)
-    to_heads = dispatch_to_heads(reshape(x, (1, n, d_in)), bank, route, 1)
-    from_heads = dispatch_from_heads(reshape(x, (1, 1, n, d_in)), bank, route)
-    assert to_heads.shape == (1, 1, n, d_out) and from_heads.shape == (1, n, d_out)
+    stored = dispatch(reshape(x, (1, 1, n, d_in)), bank, route, 1)
+    unstored = dispatch(reshape(x, (1, 1, n, d_in)), bank, route, 1, store=False)
+    assert stored.shape == unstored.shape == (1, 1, n, d_out)
+    assert np.array_equal(stored.data, unstored.data)
     # oracle: per token, materialize the mixed projection matrix
     for t in range(n):
         w_mix = np.zeros((d_in, d_out))
         for slot, e in enumerate(sel.indices[t]):
             w_mix += sel.weights.data[t, slot] * bank.data[e]
-        assert np.allclose(to_heads.data[0, 0, t], x.data[t] @ w_mix, atol=1e-12)
-        assert np.allclose(from_heads.data[0, t], x.data[t] @ w_mix, atol=1e-12)
+        assert np.allclose(stored.data[0, 0, t], x.data[t] @ w_mix, atol=1e-12)
 
 
 def test_mixture_project_counter():
@@ -128,15 +128,16 @@ def test_mixture_project_counter():
     wide = Tensor(uniform_init(rng, (E, d_in, 9), d_in))       # gates the inputs
     sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid"))
     route = one_head_route(sel)
-    c = OpCounter()     # stored head rows, gate on the 4-wide results
-    dispatch_to_heads(reshape(x, (1, n, d_in)), narrow, route, 1, c)
+    x4 = reshape(x, (1, 1, n, d_in))
+    c = OpCounter()     # stored rows, gate on the 4-wide results
+    dispatch(x4, narrow, route, 1, c)
     assert c.terms["mixing"] == [n * k * d_in * 4 + n * k * 4, n * 4]
-    c2 = OpCounter()    # token rows, not stored, gate on the 6-wide inputs
-    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), wide, route, c2)
+    c2 = OpCounter()    # not stored, gate on the 6-wide inputs
+    dispatch(x4, wide, route, 1, c2, store=False)
     assert c2.terms["mixing"] == [n * k * d_in * 9 + n * k * d_in, 0]
     c3 = OpCounter()    # the gate multiply itemized as an extra (MoA, head gating)
-    dispatch_from_heads(reshape(x, (1, 1, n, d_in)), wide,
-                        one_head_route(sel, term="projections", gate_term="selection"), c3)
+    dispatch(x4, wide, one_head_route(sel, term="projections", gate_term="selection"), 1,
+             c3, store=False)
     assert c3.terms == {"projections": [n * k * d_in * 9, 0]}
     assert c3.extras["selection"] == [n * k * d_in, 0]
 
@@ -148,12 +149,12 @@ def test_mixture_permutation_invariance():
     n, E, d_in, d_out = 7, 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
     cfg = SelectionConfig(E, 2, "sigmoid")
-    x3 = reshape(x, (1, n, d_in))
-    y1 = dispatch_to_heads(x3, bank, one_head_route(select(x, w_sel, cfg)), 1)
+    x4 = reshape(x, (1, 1, n, d_in))
+    y1 = dispatch(x4, bank, one_head_route(select(x, w_sel, cfg)), 1)
     perm = np.array([3, 0, 4, 1, 2])
     bank_p = Tensor(bank.data[perm])
     w_sel_p = Tensor(w_sel.data[:, perm])
-    y2 = dispatch_to_heads(x3, bank_p, one_head_route(select(x, w_sel_p, cfg)), 1)
+    y2 = dispatch(x4, bank_p, one_head_route(select(x, w_sel_p, cfg)), 1)
     assert np.max(np.abs(y1.data - y2.data)) < 1e-12
 
 
@@ -162,27 +163,25 @@ def test_mixture_shape_and_range_errors():
     n = 7
     sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid"))
     route = one_head_route(sel)
-    x3 = reshape(x, (1, n, 6))
+    x4 = reshape(x, (1, 1, n, 6))
     with pytest.raises(ShapeError):       # d_in 9 against inputs of width 6
-        dispatch_to_heads(x3, Tensor(np.zeros((5, 9, 4))), route, 1)
+        dispatch(x4, Tensor(np.zeros((5, 9, 4))), route, 1)
     with pytest.raises(ShapeError):       # a bank of 3 experts for a plan over 5
-        dispatch_to_heads(x3, Tensor(np.zeros((3, 6, 4))), route, 1)
+        dispatch(x4, Tensor(np.zeros((3, 6, 4))), route, 1)
     with pytest.raises(ShapeError):       # a plan over 3 experts, routes to expert 4
         ExpertPlan(sel.indices[None], 3)
     with pytest.raises(ShapeError):       # 3 slots split unequally over 2 heads
-        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
-                          Route(ExpertPlan(np.zeros((1, n, 3), dtype=int), 5)), 2)
+        dispatch(x4, Tensor(np.zeros((5, 6, 4))),
+                 Route(ExpertPlan(np.zeros((1, n, 3), dtype=int), 5)), 2)
     with pytest.raises(ShapeError):       # a route over 5 tokens against 7
-        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
-                          Route(ExpertPlan(sel.indices[None, :5], 5)), 1)
-    with pytest.raises(ShapeError):       # per-assignment heads for 2 of the 7 tokens
-        Route(route.plan, head=np.zeros((1, 2, 2), dtype=int))
-    with pytest.raises(ShapeError):       # per-assignment heads only read head rows
-        dispatch_to_heads(x3, Tensor(np.zeros((5, 6, 4))),
-                          Route(route.plan, head=np.zeros((1, n, 2), dtype=int)), 1)
-    with pytest.raises(ShapeError):       # per-assignment heads read head 1 of one
-        dispatch_from_heads(reshape(x, (1, 1, n, 6)), Tensor(np.zeros((5, 6, 4))),
-                            Route(route.plan, head=np.ones((1, n, 2), dtype=int)))
+        dispatch(x4, Tensor(np.zeros((5, 6, 4))), Route(ExpertPlan(sel.indices[None, :5], 5)), 1)
+    with pytest.raises(ShapeError):       # own-expert rows: 1 head row for 5 experts
+        dispatch(x4, Tensor(np.zeros((5, 6, 4))), Route(route.plan, own_rows=True), 1)
+    eid = np.array(sel.indices[None])
+    eid[0, 0] = 2
+    with pytest.raises(ShapeError):       # own-expert rows: token 0 names expert 2 twice
+        dispatch(Tensor(np.zeros((1, 5, n, 6))), Tensor(np.zeros((5, 6, 4))),
+                 Route(ExpertPlan(eid, 5), own_rows=True), 1)
 
 
 @st.composite
@@ -190,19 +189,20 @@ def head_major_cases(draw):
     """Random (B, H, T, E) in the layouts the routers make. Into head rows
     and back, slot j of a token serves head j // m, m slots per head
     (SwitchHead: m = K; MoA: m = 1, each slot a head); back from head rows
-    only, a token may instead read k distinct heads of H in any order,
-    each through any expert, as head gating does and more."""
+    only, a token may instead read its own experts' rows, k distinct heads
+    of E = H in ascending order as top-k gives them (head gating)."""
     B, H, T, E = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                   draw(st.integers(1, 4)), draw(st.integers(1, 5)))
     to_heads = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    if not to_heads and draw(st.booleans()):
-        head = np.argsort(rng.uniform(size=(B, T, H)), axis=-1)[..., :draw(st.integers(1, H))]
-        eid = rng.integers(0, E, size=head.shape)
+    own = not to_heads and draw(st.booleans())
+    if own:
+        E = H
+        eid = np.sort(np.argsort(rng.uniform(size=(B, T, H)), axis=-1)
+                      [..., :draw(st.integers(1, H))], axis=-1)
     else:
-        head = None
         eid = rng.integers(0, E, size=(B, T, H * draw(st.integers(1, 3))))
-    return dict(B=B, H=H, T=T, E=E, head=head, to_heads=to_heads, eid=eid,
+    return dict(B=B, H=H, T=T, E=E, own=own, to_heads=to_heads, eid=eid,
                 seed=draw(st.integers(0, 2**16)),
                 gated=draw(st.booleans()),
                 d_in=draw(st.integers(1, 4)), d_out=draw(st.integers(1, 4)))
@@ -211,38 +211,36 @@ def head_major_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(head_major_cases())
 # MoA: two slots, each its own head, ungated into heads
-@example(dict(B=2, H=2, T=3, E=4, head=None, to_heads=True,
+@example(dict(B=2, H=2, T=3, E=4, own=False, to_heads=True,
               eid=np.array([[[0, 3], [1, 2], [0, 1]], [[2, 3], [0, 2], [1, 3]]]),
               seed=1, gated=False, d_in=3, d_out=2))
 # head gating: 2 of 3 heads per token, gated on the narrower read rows
-@example(dict(B=1, H=3, T=2, E=3, head=np.array([[[0, 2], [1, 2]]]), to_heads=False,
+@example(dict(B=1, H=3, T=2, E=3, own=True, to_heads=False,
               eid=np.array([[[0, 2], [1, 2]]]), seed=2, gated=True, d_in=2, d_out=3))
 def test_head_major_dispatch_matches_per_token_loop(case):
     B, H, T, E, d_in, d_out = (case[k] for k in ("B", "H", "T", "E", "d_in", "d_out"))
-    head, eid, to_heads = case["head"], case["eid"], case["to_heads"]
+    own, eid, to_heads = case["own"], case["eid"], case["to_heads"]
     rng = np.random.default_rng(case["seed"])
     bank = Tensor(rng.uniform(-1, 1, (E, d_in, d_out)), requires_grad=True)
     gate = (Tensor(rng.uniform(-1, 1, eid.shape), requires_grad=True) if case["gated"]
             else None)
-    route = Route(ExpertPlan(eid, E), gate, head=head)
-    x_shape = (B, T, d_in) if to_heads else (B, H, T, d_in)
+    route = Route(ExpertPlan(eid, E), gate, own_rows=own)
+    x_shape = (B, 1, T, d_in) if to_heads else (B, H, T, d_in)
     x = Tensor(rng.uniform(-1, 1, x_shape), requires_grad=True)
     c = OpCounter()
-    y = (dispatch_to_heads(x, bank, route, H, c) if to_heads
-         else dispatch_from_heads(x, bank, route, c))
+    y = dispatch(x, bank, route, H if to_heads else 1, c, store=to_heads)
     w = rng.uniform(-1, 1, y.shape)
     tsum(mul(y, constant(w))).backward()
 
     a = eid.shape[-1]
-    heads = (np.broadcast_to(np.arange(a) // (a // H), eid.shape) if head is None
-             else head)
+    heads = eid if own else np.broadcast_to(np.arange(a) // (a // H), eid.shape)
     want, gx, gbank = np.zeros(y.shape), np.zeros(x_shape), np.zeros(bank.shape)
     ggate = np.zeros(eid.shape)
     for b, t, j in product(range(B), range(T), range(eid.shape[-1])):
         h, W = heads[b, t, j], bank.data[eid[b, t, j]]
         scale = 1.0 if gate is None else gate.data[b, t, j]
-        xi = (b, t) if to_heads else (b, h, t)
-        yi = (b, h, t) if to_heads else (b, t)
+        xi = (b, 0, t) if to_heads else (b, h, t)
+        yi = (b, h, t) if to_heads else (b, 0, t)
         want[yi] += scale * (x.data[xi] @ W)
         gx[xi] += scale * (W @ w[yi])
         gbank[eid[b, t, j]] += scale * np.outer(x.data[xi], w[yi])
@@ -317,3 +315,27 @@ def test_each_selection_is_sorted_once(monkeypatch):
     logits, _, _ = model.forward(toks)
     tsum(logits).backward()
     assert calls == {"sort": 3, "select": 2 * H + 1}
+
+
+def test_head_gating_gathers_no_head_rows(monkeypatch):
+    # a head-gated model's forward and backward index rows with gather_rows
+    # once, for the embedding: each head-gated O reads its selected heads
+    # through the plan's own-expert rows, with no gather before the dispatch
+    attn = AttentionConfig(12, 3, 4, variant="head_gated", k_active=2)
+    model = build(ModelSpec(2, 12, attn, MLPConfig("dense", 7), 11, T=5), 0)
+    calls = []
+    original = tensor.gather_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("switchlab"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, counted)
+    toks = rng_for(0, "gather-once").integers(11, size=(2, 5))
+    logits, _, _ = model.forward(toks)
+    tsum(logits).backward()
+    assert len(calls) == 1

@@ -52,12 +52,12 @@ def rel_err(a, b, floor=1e-12):
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(GraphError):
-        (t * 2.0).backward()
+        mul(t, 2.0).backward()
 
 
 def test_double_backward_raises():
     t = Tensor(np.ones(3), requires_grad=True)
-    loss = tsum(t * t)
+    loss = tsum(mul(t, t))
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()
@@ -86,7 +86,7 @@ def test_slice_grads_accumulate_in_place():
 
 def test_grad_accumulates_across_uses():
     t = Tensor(np.array([2.0]), requires_grad=True)
-    loss = tsum(t * 3.0 + t * t)
+    loss = tsum(add(mul(t, 3.0), mul(t, t)))
     loss.backward()
     assert np.allclose(t.grad, [3.0 + 4.0])
 
@@ -101,7 +101,7 @@ def test_elementwise_chain_gradients(seed):
     w = rng.uniform(-1, 1, (3, 4))
 
     def loss_fn():
-        y = sigmoid(x) + relu(x - 0.7) * sigmoid(-x) + x * x
+        y = add(add(sigmoid(x), mul(relu(add(x, -0.7)), sigmoid(mul(x, -1.0)))), mul(x, x))
         return tsum(mul(y, constant(w)))
 
     loss = loss_fn()
@@ -464,6 +464,9 @@ def test_expert_matmul_rejects_bad_shapes():
         tensor.ExpertPlan(np.zeros(2, dtype=int), 3)
     with pytest.raises(ShapeError):      # 3 slots do not split into 2 heads
         tensor.ExpertPlan(np.zeros((1, 2, 3), dtype=int), 3).rows(2)
+    own = plan.own_rows()
+    with pytest.raises(ShapeError):      # own-expert rows are a source side only
+        expert_matmul(Tensor(np.zeros((3, 2))), bank, plan, own, own)
 
 
 @settings(max_examples=40, deadline=None)
@@ -661,7 +664,6 @@ def test_scalar_operands_keep_float32(scalar):
                requires_grad=True)
     outs = [mul(x, scalar), mul(scalar, x), add(x, scalar), add(scalar, x)]
     assert all(o.data.dtype == np.float32 for o in outs)
-    assert all(o.data.dtype == np.float32 for o in (x - 2.0, 2.0 - x, -x, x / 3.0))
     tsum(mul(add(x, scalar), scalar)).backward()
     assert x.grad.dtype == np.float32
 
