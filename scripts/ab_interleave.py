@@ -1,6 +1,7 @@
-"""A/B timing of two checkouts of the lab, one persistent worker each.
+"""A/B timing, or tape size, of two checkouts of the lab, one persistent
+worker each.
 
-    python3 scripts/ab_interleave.py PARENT_DIR CHANGE_DIR WORKLOAD {eval|step} N
+    python3 scripts/ab_interleave.py PARENT_DIR CHANGE_DIR WORKLOAD {eval|step|tape} N
 
 Each checkout gets one worker process that imports switchlab and the
 benchmark's workloads from that checkout (``bench/workloads.py``), sets the
@@ -16,6 +17,14 @@ runs spread by about 15% on a 2-vCPU virtual machine, more than the gains
 worth measuring. The script prints each side's median and quartiles, the
 ratio of the medians (change / parent) and the number of pairs in which
 the change was faster.
+
+``tape`` measures memory instead of time: a request runs one forward,
+loss and backward on the workload's longest batch under ``tracemalloc``
+(the longest of the cycle's windows on ListOps; on the LM the second
+chunk, with the first one cached) and reports two figures, both above the
+bytes traced before the forward: the bytes held once the loss is formed,
+which is the tape, and the backward's peak. The counts repeat exactly, so
+N = 1 is enough; the script prints both figures per side in MB (10^6 B).
 """
 
 from __future__ import annotations
@@ -26,13 +35,46 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 0
 
 
+def tape_bytes(W, wl, trainer) -> list[int]:
+    """[bytes held after the forward and loss, peak bytes of the backward]
+    on the workload's longest batch, each above the bytes traced before
+    the forward; the grads are dropped again after."""
+    from switchlab.listops import pad_batch
+    from switchlab.tensor import cross_entropy
+
+    model = trainer.model
+    if wl.task == "listops":
+        longest = max(trainer.windows, key=lambda w: max(e.length for e in w))
+        tokens, targets, mask = pad_batch(longest)
+        kwargs = {"key_mask": mask}
+    else:
+        x1, _, _ = trainer.task.batch(SEED, 1, wl.batch_size)
+        _, _, caches = model.forward(x1)
+        tokens, targets, _ = trainer.task.batch(SEED, 2, wl.batch_size)
+        kwargs = {"caches": caches}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        logits, _, _ = model.forward(tokens, **kwargs)
+        loss = cross_entropy(logits, targets)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    trainer.opt.zero_grad()
+    return [held, peak]
+
+
 def worker(root: str, workload: str, mode: str) -> None:
-    """Serve timing requests on stdin ("run" lines), one JSON line each."""
+    """Serve requests on stdin ("run" lines), one JSON line each."""
     sys.path[:0] = [os.path.join(root, "src"), root]
     from bench import workloads as W
 
@@ -40,7 +82,9 @@ def worker(root: str, workload: str, mode: str) -> None:
     _, (task, eval_task, model, opt) = W.setup(wl, SEED)
     trainer = W.Trainer(wl, task, model, opt, SEED)
 
-    def once() -> float:
+    def once():
+        if mode == "tape":
+            return tape_bytes(W, wl, trainer)
         if mode == "eval":
             return W.evaluate(wl, model, eval_task)[2]
         c0 = W.cpu_clock()
@@ -91,7 +135,7 @@ def main() -> None:
     ap.add_argument("parent_dir")
     ap.add_argument("change_dir")
     ap.add_argument("workload")
-    ap.add_argument("mode", choices=("eval", "step"))
+    ap.add_argument("mode", choices=("eval", "step", "tape"))
     ap.add_argument("n", type=int)
     args = ap.parse_args()
     if args.n < 1:
@@ -106,6 +150,14 @@ def main() -> None:
         for proc in procs.values():
             proc.stdin.close()
             proc.wait(timeout=60)
+    if args.mode == "tape":
+        for side in ("parent", "change"):
+            held, peak = (statistics.median(x) / 1e6 for x in zip(*times[side]))
+            print(f"{side:6s} tape after forward {held:8.2f} MB  backward peak {peak:8.2f} MB"
+                  f"  (n={len(times[side])})")
+        held_p, held_c = (statistics.median(h for h, _ in times[s]) for s in ("parent", "change"))
+        print(f"{args.workload} tape: change/parent {held_c / held_p:.3f}x after the forward")
+        return
     for side in ("parent", "change"):
         q1, q2, q3 = quartiles(times[side])
         print(f"{side:6s} median {q2 * 1e3:9.2f} ms  quartiles {q1 * 1e3:9.2f} "

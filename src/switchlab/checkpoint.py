@@ -91,7 +91,8 @@ def load(path: str) -> Model:
         if name in index:
             raise CheckpointError(f"tensor '{name}' is listed twice")
         index[name] = shape
-    table = param_shapes(spec)
+    # one entry past the index is enough to tell a longer spec from it
+    table = param_shapes(spec, limit=len(index) + 1)
     if index != table:
         raise CheckpointError("checkpoint tensors do not match the model spec")
     total = sum(math.prod(shape) for shape in table.values())

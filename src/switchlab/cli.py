@@ -3,12 +3,18 @@
 Subcommands: cost (layer cost tables), match (parameter matching), train,
 eval, export-attn (attention-map and selection-weight grids), gradcheck
 (finite-difference suite). Exit codes: 0 success, 1 runtime or numeric
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error. An ``--out`` that cannot become a
+directory is a usage error, found before any work starts. ``train`` and
+``eval`` run with OpenBLAS pinned to one thread, as float32 results depend
+on the thread count, and ``train`` records the count in ``eval.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import glob
 import os
 import sys
 
@@ -70,7 +76,58 @@ def parse_cost_row(line: str, lineno: int) -> CostInputs:
     return ci
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject, before any work, an ``--out`` that cannot become a directory:
+    it, or the nearest of its parents that exists, is not a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None where no such library or symbol is found."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "*openblas*"))
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype = ctypes.c_int
+                set_.argtypes = (ctypes.c_int,)
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, since float32 results
+    depend on the thread count, and restore the previous count after.
+
+    Yields the count in effect, 1, or None where OpenBLAS cannot be
+    reached; the count is then left alone.
+    """
+    fns = _openblas_threads()
+    if fns is None:
+        yield None
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield 1
+    finally:
+        set_(before)
+
+
 def cmd_cost(args) -> int:
+    if args.out:
+        _check_out_dir(args.out)
     rows = []
     if args.config:
         for lineno, line in enumerate(read_text(args.config).split("\n"), 1):
@@ -134,6 +191,7 @@ def _build_task(cfg: dict, batch_size: int):
 
 
 def cmd_train(args) -> int:
+    _check_out_dir(args.out)
     cfg = load_config(args.config, args.set or [])
     spec = to_model_spec(cfg)
     tr = cfg["train"]
@@ -144,8 +202,9 @@ def cmd_train(args) -> int:
                    warmup_steps=tr["warmup_steps"],
                    clip_norm=tr["clip_norm"] if tr["clip_norm"] > 0 else None,
                    log_every=tr["log_every"])
-    model, metrics = train(run, task)
-    summary = evaluate(model, task, "valid")
+    with _one_blas_thread() as threads:
+        model, metrics = train(run, task)
+        summary = evaluate(model, task, "valid")
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.log"), "w", encoding="utf-8") as f:
         f.write(metrics_lines(metrics))
@@ -153,6 +212,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(args.out, "eval.txt"), "w", encoding="utf-8") as f:
         for k, v in summary.items():
             f.write(f"{k} {v}\n")
+        f.write(f"blas_threads {'unknown' if threads is None else threads}\n")
     for k, v in summary.items():
         print(f"{k} {v}")
     return EXIT_OK
@@ -162,7 +222,8 @@ def cmd_eval(args) -> int:
     model = load(args.checkpoint)
     cfg = load_config(args.config, args.set or [])
     task = _build_task(cfg, cfg["train"]["batch_size"])
-    summary = evaluate(model, task, args.split)
+    with _one_blas_thread():
+        summary = evaluate(model, task, args.split)
     for k, v in summary.items():
         print(f"{k} {v}")
     return EXIT_OK
@@ -187,6 +248,7 @@ def _tokenize_sample(model, text: str) -> np.ndarray:
 
 
 def cmd_export_attn(args) -> int:
+    _check_out_dir(args.out)
     model = load(args.checkpoint)
     tokens = _tokenize_sample(model, args.sample)
     _, traces, _ = model.forward(tokens, want_trace=True)

@@ -11,6 +11,7 @@ against instantiated tensor sizes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -128,12 +129,15 @@ def _layout(spec: ModelSpec, per_head_pos: bool | None = None):
         yield "readout", (dm, spec.vocab_size), ("readout", dm)
 
 
-def param_shapes(spec: ModelSpec, per_head_pos: bool | None = None
-                 ) -> dict[str, tuple[int, ...]]:
+def param_shapes(spec: ModelSpec, per_head_pos: bool | None = None,
+                 limit: int | None = None) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter of ``build(spec)``, by name, in the order
-    ``build`` makes them; nothing is allocated."""
+    ``build`` makes them; nothing is allocated. ``limit`` stops the walk
+    after that many parameters, so a spec with an absurd layer count is
+    walked no further than a checkpoint's index needs."""
     spec.validate()
-    return {name: shape for name, shape, _ in _layout(spec, per_head_pos)}
+    walk = ((name, shape) for name, shape, _ in _layout(spec, per_head_pos))
+    return dict(itertools.islice(walk, limit))
 
 
 def count_params(spec: ModelSpec, per_head_pos: bool | None = None) -> int:
@@ -235,15 +239,15 @@ class Model:
                              self.params[f"layers.{i}.mlp.w_sel"], cfg, counter)
 
     def astype(self, dtype) -> "Model":
-        """Cast every parameter (dropping its grad) to ``dtype``; returns self.
+        """Replace every parameter by a leaf holding its values cast to
+        ``dtype`` (grads are not carried over); returns self.
 
         The engine computes in its data's dtype, so this picks the model's
         compute precision: ``build`` makes float32 models, and exact
         identity checks run on ``build(...).astype(np.float64)``.
         """
-        for p in self.params.values():
-            p.data = p.data.astype(dtype)
-            p.grad = None
+        self.params = {name: Tensor(p.data.astype(dtype), requires_grad=p.requires_grad)
+                       for name, p in self.params.items()}
         return self
 
 

@@ -6,8 +6,15 @@ scalar (or a raw array) mixed into ``add``/``mul`` takes its tensor
 partner's dtype, so a float32 graph stays float32 end to end. Gradients
 are held in the dtype of the data they belong to.
 
-Tensors record a tape of primitive operations; ``backward()`` on a scalar
-loss walks the tape in reverse topological order and frees it as it goes.
+A ``Tensor`` is a value: its array ``data`` and ``requires_grad``. An op
+whose inputs need grads records a ``Node`` on the tape: the output's grad,
+the op's backward closure, the input nodes and the dtype, but no forward
+data. Each closure keeps only the input nodes it sends grads to and the
+arrays its backward reads (``matmul`` its operands, ``relu``, ``sigmoid``
+and ``softmax_last`` their outputs, ``add`` and the shaping ops shapes
+alone), so an activation that no backward reads dies as soon as the
+forward drops it. ``backward()`` on a scalar loss walks the nodes in
+reverse topological order and frees the tape as it goes.
 Three ops consume an OpCounter, each filing its cost under a term name
 (see ``counter``): ``matmul`` (its MACs and, when stored, its output
 floats, under ``term``, by default ``other``), ``expert_matmul`` (the MACs
@@ -88,18 +95,77 @@ def _as_array(values) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_spent")
+class Node:
+    """A tensor's entry on the tape: what backward needs, and no forward data.
 
-    def __init__(self, data, requires_grad: bool = False, _prev=()):
-        self.data = _as_array(data)
+    ``grad`` is the tensor's gradient (None until a backward reaches it),
+    ``backward`` the closure of the op that made the tensor (None for a
+    leaf, and once run), ``inputs`` the nodes of that op's operands that
+    need grads, in operand order, and ``dtype`` the dtype of the tensor's
+    data, which its grad takes. A closure holds its input nodes and only
+    the arrays its own backward reads, never an operand's value for its
+    own sake, so an activation that no backward reads dies as soon as the
+    forward drops it. ``spent`` marks the node of a loss that backward has
+    run from.
+    """
+    __slots__ = ("grad", "backward", "inputs", "dtype", "spent")
+
+    def __init__(self, dtype, inputs=(), backward=None):
         self.grad: np.ndarray | None = None
+        self.backward = backward
+        self.inputs = inputs
+        self.dtype = dtype
+        self.spent = False
+
+    def accum(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` into this node's grad.
+
+        ``fresh`` says that ``g`` was allocated by the calling backward (or
+        is a view of the node grad it alone consumes), so the first use may
+        adopt it; otherwise ``g`` may alias an upstream grad or be a
+        broadcast view, and a copy is taken.
+        """
+        if self.grad is None:
+            if fresh and g.dtype == self.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.dtype)
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """A value, ``data``, and, when it needs a grad, its tape ``node``.
+
+    The value is the array and ``requires_grad``; the tape is made of
+    nodes, which hold no forward data (see ``Node``), and an op's backward
+    closure keeps only the input nodes it sends grads to and the arrays it
+    reads, so no tape entry keeps a tensor's value alive for its own sake.
+    ``grad`` reads and writes the node's grad. The node fixes the dtype
+    the grad takes, so a cast is a new tensor (``Model.astype``), not a
+    new ``data`` of another dtype. A tensor that does not require grad has
+    no node until a grad is set on it.
+    """
+    __slots__ = ("data", "requires_grad", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.requires_grad = requires_grad
-        self._backward = None
-        self._prev = _prev
-        self._spent = False
+        self.node = Node(self.data.dtype) if requires_grad else None
 
     # -- helpers -----------------------------------------------------------
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self.node is None:
+            if g is None:
+                return
+            self.node = Node(self.data.dtype)
+        self.node.grad = g
 
     @property
     def shape(self):
@@ -113,22 +179,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def _accum(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add ``g`` into this tensor's grad.
-
-        ``fresh`` says that ``g`` was allocated by the calling backward (or
-        is a view of the node grad it alone consumes), so the first use may
-        adopt it; otherwise ``g`` may alias an upstream grad or be a
-        broadcast view, and a copy is taken.
-        """
-        if self.grad is None:
-            if fresh and g.dtype == self.data.dtype:
-                self.grad = g
-            else:
-                self.grad = np.array(g, dtype=self.data.dtype)
-        else:
-            self.grad += g
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -138,12 +188,15 @@ class Tensor:
         """Backpropagate from a scalar loss through the recorded graph."""
         if self.data.size != 1:
             raise GraphError("backward requires a scalar loss")
-        if self._spent:
+        root = self.node
+        if root is None:
+            root = self.node = Node(self.data.dtype)
+        if root.spent:
             raise GraphError("backward called twice on the same graph")
-        self._spent = True
-        topo: list[Tensor] = []
+        root.spent = True
+        topo: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, int]] = [(self, 0)]
+        stack: list[tuple[Node, int]] = [(root, 0)]
         while stack:
             node, state = stack.pop()
             if state == 0:
@@ -151,24 +204,25 @@ class Tensor:
                     continue
                 visited.add(id(node))
                 stack.append((node, 1))
-                for child in node._prev:
+                for child in node.inputs:
                     if id(child) not in visited:
                         stack.append((child, 0))
             else:
                 topo.append(node)
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         # free the tape as we go (a second backward needs a re-forward): a
         # spent node drops its closure, its inputs and, unless it is a leaf,
-        # its grad, so activations die as soon as nothing upstream needs them
+        # its grad, so the arrays a closure kept die as soon as nothing
+        # upstream needs them
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
+                node.backward(node.grad)
                 node.grad = None
-            node._backward = None
-            node._prev = ()
+            node.backward = None
+            node.inputs = ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -205,6 +259,11 @@ def _binary(a, b) -> tuple[Tensor, Tensor]:
     return _coerce(a, b), b
 
 
+def _node(t: Tensor) -> Node | None:
+    """The node an op's backward sends ``t``'s grad to; None if t needs none."""
+    return t.node if t.requires_grad else None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over broadcast dimensions back to ``shape``."""
     if g.shape == shape:
@@ -218,11 +277,36 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(data, inputs, backward) -> Tensor:
-    prev = tuple(t for t in inputs if t.requires_grad)
-    out = Tensor(data, requires_grad=bool(prev), _prev=prev)
-    if prev:
-        out._backward = backward
+def _axis_order(a: np.ndarray) -> tuple | None:
+    """The axis order, outermost first, in which ``np.zeros_like(a)`` lays
+    out its memory (NumPy's 'K' order), or None for C order.
+
+    A backward that allocates its input's grad keeps this instead of the
+    input, so the grad's layout, and with it the summation order of every
+    reduction over it, stays that of ``np.zeros_like(input)``.
+    """
+    if a.flags.c_contiguous:
+        return None
+    if a.flags.f_contiguous:
+        return tuple(reversed(range(a.ndim)))
+    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+
+
+def _zeros(shape: tuple, dtype, order: tuple | None) -> np.ndarray:
+    """Zeros of ``shape`` laid out in the axis ``order`` of ``_axis_order``."""
+    if order is None:
+        return np.zeros(shape, dtype=dtype)
+    return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
+
+
+def _make(data, nodes, backward) -> Tensor:
+    """The op output ``data``; with its backward on the tape if any of the
+    input ``nodes`` (None for an input that needs no grad) is live."""
+    out = Tensor(data)
+    inputs = tuple(n for n in nodes if n is not None)
+    if inputs:
+        out.requires_grad = True
+        out.node = Node(out.data.dtype, inputs, backward)
     return out
 
 
@@ -231,40 +315,48 @@ def _make(data, inputs, backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _binary(a, b)
+    na, nb = _node(a), _node(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bw(g):
         # the add node drops g once this returns, so one operand may adopt
         # it; the other copies it (a broadcast operand's summed grad is new),
         # so no two tensors' grads share memory
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape), fresh=True)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            b._accum(gb, fresh=gb is not g or not a.requires_grad)
+        if na is not None:
+            na.accum(_unbroadcast(g, a_shape), fresh=True)
+        if nb is not None:
+            gb = _unbroadcast(g, b_shape)
+            nb.accum(gb, fresh=gb is not g or na is None)
 
-    return _make(a.data + b.data, (a, b), bw)
+    return _make(a.data + b.data, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _binary(a, b)
+    na, nb = _node(a), _node(b)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's grad reads the other operand, which is kept only then
+    ad = a.data if nb is not None else None
+    bd = b.data if na is not None else None
 
     def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape), fresh=True)
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape), fresh=True)
+        if na is not None:
+            na.accum(_unbroadcast(g * bd, a_shape), fresh=True)
+        if nb is not None:
+            nb.accum(_unbroadcast(g * ad, b_shape), fresh=True)
 
-    return _make(a.data * b.data, (a, b), bw)
+    return _make(a.data * b.data, (na, nb), bw)
 
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
+    nx = _node(x)
 
     def bw(g):
-        # out > 0 exactly where x > 0, and the node holds out anyway
-        x._accum(g * (out > 0), fresh=True)
+        # out > 0 exactly where x > 0, so the input need not be kept
+        nx.accum(g * (out > 0), fresh=True)
 
-    return _make(out, (x,), bw)
+    return _make(out, (nx,), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -273,11 +365,12 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))
     out = np.where(x.data >= 0, 1.0, e)
     out /= 1.0 + e
+    nx = _node(x)
 
     def bw(g):
-        x._accum(g * out * (1.0 - out), fresh=True)
+        nx.accum(g * out * (1.0 - out), fresh=True)
 
-    return _make(out, (x,), bw)
+    return _make(out, (nx,), bw)
 
 
 # -- matmul ---------------------------------------------------------------
@@ -322,17 +415,19 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    data = _matmul_data(a.data, b.data)
-    counter.add(term, macs=data.size * a.data.shape[-1], mem=data.size if store else 0)
+    ad, bd = a.data, b.data
+    data = _matmul_data(ad, bd)
+    counter.add(term, macs=data.size * ad.shape[-1], mem=data.size if store else 0)
+    na, nb = _node(a), _node(b)
 
     def bw(g):
-        ga, gb = _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
+        ga, gb = _matmul_grads(ad, bd, g, na is not None, nb is not None)
         if ga is not None:
-            a._accum(ga, fresh=True)
+            na.accum(ga, fresh=True)
         if gb is not None:
-            b._accum(gb, fresh=True)
+            nb.accum(gb, fresh=True)
 
-    return _make(data, (a, b), bw)
+    return _make(data, (na, nb), bw)
 
 
 # -- softmax / losses -----------------------------------------------------
@@ -346,12 +441,13 @@ def softmax_last(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     ez = np.exp(z)
     out = ez / ez.sum(axis=-1, keepdims=True)
+    nx = _node(x)
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        x._accum(out * (g - dot), fresh=True)
+        nx.accum(out * (g - dot), fresh=True)
 
-    return _make(out, (x,), bw)
+    return _make(out, (nx,), bw)
 
 
 def _rel_shift_view(a: np.ndarray, cache_len: int) -> np.ndarray:
@@ -410,16 +506,17 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
                          f"pos_r [..., {q.shape[-1]}, 2*(cache_len + T)] with S = cache_len "
                          f"+ T = {S} keys, got {pos_q.shape} and {pos_r.shape} with "
                          f"cache_len={cache_len}")
-    kt = np.swapaxes(k.data, -1, -2)
-    data = _matmul_data(q.data, kt)
-    inputs = (q, k)
+    qd, kt = q.data, np.swapaxes(k.data, -1, -2)
+    data = _matmul_data(qd, kt)
+    nq, nk, npq, npr = _node(q), _node(k), None, None
     if pos_q is not None:
-        p = _matmul_data(pos_q.data, pos_r.data)
+        pqd, prd = pos_q.data, pos_r.data
+        p = _matmul_data(pqd, prd)
         counter.add("pos_scores", macs=p.size * q.shape[-1], mem=p.size)
         data += _rel_shift_view(p, cache_len)
         p_shape = p.shape
         del p
-        inputs = (q, k, pos_q, pos_r)
+        npq, npr = _node(pos_q), _node(pos_r)
     scale = data.dtype.type(scale)
     data *= scale
     if mask is not None:
@@ -437,29 +534,28 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
     counter.add("scores", macs=data.size * q.shape[-1], mem=2 * data.size)
 
     def bw(g):
-        # the node's grad is its own (see Tensor._accum), so the softmax
+        # the node's grad is its own (see Node.accum), so the softmax
         # grad is formed in it
         dot = (g * data).sum(axis=-1, keepdims=True)
         g -= dot
         g *= data
         g *= scale
-        if pos_q is not None and (pos_q.requires_grad or pos_r.requires_grad):
+        if npq is not None or npr is not None:
             full = np.zeros(p_shape, dtype=g.dtype)
             _rel_shift_view(full, cache_len)[...] = g
-            gpq, gpr = _matmul_grads(pos_q.data, pos_r.data, full,
-                                     pos_q.requires_grad, pos_r.requires_grad)
+            gpq, gpr = _matmul_grads(pqd, prd, full, npq is not None, npr is not None)
             del full
             if gpq is not None:
-                pos_q._accum(gpq, fresh=True)
+                npq.accum(gpq, fresh=True)
             if gpr is not None:
-                pos_r._accum(gpr, fresh=True)
-        gq, gkt = _matmul_grads(q.data, kt, g, q.requires_grad, k.requires_grad)
+                npr.accum(gpr, fresh=True)
+        gq, gkt = _matmul_grads(qd, kt, g, nq is not None, nk is not None)
         if gq is not None:
-            q._accum(gq, fresh=True)
+            nq.accum(gq, fresh=True)
         if gkt is not None:
-            k._accum(np.swapaxes(gkt, -1, -2), fresh=True)
+            nk.accum(np.swapaxes(gkt, -1, -2), fresh=True)
 
-    return _make(data, inputs, bw)
+    return _make(data, (nq, nk, npq, npr), bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -476,6 +572,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     tgt_logit = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - tgt_logit
     count = nll.size
+    nl = _node(logits)
 
     def bw(g):
         p = np.exp(z - lse[..., None])
@@ -483,9 +580,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         tgt = targets[..., None]
         np.put_along_axis(p, tgt, np.take_along_axis(p, tgt, axis=-1) - 1.0, axis=-1)
         p *= float(g) / count
-        logits._accum(p, fresh=True)
+        nl.accum(p, fresh=True)
 
-    return _make(np.asarray(nll.mean()), (logits,), bw)
+    return _make(np.asarray(nll.mean()), (nl,), bw)
 
 
 # -- reductions / shaping -------------------------------------------------
@@ -493,59 +590,64 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     data = x.data.sum(axis=axis)
+    nx, shape, order = _node(x), x.data.shape, _axis_order(x.data)
 
     def bw(g):
         if axis is None:
-            x._accum(np.full_like(x.data, g), fresh=True)
+            full = _zeros(shape, nx.dtype, order)
+            full[...] = g
+            nx.accum(full, fresh=True)
         else:
-            x._accum(np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+            nx.accum(np.broadcast_to(np.expand_dims(g, axis), shape))
 
-    return _make(data, (x,), bw)
+    return _make(data, (nx,), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    old = x.data.shape
+    old, nx = x.data.shape, _node(x)
 
     def bw(g):
-        x._accum(g.reshape(old), fresh=True)
+        nx.accum(g.reshape(old), fresh=True)
 
-    return _make(x.data.reshape(shape), (x,), bw)
+    return _make(x.data.reshape(shape), (nx,), bw)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.data.ndim)))
-    inv = np.argsort(axes)
+    inv, nx = np.argsort(axes), _node(x)
 
     def bw(g):
-        x._accum(g.transpose(inv), fresh=True)
+        nx.accum(g.transpose(inv), fresh=True)
 
-    return _make(x.data.transpose(axes), (x,), bw)
+    return _make(x.data.transpose(axes), (nx,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
+    nodes = [_node(t) for t in tensors]
+    offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def bw(g):
-        offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n is not None:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
-                t._accum(g[tuple(sl)])
+                n.accum(g[tuple(sl)])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), nodes, bw)
 
 
 def slice_(x: Tensor, key) -> Tensor:
     """Basic (non-fancy) indexing with gradient."""
+    nx, shape, order = _node(x), x.data.shape, _axis_order(x.data)
 
     def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[key] += g
+        if nx.grad is None:
+            nx.grad = _zeros(shape, nx.dtype, order)
+        nx.grad[key] += g
 
-    return _make(x.data[key], (x,), bw)
+    return _make(x.data[key], (nx,), bw)
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -555,19 +657,20 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     by index and each run of equal indices is summed by ``np.add.reduceat``.
     """
     idx = np.asarray(idx)
+    nx, shape, layout = _node(x), x.data.shape, _axis_order(x.data)
 
     def bw(g):
         flat_idx = idx.reshape(-1)
-        full = np.zeros_like(x.data)
+        full = _zeros(shape, nx.dtype, layout)
         if flat_idx.size:
             order = np.argsort(flat_idx, kind="stable")
             ranked = flat_idx[order]
             starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-            flat_g = g.reshape((-1,) + x.data.shape[1:])[order]
+            flat_g = g.reshape((-1,) + shape[1:])[order]
             full[ranked[starts]] = np.add.reduceat(flat_g, starts, axis=0)
-        x._accum(full, fresh=True)
+        nx.accum(full, fresh=True)
 
-    return _make(x.data[idx], (x,), bw)
+    return _make(x.data[idx], (nx,), bw)
 
 
 def _flat_index(shape: tuple, idx: np.ndarray) -> np.ndarray:
@@ -602,14 +705,15 @@ def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"take_last index out of range [0, {n})")
     data = x.data.reshape(-1).take(_flat_index(x.shape, idx))
+    nx, shape = _node(x), x.data.shape
 
     def bw(g):
         # the offsets are formed again rather than kept from the forward
-        full = np.zeros(x.size, dtype=x.data.dtype)
-        full[_flat_index(x.shape, idx)] = g
-        x._accum(full.reshape(x.shape), fresh=True)
+        full = np.zeros(math.prod(shape), dtype=nx.dtype)
+        full[_flat_index(shape, idx)] = g
+        nx.accum(full.reshape(shape), fresh=True)
 
-    return _make(data, (x,), bw)
+    return _make(data, (nx,), bw)
 
 
 def _stable_order(keys: np.ndarray, n_keys: int) -> np.ndarray:
@@ -772,17 +876,20 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     w = None if gate is None else gate.data.reshape(-1).take(plan.order)
     gate_in = w is not None and d_in <= d_out
     gate_out = w is not None and d_in > d_out
+    xd, bd = x.data, bank.data
+    nx, nbank = _node(x), _node(bank)
+    ngate, gate_shape = (None, None) if gate is None else (_node(gate), gate.shape)
 
     def gathered():
-        # x's rows in expert order: a fresh array, or x.data itself
-        return x.data if src is None else x.data.take(src.rows, axis=0)
+        # x's rows in expert order: a fresh array, or xd itself
+        return xd if src is None else xd.take(src.rows, axis=0)
 
     xs = gathered()
     if gate_in:
         xs = xs * w[:, None] if src is None else np.multiply(xs, w[:, None], out=xs)
-    ys = np.empty((A, d_out), dtype=np.result_type(x.data, bank.data))
+    ys = np.empty((A, d_out), dtype=np.result_type(xd, bd))
     for e, lo, hi in plan.segments:
-        np.matmul(xs[lo:hi], bank.data[e], out=ys[lo:hi])
+        np.matmul(xs[lo:hi], bd[e], out=ys[lo:hi])
     del xs                     # before the combine allocates
     if dst is not None:
         data = _combine(ys, dst.slots, w if gate_out else None)
@@ -792,9 +899,9 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     if w is not None:
         counter.add(gate_term or term, macs=A * min(d_in, d_out))
     # the output-side gate's grad needs the ungated results; nothing else
-    # from the forward is kept (x rows are gathered again from x.data), and
+    # from the forward is kept (x rows are gathered again from xd), and
     # of the plan only what the backward reads
-    kept = ys if gate_out and gate.requires_grad else None
+    kept = ys if gate_out and ngate is not None else None
     segments, inverse = plan.segments, plan.inverse
     dst_rows = None if dst is None else dst.rows
 
@@ -802,27 +909,27 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         gs = g if dst_rows is None else g.take(dst_rows, axis=0)
         ggate = None
         if gate_out:
-            if gate.requires_grad:
+            if ngate is not None:
                 ggate = np.einsum("ad,ad->a", gs, kept)
             gs = gs * w[:, None] if dst_rows is None else np.multiply(gs, w[:, None], out=gs)
         xs = None
-        if bank.requires_grad or (gate_in and gate.requires_grad):
+        if nbank is not None or (gate_in and ngate is not None):
             xs = gathered()
-        if bank.requires_grad:
+        if nbank is not None:
             xb = xs * w[:, None] if gate_in else xs
-            gbank = np.zeros_like(bank.data)
+            gbank = np.zeros_like(bd)
             for e, lo, hi in segments:
                 np.matmul(xb[lo:hi].T, gs[lo:hi], out=gbank[e])
-            bank._accum(gbank, fresh=True)
-        if x.requires_grad or (gate_in and gate.requires_grad):
+            nbank.accum(gbank, fresh=True)
+        if nx is not None or (gate_in and ngate is not None):
             gxs = np.empty((A, d_in), dtype=gs.dtype)
             for e, lo, hi in segments:
-                np.matmul(gs[lo:hi], bank.data[e].T, out=gxs[lo:hi])
+                np.matmul(gs[lo:hi], bd[e].T, out=gxs[lo:hi])
             if gate_in:
-                if gate.requires_grad:
+                if ngate is not None:
                     ggate = np.einsum("ad,ad->a", gxs, xs)
                 gxs *= w[:, None]
-            if x.requires_grad:
+            if nx is not None:
                 if src is None:
                     gx = gxs
                 elif src.slots is None:
@@ -830,11 +937,11 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
                     gx[src.rows] = gxs
                 else:
                     gx = _combine(gxs, src.slots)
-                x._accum(gx, fresh=True)
+                nx.accum(gx, fresh=True)
         if ggate is not None:
-            gate._accum(ggate.take(inverse).reshape(gate.shape), fresh=True)
+            ngate.accum(ggate.take(inverse).reshape(gate_shape), fresh=True)
 
-    return _make(data, (x, bank) if gate is None else (x, bank, gate), bw)
+    return _make(data, (nx, nbank, ngate), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -856,25 +963,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
+    nx, ngain, nbias, gd = _node(x), _node(gain), _node(bias), gain.data
 
     def bw(g):
         g2 = g.reshape(-1, n)
         ones = np.ones(g2.shape[0], dtype=g2.dtype)
-        if gain.requires_grad:
-            gain._accum(ones @ (g2 * xhat), fresh=True)
-        if bias.requires_grad:
-            bias._accum(ones @ g2, fresh=True)
-        if x.requires_grad:
+        if ngain is not None:
+            ngain.accum(ones @ (g2 * xhat), fresh=True)
+        if nbias is not None:
+            nbias.accum(ones @ g2, fresh=True)
+        if nx is not None:
             # dx = inv * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gain
-            gx = g2 * gain.data
+            gx = g2 * gd
             t1 = (gx @ mean_w)[:, None]
             t2 = (np.einsum("ij,ij->i", gx, xhat) / n)[:, None]
             gx -= xhat * t2
             gx -= t1
             gx *= inv
-            x._accum(gx.reshape(shape), fresh=True)
+            nx.accum(gx.reshape(shape), fresh=True)
 
-    return _make(out.reshape(shape), (x, gain, bias), bw)
+    return _make(out.reshape(shape), (nx, ngain, nbias), bw)
 
 
 # -- routing helpers ------------------------------------------------------

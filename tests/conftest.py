@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from switchlab import attention, moe
-from switchlab.tensor import constant
+from switchlab.tensor import Tensor, constant
 
 
 @pytest.fixture
@@ -21,3 +21,44 @@ def unit_gates(monkeypatch):
 
     for module in (attention, moe):
         monkeypatch.setattr(module, "select", select)
+
+
+def _tape_arrays(root: Tensor) -> list[np.ndarray]:
+    """The distinct float arrays the tape below ``root`` holds.
+
+    Walks the live nodes through their inputs and reads the closure cells
+    of each node's backward, nested closures included (a tuple or list
+    cell is read item by item). Nodes hold no arrays themselves, so these
+    are all the arrays the tape keeps alive; a closure that holds a
+    ``Tensor`` (and with it a value its backward may not read) fails the
+    walk.
+    """
+    held, seen, stack = {}, set(), [root.node]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.inputs)
+        values = [node.backward] if node.backward is not None else []
+        while values:
+            v = values.pop()
+            assert not isinstance(v, Tensor), "a backward closure holds a Tensor"
+            if callable(v) and getattr(v, "__closure__", None) and id(v) not in seen:
+                seen.add(id(v))
+                for cell in v.__closure__:
+                    try:
+                        values.append(cell.cell_contents)
+                    except ValueError:          # a name the op never bound
+                        pass
+            elif isinstance(v, (tuple, list)):
+                values.extend(v)
+            elif isinstance(v, np.ndarray) and v.dtype.kind == "f":
+                held[id(v)] = v
+    return list(held.values())
+
+
+@pytest.fixture
+def tape_arrays():
+    """``tape_arrays(root)``: the float arrays the tape below ``root`` holds."""
+    return _tape_arrays

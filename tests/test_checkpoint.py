@@ -151,6 +151,28 @@ def test_mismatched_header_fails_before_build(tmp_path, monkeypatch, mismatch):
         load(str(path))
 
 
+def test_huge_layer_count_is_walked_no_further_than_the_index(tmp_path, monkeypatch):
+    # a header that claims 10^15 layers fails after a walk of the layout
+    # one entry past the index, not after listing every layer's parameters
+    path = _dense_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    n_index = blob.split(b"\n---\n", 1)[1].split(b"\n===\n", 1)[0].count(b"\n") + 1
+    path.write_bytes(blob.replace(b"n_layers = 1\n", b"n_layers = 1000000000000000\n", 1))
+    real_layout, walked = model._layout, []
+
+    def layout(*args):
+        for entry in real_layout(*args):
+            walked.append(entry[0])
+            if len(walked) > 10 * n_index:
+                raise AssertionError("the layout walk ran past the index")
+            yield entry
+
+    monkeypatch.setattr(model, "_layout", layout)
+    with pytest.raises(CheckpointError):
+        load(str(path))
+    assert len(walked) == n_index + 1
+
+
 def test_load_draws_no_weights(tmp_path, monkeypatch):
     # load makes the model from the payload alone: with every binding of
     # uniform_init raising, a round trip still gives the saved weights, in

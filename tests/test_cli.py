@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from switchlab.attention import AttentionConfig
 from switchlab.checkpoint import save
+from switchlab import cli
 from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_cost_row
 from switchlab.config import SCHEMA, dump_config, parse_config, to_model_spec
 from switchlab.costmodel import CostInputs, cost_attention
@@ -242,6 +243,70 @@ def test_train_eval_export_pipeline(tmp_path, listops_cfg, capsys):
         assert np.allclose(g.sum(axis=1), 1.0, atol=1e-6)
     max_grid = np.loadtxt(grids / "layer0_max.csv", delimiter=",", ndmin=2)
     assert np.allclose(max_grid, np.maximum(heads[0], heads[1]), atol=1e-12)
+
+
+@pytest.fixture
+def trained_ckpt(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text(LISTOPS_CFG)
+    out = tmp_path_factory.mktemp("run")
+    assert main(["train", "--config", str(cfg), "--set", "train.steps=1",
+                 "--out", str(out)]) == EXIT_OK
+    return str(out / "model.ckpt")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["cost", "export-attn", "train"])
+def test_out_naming_a_file_is_usage_error(tmp_path, listops_cfg, trained_ckpt, capsys,
+                                          monkeypatch, command, under):
+    # checked before any work: train never starts, and the file is untouched
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = str(blocker / "sub" if under else blocker)
+    monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("train ran"))
+    argv = {"cost": ["cost", "--out", out],
+            "export-attn": ["export-attn", "--checkpoint", trained_ckpt, "--sample", "5",
+                            "--out", out],
+            "train": ["train", "--config", listops_cfg, "--out", out]}[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert blocker.read_text() == "keep"
+
+
+def test_train_pins_one_blas_thread_and_restores_it(tmp_path, listops_cfg, capsys,
+                                                    monkeypatch):
+    fns = cli._openblas_threads()
+    if fns is None:
+        pytest.skip("no OpenBLAS thread-count symbols in this numpy")
+    get, set_ = fns
+    seen = []
+    real_train = cli.train
+
+    def train(*args):
+        seen.append(get())
+        return real_train(*args)
+
+    monkeypatch.setattr(cli, "train", train)
+    before = get()
+    set_(2)
+    try:
+        other = get()
+        assert main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert seen == [1] and get() == other
+    finally:
+        set_(before)
+    assert "blas_threads 1" in (tmp_path / "out" / "eval.txt").read_text().splitlines()
+
+
+def test_train_without_openblas_records_unknown_threads(tmp_path, listops_cfg, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    assert main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    lines = (tmp_path / "out" / "eval.txt").read_text().splitlines()
+    assert "blas_threads unknown" in lines
 
 
 def test_export_attn_single_token(tmp_path, listops_cfg, capsys):

@@ -1,8 +1,11 @@
 """Model assembly, exact parameter counting, and the matching search."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from switchlab import attention, model as model_mod, moe, tensor
 from switchlab.attention import AttentionConfig, ExpertFlags, init_attention_params
 from switchlab.counter import OpCounter
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
@@ -234,10 +237,10 @@ _ALL = ExpertFlags(v=True, k=True, q=True, o=True)
     AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
 ], ids=["dense_xl", "dense_rope", "dense_none", "head_gated", "switchhead_vo",
         "switchhead_all", "moa"])
-def test_tape_holds_only_the_probabilities_of_the_score_chain(attn):
+def test_tape_holds_only_the_probabilities_of_the_score_chain(attn, tape_arrays):
     # of the attention score chain, a layer's tape keeps its [B, H, T, S]
     # probabilities alone, and no [..., T, 2S] position scores; no other
-    # array of these shapes has a trailing (T, S) or (T, 2S)
+    # array the tape holds has a trailing (T, S) or (T, 2S)
     T, n_layers = 5, 2
     model = build(ModelSpec(n_layers, 12, attn, MLPConfig("dense", 7), 11, T=T), 0)
     toks = rng_for(0, "tape-toks").integers(11, size=(2, T))
@@ -246,46 +249,30 @@ def test_tape_holds_only_the_probabilities_of_the_score_chain(attn):
         _, _, caches = model.forward(toks)
     logits, _, _ = model.forward(toks, caches=caches)
     S = T * attn.context_mult
-    shapes, seen, stack = [], set(), [logits]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            shapes.append(node.shape[-2:])
-            stack.extend(node._prev)
+    shapes = [a.shape[-2:] for a in tape_arrays(logits)]
     assert shapes.count((T, S)) == n_layers
     assert (T, 2 * S) not in shapes
 
 
-def _closure_held_arrays(root):
-    """The float arrays that backward closures on the tape hold besides the
-    data of tensors: forward temporaries kept for the backward."""
-    nodes, held, seen, stack = [], [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._prev)
-        cells = list(node._backward.__closure__ or ()) if node._backward else []
-        values = [c.cell_contents for c in cells]
-        while values:
-            v = values.pop()
-            if isinstance(v, Tensor):
-                stack.append(v)
-            elif isinstance(v, (tuple, list)):
-                values.extend(v)
-            elif isinstance(v, np.ndarray) and v.dtype.kind == "f":
-                held.append(v)
+@pytest.fixture
+def tensor_values(monkeypatch):
+    """The data of every tensor made while the test runs: op outputs,
+    constants and parameters."""
+    made = []
+    real_init = Tensor.__init__
 
-    def base(a):
-        while a.base is not None:
-            a = a.base
-        return id(a)
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self.data)
 
-    data = {base(n.data) for n in nodes}
-    return [a for a in held if base(a) not in data]
+    monkeypatch.setattr(Tensor, "__init__", init)
+    return made
+
+
+def _base(a):
+    while a.base is not None:
+        a = a.base
+    return id(a)
 
 
 _B, _T = 2, 5
@@ -307,11 +294,12 @@ _B, _T = 2, 5
     (AttentionConfig(12, 2, 4, variant="dense"),
      MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), {}),
 ], ids=["switchhead_vo", "switchhead_all", "moa", "sigma_moe"])
-def test_tape_holds_no_routed_temporaries(attn, mlp, kept):
+def test_tape_holds_no_routed_temporaries(attn, mlp, kept, tape_arrays, tensor_values):
     # of the routed path's [A, d] arrays (A = tokens x slots), a layer's
     # backward closures keep only the ungated results of an output-gated
     # dispatch, which the gate's grad needs; gathered rows, gated copies
-    # and the results of an input-gated dispatch are not kept
+    # and the results of an input-gated dispatch are not kept (the
+    # temporaries are the held arrays that are no tensor's data)
     n_layers = 2
     model = build(ModelSpec(n_layers, 12, attn, mlp, 11, T=_T), 0)
     toks = rng_for(0, "routed-tape-toks").integers(11, size=(_B, _T))
@@ -319,12 +307,59 @@ def test_tape_holds_no_routed_temporaries(attn, mlp, kept):
     if attn.context_mult > 1:      # the second chunk attends to a cached one
         _, _, caches = model.forward(toks)
     logits, _, _ = model.forward(toks, caches=caches)
+    values = {_base(a) for a in tensor_values}
     slot_rows = {A for A, _ in kept} | {_B * _T * a for a in (2, 3, 4)}
     found = {}
-    for a in _closure_held_arrays(logits):
-        if a.ndim == 2 and a.shape[0] in slot_rows:
+    for a in tape_arrays(logits):
+        if _base(a) not in values and a.ndim == 2 and a.shape[0] in slot_rows:
             found[a.shape] = found.get(a.shape, 0) + 1
     assert found == {shape: n * n_layers for shape, n in kept.items()}
+
+
+@pytest.mark.parametrize("mlp", [MLPConfig("dense", 7),
+                                 MLPConfig("sigma_moe", 7, n_experts=3, k_active=2)],
+                         ids=["dense_mlp", "sigma_moe"])
+def test_forward_drops_what_no_backward_reads(mlp, monkeypatch):
+    # residual sums, pre-ReLU outputs (the dense MLP's up matmul, the
+    # sigma-MoE up projection) and the routed O projection's output die as
+    # soon as the forward drops them, with the tape alive; a ReLU output,
+    # which its own backward reads, lives until backward frees the tape
+    attn = AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
+                           expert_flags=ExpertFlags.value_output())
+    model = build(ModelSpec(2, 12, attn, mlp, 11, T=_T), 0)
+    dead = {"residual": [], "pre_relu": [], "o_proj": []}
+    held = []
+    real_add, real_relu, real_dispatch = tensor.add, tensor.relu, attention.dispatch
+
+    def add(a, b):
+        out = real_add(a, b)
+        if out.shape == (_B, _T, 12):
+            dead["residual"].append(weakref.ref(out.data))
+        return out
+
+    def relu(x):
+        out = real_relu(x)
+        dead["pre_relu"].append(weakref.ref(x.data))
+        held.append(weakref.ref(out.data))
+        return out
+
+    def dispatch(x, bank, route, n_out, *args, **kwargs):
+        out = real_dispatch(x, bank, route, n_out, *args, **kwargs)
+        if n_out == 1:                 # the O role: head rows back to tokens
+            dead["o_proj"].extend([weakref.ref(out.data), weakref.ref(out.data.base)])
+        return out
+
+    monkeypatch.setattr(tensor, "add", add)
+    for module in (model_mod, moe):
+        monkeypatch.setattr(module, "relu", relu)
+    monkeypatch.setattr(attention, "dispatch", dispatch)
+    toks = rng_for(0, "drop-toks").integers(11, size=(_B, _T))
+    logits, _, _ = model.forward(toks)
+    assert {k: len(v) for k, v in dead.items()} == {"residual": 4, "pre_relu": 2, "o_proj": 4}
+    assert all(ref() is None for refs in dead.values() for ref in refs)
+    assert len(held) == 2 and all(ref() is not None for ref in held)
+    cross_entropy(logits, toks).backward()
+    assert all(ref() is None for ref in held)
 
 
 def test_forward_rejects_bad_tokens():
@@ -392,7 +427,7 @@ def test_switchall_end_to_end_gradients():
     missing = [k for k, p in m.params.items() if p.grad is None]
     assert not missing
     # the tape is freed: op outputs keep no grad and no link to their inputs
-    assert logits.grad is None and loss.grad is None and logits._prev == ()
+    assert logits.grad is None and loss.grad is None and logits.node.inputs == ()
 
 
 # -- parameter matching ----------------------------------------------------

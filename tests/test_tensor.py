@@ -2,6 +2,7 @@
 graph bookkeeping, and the routing helpers."""
 
 import platform
+import weakref
 from itertools import product
 
 import numpy as np
@@ -61,6 +62,12 @@ def test_double_backward_raises():
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()
+    # a scalar leaf is a graph of its own
+    s = Tensor(np.array(2.0), requires_grad=True)
+    s.backward()
+    assert np.array_equal(s.grad, np.ones(()))
+    with pytest.raises(GraphError):
+        s.backward()
 
 
 def test_backward_frees_intermediate_grads():
@@ -73,7 +80,44 @@ def test_backward_frees_intermediate_grads():
     loss.backward()
     assert x.grad is not None and w.grad is not None
     assert h.grad is None and r.grad is None and loss.grad is None
-    assert r._prev == () and h._prev == ()
+    assert r.node.inputs == () and h.node.inputs == ()
+
+
+def test_closures_keep_only_what_backward_reads():
+    # matmul keeps its operands, relu its own output, mul an operand only
+    # for the other's grad; add keeps shapes only, so a value that only
+    # add, relu or a constant's mul read dies with the forward's reference
+    rng = rng_for(4, "tape-weakrefs")
+    x = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    s = add(x, 1.0)
+    h = matmul(s, w)
+    r = relu(h)
+    m = mul(add(r, x), constant(rng.uniform(-1, 1, (4, 3))))
+    loss = tsum(add(m, x))
+    refs = {name: weakref.ref(t.data) for name, t in (("s", s), ("h", h), ("r", r), ("m", m))}
+    del s, h, r, m
+    assert refs["h"]() is None and refs["m"]() is None
+    assert refs["s"]() is not None and refs["r"]() is not None
+    loss.backward()
+    assert all(ref() is None for ref in refs.values())
+
+
+def test_leaf_grad_lives_in_its_node():
+    t = Tensor(np.ones(3), requires_grad=True)
+    tsum(mul(t, t)).backward()
+    assert t.grad is t.node.grad and np.array_equal(t.grad, [2.0, 2.0, 2.0])
+    t.grad = None
+    assert t.grad is None and t.node.grad is None
+
+
+def test_backward_from_a_scalar_without_grad_sets_ones():
+    c = constant(np.array([3.0], dtype=np.float32))
+    c.backward()
+    assert not c.requires_grad
+    assert c.grad.dtype == np.float32 and np.array_equal(c.grad, [1.0])
+    # a grad set on it does not put it on a later op's tape
+    assert not mul(c, 2.0).requires_grad
 
 
 def test_slice_grads_accumulate_in_place():
