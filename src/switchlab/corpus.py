@@ -2,7 +2,9 @@
 
 Any text file stands in for the large character-level corpora: bytes are
 the tokens, the vocabulary is the set of observed byte values, and the
-train/valid split is a contiguous suffix held out for evaluation.
+train/valid split is a contiguous suffix held out for evaluation. The
+vocabulary has at most 256 values, so the ids are ``uint8``, one byte per
+byte of text.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .moe import ConfigError
 
 @dataclass
 class CharCorpus:
-    data: np.ndarray            # ids into vocab, int64
+    data: np.ndarray            # ids into vocab, uint8
     vocab: np.ndarray           # observed byte values, sorted, uint8
     train_end: int              # data[:train_end] is train, rest is valid
 
@@ -39,7 +41,7 @@ def from_bytes(raw: bytes, valid_fraction: float = 0.1) -> CharCorpus:
         raise ConfigError("valid_fraction must lie in (0, 1)")
     arr = np.frombuffer(raw, dtype=np.uint8)
     vocab = np.unique(arr)
-    lookup = np.zeros(256, dtype=np.int64)
+    lookup = np.zeros(256, dtype=np.uint8)
     lookup[vocab] = np.arange(len(vocab))
     data = lookup[arr]
     train_end = max(1, int(round(len(data) * (1.0 - valid_fraction))))

@@ -4,6 +4,10 @@ Expressions are prefix-operator lists like ``( MAX 2 ( SM 9 9 9 ) 3 )``.
 Operators: MAX, MIN, MED (lower median), SM (sum modulo 10). Every emitted
 example's label is produced by the same evaluator that tests re-run, so
 generator/evaluator agreement is exact by construction and re-checkable.
+
+A run keeps every example of its splits alive, so a record is compact: a
+slotted object whose token ids are one ``bytes`` string, one byte per id
+(the vocabulary has 17 tokens).
 """
 
 from __future__ import annotations
@@ -27,12 +31,24 @@ DEFAULT_MAX_LEN = 64
 MIN_ARGS = 2
 
 
-@dataclass
+@dataclass(slots=True)
 class ListOpsExample:
-    tokens: list[int]          # token ids, no padding
-    label: int                 # 0-9, evaluator output
+    """One expression: its token ids, one byte each and without padding,
+    its label (0-9, the evaluator's output) and its nesting depth.
+
+    Ids given as a list of ints are stored as ``bytes``, so an id outside
+    0-255 raises ValueError.
+    """
+    tokens: bytes
+    label: int
     depth: int
-    length: int
+
+    def __post_init__(self):
+        self.tokens = bytes(self.tokens)
+
+    @property
+    def length(self) -> int:
+        return len(self.tokens)
 
 
 def apply_op(op: str, args: list[int]) -> int:
@@ -124,8 +140,7 @@ def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
             if len(toks) <= max_len:
                 break
         label = eval_tokens(toks)
-        out.append(ListOpsExample(tokens=[TOKEN_ID[t] for t in toks],
-                                  label=label, depth=depth, length=len(toks)))
+        out.append(ListOpsExample(bytes(TOKEN_ID[t] for t in toks), label, depth))
     return out
 
 
@@ -138,7 +153,7 @@ def pad_batch(examples: list[ListOpsExample]) -> tuple[np.ndarray, np.ndarray, n
     mask = np.zeros((len(examples), L), dtype=bool)
     labels = np.empty(len(examples), dtype=np.int64)
     for b, e in enumerate(examples):
-        tokens[b, :e.length] = e.tokens
+        tokens[b, :e.length] = np.frombuffer(e.tokens, np.uint8)
         mask[b, :e.length] = True
         labels[b] = e.label
     return tokens, labels, mask

@@ -853,12 +853,12 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     value whichever side the gate scales, so it scales the narrower one:
     the gathered x rows when d_in <= d_out, the GEMM results otherwise.
     Each expert runs one GEMM over its contiguous range of the gathered
-    rows. Backward is hand-written for x, bank and gate and keeps no
-    forward temporary but the ungated results of an output gate, which
-    its grad needs. MACs are A*d_in*d_out under ``term`` and the gate
-    multiply's A*min(d_in, d_out) under ``gate_term`` (None: ``term``);
-    the stored floats are left to the caller, whose cost accounting
-    names them.
+    rows. Backward is hand-written for x, bank and gate and runs one
+    expert at a time; it keeps no forward temporary but the ungated
+    results of an output gate, which its grad needs. MACs are
+    A*d_in*d_out under ``term`` and the gate multiply's A*min(d_in, d_out)
+    under ``gate_term`` (None: ``term``); the stored floats are left to the
+    caller, whose cost accounting names them.
     """
     if x.ndim != 2 or bank.ndim != 3 or x.shape[1] != bank.shape[1]:
         raise ShapeError(f"expert_matmul needs x [n, d_in] and bank [E, d_in, d_out], "
@@ -880,11 +880,13 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     nx, nbank = _node(x), _node(bank)
     ngate, gate_shape = (None, None) if gate is None else (_node(gate), gate.shape)
 
-    def gathered():
-        # x's rows in expert order: a fresh array, or xd itself
-        return xd if src is None else xd.take(src.rows, axis=0)
+    def rows_of(lo: int, hi: int) -> np.ndarray:
+        # x's rows of the assignments lo:hi in expert order: a fresh
+        # array, or a view of xd (the forward takes them all at once: one
+        # gather per expert made evaluation slower and no peak lower)
+        return xd[lo:hi] if src is None else xd.take(src.rows[lo:hi], axis=0)
 
-    xs = gathered()
+    xs = rows_of(0, A)
     if gate_in:
         xs = xs * w[:, None] if src is None else np.multiply(xs, w[:, None], out=xs)
     ys = np.empty((A, d_out), dtype=np.result_type(xd, bd))
@@ -906,38 +908,42 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     dst_rows = None if dst is None else dst.rows
 
     def bw(g):
-        gs = g if dst_rows is None else g.take(dst_rows, axis=0)
-        ggate = None
-        if gate_out:
-            if ngate is not None:
-                ggate = np.einsum("ad,ad->a", gs, kept)
-            gs = gs * w[:, None] if dst_rows is None else np.multiply(gs, w[:, None], out=gs)
-        xs = None
-        if nbank is not None or (gate_in and ngate is not None):
-            xs = gathered()
-        if nbank is not None:
-            xb = xs * w[:, None] if gate_in else xs
-            gbank = np.zeros_like(bd)
-            for e, lo, hi in segments:
-                np.matmul(xb[lo:hi].T, gs[lo:hi], out=gbank[e])
-            nbank.accum(gbank, fresh=True)
-        if nx is not None or (gate_in and ngate is not None):
-            gxs = np.empty((A, d_in), dtype=gs.dtype)
-            for e, lo, hi in segments:
-                np.matmul(gs[lo:hi], bd[e].T, out=gxs[lo:hi])
-            if gate_in:
+        # one expert at a time: its grad rows, x rows and GEMMs, so the
+        # only [A, d] array made is the x grad in expert order, which the
+        # combine reads slot by slot across experts
+        need_xs = nbank is not None or (gate_in and ngate is not None)
+        need_gx = nx is not None or (gate_in and ngate is not None)
+        gbank = None if nbank is None else np.zeros_like(bd)
+        gxs = None if nx is None else np.empty((A, d_in), dtype=g.dtype)
+        ggate = None if ngate is None else np.empty(A, dtype=ngate.dtype)
+        for e, lo, hi in segments:
+            wl = None if w is None else w[lo:hi, None]
+            gs = g[lo:hi] if dst_rows is None else g.take(dst_rows[lo:hi], axis=0)
+            if gate_out:
                 if ngate is not None:
-                    ggate = np.einsum("ad,ad->a", gxs, xs)
-                gxs *= w[:, None]
-            if nx is not None:
-                if src is None:
-                    gx = gxs
-                elif src.slots is None:
-                    gx = np.zeros((src.n, d_in), dtype=gxs.dtype)
-                    gx[src.rows] = gxs
-                else:
-                    gx = _combine(gxs, src.slots)
-                nx.accum(gx, fresh=True)
+                    ggate[lo:hi] = np.einsum("ad,ad->a", gs, kept[lo:hi])
+                gs = gs * wl if dst_rows is None else np.multiply(gs, wl, out=gs)
+            xs = rows_of(lo, hi) if need_xs else None
+            if nbank is not None:
+                np.matmul((xs * wl if gate_in else xs).T, gs, out=gbank[e])
+            if need_gx:
+                gx = np.matmul(gs, bd[e].T, out=None if gxs is None else gxs[lo:hi])
+                if gate_in:
+                    if ngate is not None:
+                        ggate[lo:hi] = np.einsum("ad,ad->a", gx, xs)
+                    gx *= wl
+            del gs, xs         # before the next expert's rows are gathered
+        if gbank is not None:
+            nbank.accum(gbank, fresh=True)
+        if gxs is not None:
+            if src is None:
+                gx = gxs
+            elif src.slots is None:
+                gx = np.zeros((src.n, d_in), dtype=gxs.dtype)
+                gx[src.rows] = gxs
+            else:
+                gx = _combine(gxs, src.slots)
+            nx.accum(gx, fresh=True)
         if ggate is not None:
             ngate.accum(ggate.take(inverse).reshape(gate_shape), fresh=True)
 
@@ -988,17 +994,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # -- routing helpers ------------------------------------------------------
 
 
-def argtopk(values, k: int) -> list[int]:
-    """Indices of the k largest values, ties to the lowest index, ascending."""
-    vals = list(values)
-    if k < 1 or k > len(vals):
-        raise ValueError(f"argtopk requires 1 <= k <= {len(vals)}, got k={k}")
-    order = sorted(range(len(vals)), key=lambda i: (-vals[i], i))
-    return sorted(order[:k])
-
-
 def argtopk_rows(arr: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized argtopk over the last axis; same tie rule, ascending."""
+    """The indices of the k largest values of each row (last axis), ties
+    to the lowest index, in ascending order."""
     if k < 1 or k > arr.shape[-1]:
         raise ValueError(f"argtopk requires 1 <= k <= {arr.shape[-1]}, got k={k}")
     order = (-arr).argsort(axis=-1, kind="stable")[..., :k]

@@ -1,6 +1,8 @@
 """ListOps generator/evaluator: hand-worked cases, re-evaluation oracle."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,7 +105,7 @@ def test_pad_batch_layout():
     assert tokens.shape == mask.shape == (5, L)
     assert labels.shape == (5,)
     for b, e in enumerate(examples):
-        assert list(tokens[b, :e.length]) == e.tokens
+        assert list(tokens[b, :e.length]) == list(e.tokens)
         assert np.all(tokens[b, e.length:] == PAD)
         assert mask[b].sum() == e.length
         assert labels[b] == e.label
@@ -117,8 +119,47 @@ def test_pad_batch_empty():
 def test_to_line_format():
     text = "( MAX 2 ( SM 9 9 9 ) 3 )"
     ids = [TOKEN_ID[t] for t in text.split()]
-    e = ListOpsExample(tokens=ids, label=7, depth=2, length=len(ids))
+    e = ListOpsExample(tokens=ids, label=7, depth=2)
+    assert e.length == len(ids)
     assert to_line(e) == "( MAX 2 ( SM 9 9 9 ) 3 )\t7"
+
+
+def test_record_from_id_list():
+    # a record built from a list of ids stores them as bytes and reads back
+    # the same ids in a batch and a line; an id that needs a second byte
+    # raises
+    ids = [TOKEN_ID[t] for t in "( SM 9 ( MIN 3 2 ) )".split()]
+    e = ListOpsExample(ids, label=1, depth=2)
+    assert e.tokens == bytes(ids) and e.length == len(ids)
+    tokens, labels, mask = pad_batch([e, ListOpsExample([1, 3, 9, 2], 9, 1)])
+    assert tokens.dtype == np.int64
+    assert list(tokens[0]) == ids and mask[0].all()
+    assert list(tokens[1]) == [1, 3, 9, 2] + [PAD] * (len(ids) - 4)
+    assert list(labels) == [1, 9]
+    assert to_line(e) == "( SM 9 ( MIN 3 2 ) )\t1"
+    with pytest.raises(ValueError):
+        ListOpsExample([1, 256, 2], label=0, depth=1)
+
+
+def test_record_footprint():
+    # a run keeps every example of its splits alive: each record, with its
+    # slot in the split's list, takes at most 256 traced bytes (a
+    # __dict__ and a list of int ids would take about 500). The cyclic
+    # collector runs first: each eval_tokens call leaves a reference cycle
+    # (its recursive parser), whose garbage would count otherwise
+    n = 2000
+    gen_listops(1, 3, 5, seed=101)    # what a first call sets up stays
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        examples = gen_listops(n, 3, 5, seed=101)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(examples) == n
+    assert held / n <= 256
 
 
 @pytest.mark.parametrize("seed,digest", [

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from switchlab import tensor
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
-from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk,
-                              argtopk_rows, attention_probs, concat, constant,
+from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk_rows,
+                              attention_probs, concat, constant,
                               cross_entropy, expert_matmul, gather_rows,
                               layer_norm, matmul, mul, relu, reshape, sigmoid,
                               slice_, softmax_last, take_last, transpose, tsum)
@@ -668,17 +668,26 @@ def test_shaping_ops_grads():
 # -- top-k selection helpers ----------------------------------------------
 
 
+def argtopk(values, k: int) -> list[int]:
+    """Oracle of ``argtopk_rows`` on one row: the indices of the k largest
+    values, ties to the lowest index, ascending."""
+    order = sorted(range(len(values)), key=lambda i: (-values[i], i))
+    return sorted(order[:k])
+
+
 def test_argtopk_tie_break_lowest_index_ascending():
-    assert argtopk([1.0, 3.0, 3.0, 2.0], 2) == [1, 2]
-    assert argtopk([5.0, 5.0, 5.0], 2) == [0, 1]
-    assert argtopk([2.0, 1.0], 1) == [0]
+    for row, k, want in [([1.0, 3.0, 3.0, 2.0], 2, [1, 2]),
+                         ([5.0, 5.0, 5.0], 2, [0, 1]),
+                         ([2.0, 1.0], 1, [0])]:
+        assert argtopk(row, k) == want
+        assert argtopk_rows(np.array([row]), k).tolist() == [want]
 
 
 def test_argtopk_contract_errors():
     with pytest.raises(ValueError):
-        argtopk([1.0, 2.0], 0)
+        argtopk_rows(np.array([[1.0, 2.0]]), 0)
     with pytest.raises(ValueError):
-        argtopk([1.0, 2.0], 3)
+        argtopk_rows(np.array([[1.0, 2.0]]), 3)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,6 +1,7 @@
 """Training loop: reproducibility, warmup wiring, streaming equivalence,
 divergence handling, and baseline metric values."""
 
+import hashlib
 import logging
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 from switchlab.attention import AttentionConfig, ExpertFlags
 from switchlab.corpus import from_bytes
-from switchlab.listops import VOCAB_SIZE, gen_listops, pad_batch
+from switchlab.listops import VOCAB_SIZE, gen_listops, pad_batch, to_line
 from switchlab.model import MLPConfig, Model, ModelSpec, build
 from switchlab.moe import ConfigError
 from switchlab.optim import Adam
@@ -143,6 +144,21 @@ def test_char_lm_task_stream_layout():
     assert reset
     with pytest.raises(ConfigError):
         task.batch(0, 1, 8)
+
+
+def test_corpus_ids_pinned():
+    """The byte LM benchmark's corpus (the lines of generator seed 100) maps
+    to the same ids and vocabulary through any change of their storage;
+    the ids are pinned by value, whatever their dtype."""
+    text = "".join(to_line(e) + "\n" for e in gen_listops(3000, 3, 5, seed=100))
+    corpus = from_bytes(text.encode(), valid_fraction=0.1)
+    assert bytes(corpus.vocab.tolist()) == b"\t\n ()0123456789ADEIMNSX"
+    assert corpus.vocab.dtype == np.uint8
+    assert corpus.data.dtype == np.uint8       # one byte per byte of text
+    assert (len(corpus.data), corpus.train_end) == (261697, 235527)
+    assert corpus.data[:12].tolist() == [3, 2, 21, 19, 2, 3, 2, 19, 15, 22, 2, 10]
+    assert (hashlib.sha256(corpus.data.astype(np.int64).tobytes()).hexdigest()
+            == "ec233ebb39e30402f812e16e33b57feadaba8c21c232df3dde3ca89b58c65031")
 
 
 def test_char_lm_task_too_small():
