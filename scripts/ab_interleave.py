@@ -21,10 +21,12 @@ the change was faster.
 ``tape`` measures memory instead of time: a request runs one forward,
 loss and backward on the workload's longest batch under ``tracemalloc``
 (the longest of the cycle's windows on ListOps; on the LM the second
-chunk, with the first one cached) and reports two figures, both above the
-bytes traced before the forward: the bytes held once the loss is formed,
-which is the tape, and the backward's peak. The counts repeat exactly, so
-N = 1 is enough; the script prints both figures per side in MB (10^6 B).
+chunk, with the first one cached) and reports three figures, each above
+the bytes traced before the forward: the bytes held once the loss is
+formed, which is the tape, the peak of the forward and loss, and the
+backward's peak. The step's high-water mark is the larger of the two
+peaks. The counts repeat exactly, so N = 1 is enough; the script prints
+the figures per side in MB (10^6 B).
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ SEED = 0
 
 
 def tape_bytes(W, wl, trainer) -> list[int]:
-    """[bytes held after the forward and loss, peak bytes of the backward]
-    on the workload's longest batch, each above the bytes traced before
-    the forward; the grads are dropped again after."""
+    """[bytes held after the forward and loss, peak bytes of the forward
+    and loss, peak bytes of the backward] on the workload's longest batch,
+    each above the bytes traced before the forward; the grads are dropped
+    again after."""
     from switchlab.listops import pad_batch
     from switchlab.tensor import cross_entropy
 
@@ -63,14 +66,14 @@ def tape_bytes(W, wl, trainer) -> list[int]:
         base = tracemalloc.get_traced_memory()[0]
         logits, _, _ = model.forward(tokens, **kwargs)
         loss = cross_entropy(logits, targets)
-        held = tracemalloc.get_traced_memory()[0] - base
+        held, forward_peak = (b - base for b in tracemalloc.get_traced_memory())
         tracemalloc.reset_peak()
         loss.backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     trainer.opt.zero_grad()
-    return [held, peak]
+    return [held, forward_peak, backward_peak]
 
 
 def worker(root: str, workload: str, mode: str) -> None:
@@ -152,10 +155,11 @@ def main() -> None:
             proc.wait(timeout=60)
     if args.mode == "tape":
         for side in ("parent", "change"):
-            held, peak = (statistics.median(x) / 1e6 for x in zip(*times[side]))
-            print(f"{side:6s} tape after forward {held:8.2f} MB  backward peak {peak:8.2f} MB"
-                  f"  (n={len(times[side])})")
-        held_p, held_c = (statistics.median(h for h, _ in times[s]) for s in ("parent", "change"))
+            held, fwd, bwd = (statistics.median(x) / 1e6 for x in zip(*times[side]))
+            print(f"{side:6s} tape after forward {held:8.2f} MB  forward peak {fwd:8.2f} MB"
+                  f"  backward peak {bwd:8.2f} MB  (n={len(times[side])})")
+        held_p, held_c = (statistics.median(h for h, _, _ in times[s])
+                          for s in ("parent", "change"))
         print(f"{args.workload} tape: change/parent {held_c / held_p:.3f}x after the forward")
         return
     for side in ("parent", "change"):

@@ -12,9 +12,11 @@ capture:
   the config keeps one: the output, the input and parameter grads, the
   attention matrices and routing decisions of the trace, the new cache
   and the OpCounter snapshot of one forward and backward;
-* float32, each workload ``BENCHMARK.json`` gates, set up as the benchmark
-  does (seed 0): the losses of ``TRAIN_STEPS`` training steps, the
-  parameters after them and the exact counts of ``forward_counts``;
+* float32, each workload ``BENCHMARK.json`` gates and the benchmark's
+  ungated dense ListOps workload ``listops_dense_h8`` (the one bench model
+  with per-head XL position biases and a dense MLP), set up as the
+  benchmark does (seed 0): the losses of ``TRAIN_STEPS`` training steps,
+  the parameters after them and the exact counts of ``forward_counts``;
 * float32, a head-gated ListOps model (H=8, k=2) on the benchmark's ListOps
   data: the losses of ``HEAD_GATED_STEPS`` steps and the final parameters,
   then the logits and parameter grads of one forward and backward on the
@@ -42,6 +44,7 @@ SEED = 0
 SUITE_SEEDS = (0, 1, 2)
 SUITE_SHAPES = ((1, 4), (2, 5), (3, 7))
 TRAIN_STEPS = 6
+UNGATED = ("listops_dense_h8",)
 HEAD_GATED_STEPS = 24
 SEP = "|"
 
@@ -123,7 +126,7 @@ def worker(root: str, path: str) -> None:
     suite_capture(out)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         gated = [w["name"] for w in json.load(f)["workloads"]]
-    for name in gated:
+    for name in (*gated, *UNGATED):
         train_capture(out, name, W.WORKLOADS[name], W, TRAIN_STEPS, counts=True)
     head_gated = replace(W.WORKLOADS["listops_dense_h8"], name="listops_head_gated_h8",
                          attention=AttentionConfig(128, 8, 16, variant="head_gated",

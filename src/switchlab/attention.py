@@ -276,7 +276,7 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
     keep = (cfg.context_mult - 1) * T      # the FIFO keeps the last C-1 chunks
     new_cache = (LayerCache(k=k.data[..., -keep:, :].copy(), v=v.data[..., -keep:, :].copy())
                  if keep else None)
-    pos_q = pos_r = None
+    u = v_bias = pos_r = None
     if cfg.position == "xl_relative":
         # relative-position scores from the projected 2S-row sinusoid table;
         # their interaction product is not in the closed forms, so
@@ -286,15 +286,15 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
         r = matmul(constant(table), w_r, counter, term="position")
         pos_r = (transpose(reshape(r, (2 * S, cfg.n_heads, cfg.d_head)), (1, 2, 0))
                  if per_head_pos else transpose(r))      # [H, dh, 2S] or [dh, 2S]
-        pos_q = q + params["v"]
-        q = q + params["u"]
+        u, v_bias = params["u"], params["v"]
     elif cfg.position == "rope":
         cos, sin = rope_angles(T, cfg.d_head)
         q = rope_rotate(q, cos, sin, counter)
         k = rope_rotate(k, cos, sin, counter)
     attn = attention_probs(q, k, cfg.scale(),
                            mask=_score_mask(T, S, cache_len, cfg.causal, key_mask),
-                           pos_q=pos_q, pos_r=pos_r, cache_len=cache_len, counter=counter)
+                           u=u, v=v_bias, pos_r=pos_r, cache_len=cache_len,
+                           counter=counter)
     counter.count_score_matrices(attn.shape[0] * attn.shape[1])
     av = matmul(attn, v, counter, term="readout")
     return attn, av, new_cache

@@ -67,34 +67,38 @@ def apply_op(op: str, args: list[int]) -> int:
 
 def eval_tokens(tokens: list[str]) -> int:
     """Evaluate a well-formed token string; raises on malformed input."""
-    pos = 0
-
-    def parse() -> int:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ConfigError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok.isdigit():
-            return int(tok)
-        if tok != "(":
-            raise ConfigError(f"expected digit or '(', got '{tok}'")
-        if pos >= len(tokens) or tokens[pos] not in OPERATORS:
-            raise ConfigError("expected operator after '('")
-        op = tokens[pos]
-        pos += 1
-        args = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            args.append(parse())
-        if pos >= len(tokens):
-            raise ConfigError("missing closing ')'")
-        pos += 1
-        return apply_op(op, args)
-
-    result = parse()
+    result, pos = _parse(tokens, 0)
     if pos != len(tokens):
         raise ConfigError("trailing tokens after expression")
     return result
+
+
+def _parse(tokens: list[str], pos: int) -> tuple[int, int]:
+    """The value of the subexpression at ``pos`` and the position after it.
+
+    A module-level function, not a closure over ``pos``: a recursive
+    closure refers to itself, and each call would leave that cycle to the
+    cyclic collector.
+    """
+    if pos >= len(tokens):
+        raise ConfigError("unexpected end of expression")
+    tok = tokens[pos]
+    pos += 1
+    if tok.isdigit():
+        return int(tok), pos
+    if tok != "(":
+        raise ConfigError(f"expected digit or '(', got '{tok}'")
+    if pos >= len(tokens) or tokens[pos] not in OPERATORS:
+        raise ConfigError("expected operator after '('")
+    op = tokens[pos]
+    pos += 1
+    args = []
+    while pos < len(tokens) and tokens[pos] != ")":
+        arg, pos = _parse(tokens, pos)
+        args.append(arg)
+    if pos >= len(tokens):
+        raise ConfigError("missing closing ')'")
+    return apply_op(op, args), pos + 1
 
 
 def _sample_tree(rng: np.random.Generator, depth_left: int, max_args: int) -> tuple[list[str], int]:

@@ -22,7 +22,7 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, SelectionConfig, sigma_moe_mlp
 from .rng import rng_for, uniform_init
 from .tensor import (ShapeError, Tensor, constant, gather_rows, layer_norm,
-                     matmul, mul, relu, reshape, transpose, tsum)
+                     matmul, mul, relu_mlp, reshape, transpose, tsum)
 
 
 class MatchingError(ValueError):
@@ -210,6 +210,9 @@ class Model:
                 scale = keep / (1.0 - spec.dropout)
                 m = mul(m, constant(scale.astype(m.data.dtype)))
             x = x + m
+            # no backward reads y or m; held over, they would raise the
+            # next layer's forward peak
+            del y, m
         x = layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
         if spec.n_classes is not None:
@@ -229,10 +232,8 @@ class Model:
     def _mlp(self, i: int, h: Tensor, counter: OpCounter) -> Tensor:
         mlp = self.spec.mlp
         if mlp.kind == "dense":
-            up = matmul(h, self.params[f"layers.{i}.mlp.w_up"], counter,
-                        store=False, term="mlp")
-            return matmul(relu(up), self.params[f"layers.{i}.mlp.w_down"],
-                          counter, store=False, term="mlp")
+            return relu_mlp(h, self.params[f"layers.{i}.mlp.w_up"],
+                            self.params[f"layers.{i}.mlp.w_down"], counter)
         cfg = SelectionConfig(mlp.n_experts, mlp.k_active)
         return sigma_moe_mlp(h, self.params[f"layers.{i}.mlp.up_bank"],
                              self.params[f"layers.{i}.mlp.down_bank"],

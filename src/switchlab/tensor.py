@@ -13,14 +13,19 @@ data. Each closure keeps only the input nodes it sends grads to and the
 arrays its backward reads (``matmul`` its operands, ``relu``, ``sigmoid``
 and ``softmax_last`` their outputs, ``add`` and the shaping ops shapes
 alone), so an activation that no backward reads dies as soon as the
-forward drops it. ``backward()`` on a scalar loss walks the nodes in
-reverse topological order and frees the tape as it goes.
-Three ops consume an OpCounter, each filing its cost under a term name
+forward drops it. Three ops form a cheap array again in the backward
+rather than keep it from the forward (selective recomputation):
+``relu_mlp`` its hidden layer, ``expert_matmul`` an output gate's
+ungated results and ``attention_probs`` its biased queries.
+``backward()`` on a scalar loss walks the nodes in reverse topological
+order and frees the tape as it goes.
+Four ops consume an OpCounter, each filing its cost under a term name
 (see ``counter``): ``matmul`` (its MACs and, when stored, its output
-floats, under ``term``, by default ``other``), ``expert_matmul`` (the MACs
-of its expert GEMMs, likewise, and of its gate multiply) and
-``attention_probs`` (the figures of the matmul and softmax chain it fuses,
-softmax output included, under ``scores`` and ``pos_scores``). Everything
+floats, under ``term``, by default ``other``), ``relu_mlp`` (its two
+GEMMs' MACs under ``mlp``), ``expert_matmul`` (the MACs of its expert
+GEMMs, likewise, and of its gate multiply) and ``attention_probs`` (the
+figures of the matmul and softmax chain it fuses, softmax output
+included, under ``scores`` and ``pos_scores``). Everything
 else is free in the MAC accounting convention used by the cost model;
 explicit elementwise costs, such as a rotary rotation, are added by the
 callers that need them.
@@ -430,6 +435,49 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
     return _make(data, (na, nb), bw)
 
 
+def relu_mlp(h: Tensor, w_up: Tensor, w_down: Tensor,
+             counter: OpCounter = NULL_COUNTER) -> Tensor:
+    """The dense MLP ``relu(h @ w_up) @ w_down`` as one op.
+
+    The arithmetic is that of the chain matmul, relu, matmul, and so is the
+    backward's, call for call, so the results agree bit for bit; but only
+    ``h`` and the weights are kept. The backward rebuilds the [..., d_ff]
+    hidden from them, with the forward's GEMM, instead of holding it from
+    the forward to the backward. The counter gets the chain's two ``mlp``
+    entries, with no stored floats (the convention stores none).
+    """
+    h, w_up, w_down = _coerce(h), _coerce(w_up), _coerce(w_down)
+    if (h.ndim < 2 or w_up.ndim != 2 or w_down.ndim != 2 or h.shape[-1] != w_up.shape[0]
+            or w_up.shape[1] != w_down.shape[0]):
+        raise ShapeError(f"relu_mlp needs h [..., d], w_up [d, d_ff] and w_down [d_ff, d_out], "
+                         f"got {h.shape}, {w_up.shape} and {w_down.shape}")
+    hd, ud, dd = h.data, w_up.data, w_down.data
+    hidden = _matmul_data(hd, ud)
+    np.maximum(hidden, 0.0, out=hidden)
+    counter.add("mlp", macs=hidden.size * hd.shape[-1])
+    data = _matmul_data(hidden, dd)
+    counter.add("mlp", macs=data.size * dd.shape[0])
+    nh, nup, ndown = _node(h), _node(w_up), _node(w_down)
+
+    def bw(g):
+        hidden = _matmul_data(hd, ud)
+        np.maximum(hidden, 0.0, out=hidden)
+        need_hidden = nh is not None or nup is not None
+        g_hidden, g_down = _matmul_grads(hidden, dd, g, need_hidden, ndown is not None)
+        if g_down is not None:
+            ndown.accum(g_down, fresh=True)
+        if need_hidden:
+            g_hidden *= hidden > 0
+            del hidden
+            gh, gup = _matmul_grads(hd, ud, g_hidden, nh is not None, nup is not None)
+            if gh is not None:
+                nh.accum(gh, fresh=True)
+            if gup is not None:
+                nup.accum(gup, fresh=True)
+
+    return _make(data, (nh, nup, ndown), bw)
+
+
 # -- softmax / losses -----------------------------------------------------
 
 
@@ -450,6 +498,14 @@ def softmax_last(x: Tensor) -> Tensor:
     return _make(out, (nx,), bw)
 
 
+def _fits(shape: tuple, target: tuple) -> bool:
+    """Whether ``shape`` broadcasts to ``target`` without widening it."""
+    try:
+        return np.broadcast_shapes(shape, target) == target
+    except ValueError:
+        return False
+
+
 def _rel_shift_view(a: np.ndarray, cache_len: int) -> np.ndarray:
     """Transformer-XL relative shift of a [..., T, 2S] distance-score table
     as a [..., T, S] strided view, S = cache_len + T.
@@ -468,70 +524,79 @@ def _rel_shift_view(a: np.ndarray, cache_len: int) -> np.ndarray:
 
 
 def attention_probs(q: Tensor, k: Tensor, scale: float, *,
-                    mask: np.ndarray | None = None, pos_q: Tensor | None = None,
-                    pos_r: Tensor | None = None, cache_len: int = 0,
-                    counter: OpCounter = NULL_COUNTER) -> Tensor:
+                    mask: np.ndarray | None = None, u: Tensor | None = None,
+                    v: Tensor | None = None, pos_r: Tensor | None = None,
+                    cache_len: int = 0, counter: OpCounter = NULL_COUNTER) -> Tensor:
     """Attention probabilities as one op: the last-axis softmax of
-    ``scale * (q @ kᵀ + relshift(pos_q @ pos_r)) + mask``.
+    ``scale * ((q + u) @ kᵀ + relshift((q + v) @ pos_r)) + mask``.
 
     ``q`` is [..., T, dh] and ``k`` is [..., S, dh]; their leading axes
     broadcast, so a [B, 1, S, dh] key head serves all H query heads.
     ``mask`` is an additive array that broadcasts to the [..., T, S]
-    scores. With ``pos_q`` ([..., T, dh]) and ``pos_r`` ([dh, 2S], shared by
+    scores. The Transformer-XL terms come together or not at all: the
+    content and position biases ``u`` and ``v`` broadcast to q's shape
+    (a [H, 1, dh] bias per head), and with ``pos_r`` ([dh, 2S], shared by
     all heads, or [..., dh, 2S]), S = cache_len + T and score (t, j) gains
     the position score of distance cache_len + t - j: the [..., T, 2S]
-    product ``pos_q @ pos_r`` is read through the Transformer-XL relative
+    product ``(q + v) @ pos_r`` is read through the Transformer-XL relative
     shift (``_rel_shift_view``).
 
-    The arithmetic and its order are those of the unfused chain of matmul,
-    shift, add, scale, mask add and ``softmax_last``, so the results agree
-    bit for bit; but only the probabilities are kept. The backward forms
-    the softmax grad and scales it, sends it through q @ kᵀ to q and k, and
-    writes it through the shifted view into a zeroed [..., T, 2S] buffer,
-    which is the grad of the position product. The counter gets the
-    unfused chain's figures: the q @ kᵀ MACs with their output and the
-    probabilities as stored floats under ``scores``, and the position
-    product's MACs and output under the ``pos_scores`` extra.
+    The arithmetic and its order are those of the unfused chain of the two
+    bias adds, matmul, shift, add, scale, mask add and ``softmax_last``, so
+    the results agree bit for bit; but only the probabilities and the raw
+    ``q`` are kept, and the backward forms the two biased queries again.
+    It forms the softmax grad and scales it, sends it through
+    (q + u) @ kᵀ to q, u and k, and writes it through the shifted view into
+    a zeroed [..., T, 2S] buffer, which is the grad of the position product,
+    sent on to q, v and pos_r. The counter gets the unfused chain's
+    figures: the q @ kᵀ MACs with their output and the probabilities as
+    stored floats under ``scores``, and the position product's MACs and
+    output under the ``pos_scores`` extra.
     """
     if q.ndim < 2 or k.ndim < 2 or q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention_probs needs q [..., T, dh] and k [..., S, dh], "
                          f"got {q.shape} and {k.shape}")
     T, S = q.shape[-2], k.shape[-2]
-    if (pos_q is None) != (pos_r is None):
-        raise ShapeError("attention_probs needs both pos_q and pos_r, or neither")
-    if pos_q is not None and (cache_len < 0 or S != cache_len + T
-                              or pos_q.shape[-2:] != q.shape[-2:] or pos_r.ndim < 2
-                              or pos_r.shape[-2:] != (q.shape[-1], 2 * S)):
-        raise ShapeError(f"relative positions need pos_q [..., {T}, {q.shape[-1]}] and "
+    xl = pos_r is not None
+    if len({u is None, v is None, pos_r is None}) > 1:
+        raise ShapeError("attention_probs needs u, v and pos_r together, or none of them")
+    if xl and (cache_len < 0 or S != cache_len + T or pos_r.ndim < 2
+               or pos_r.shape[-2:] != (q.shape[-1], 2 * S)
+               or not all(_fits(b.shape, q.shape) for b in (u, v))):
+        raise ShapeError(f"relative positions need u and v that broadcast to q {q.shape} and "
                          f"pos_r [..., {q.shape[-1]}, 2*(cache_len + T)] with S = cache_len "
-                         f"+ T = {S} keys, got {pos_q.shape} and {pos_r.shape} with "
+                         f"+ T = {S} keys, got {u.shape}, {v.shape} and {pos_r.shape} with "
                          f"cache_len={cache_len}")
     qd, kt = q.data, np.swapaxes(k.data, -1, -2)
-    data = _matmul_data(qd, kt)
-    nq, nk, npq, npr = _node(q), _node(k), None, None
-    if pos_q is not None:
-        pqd, prd = pos_q.data, pos_r.data
-        p = _matmul_data(pqd, prd)
+    nq, nk, nu, nv, npr = _node(q), _node(k), None, None, None
+    if xl:
+        ud, vd, prd = u.data, v.data, pos_r.data
+        data = _matmul_data(qd + ud, kt)
+        p = _matmul_data(qd + vd, prd)
         counter.add("pos_scores", macs=p.size * q.shape[-1], mem=p.size)
         data += _rel_shift_view(p, cache_len)
         p_shape = p.shape
         del p
-        npq, npr = _node(pos_q), _node(pos_r)
+        nu, nv, npr = _node(u), _node(v), _node(pos_r)
+    else:
+        data = _matmul_data(qd, kt)
     scale = data.dtype.type(scale)
     data *= scale
     if mask is not None:
         mask = np.asarray(mask, dtype=data.dtype)
-        try:
-            fits = np.broadcast_shapes(mask.shape, data.shape) == data.shape
-        except ValueError:
-            fits = False
-        if not fits:
+        if not _fits(mask.shape, data.shape):
             raise ShapeError(f"mask {mask.shape} does not broadcast to scores {data.shape}")
         data += mask
     data -= data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
     data /= data.sum(axis=-1, keepdims=True)
     counter.add("scores", macs=data.size * q.shape[-1], mem=2 * data.size)
+
+    def to_bias(nb, gb, shape):
+        # as add sends a broadcast operand its grad: summed, or copied if
+        # the sum left the query's grad itself
+        g = _unbroadcast(gb, shape)
+        nb.accum(g, fresh=g is not gb or nq is None)
 
     def bw(g):
         # the node's grad is its own (see Node.accum), so the softmax
@@ -540,22 +605,29 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
         g -= dot
         g *= data
         g *= scale
-        if npq is not None or npr is not None:
+        gpq = None
+        if xl and (nq is not None or nv is not None or npr is not None):
             full = np.zeros(p_shape, dtype=g.dtype)
             _rel_shift_view(full, cache_len)[...] = g
-            gpq, gpr = _matmul_grads(pqd, prd, full, npq is not None, npr is not None)
+            gpq, gpr = _matmul_grads(qd + vd, prd, full, nq is not None or nv is not None,
+                                     npr is not None)
             del full
-            if gpq is not None:
-                npq.accum(gpq, fresh=True)
             if gpr is not None:
                 npr.accum(gpr, fresh=True)
-        gq, gkt = _matmul_grads(qd, kt, g, nq is not None, nk is not None)
-        if gq is not None:
+            if nv is not None:
+                to_bias(nv, gpq, vd.shape)
+        gq, gkt = _matmul_grads(qd + ud if xl else qd, kt, g,
+                                nq is not None or nu is not None, nk is not None)
+        if nu is not None:
+            to_bias(nu, gq, ud.shape)
+        if nq is not None:
             nq.accum(gq, fresh=True)
+            if gpq is not None:
+                nq.accum(gpq, fresh=True)
         if gkt is not None:
             nk.accum(np.swapaxes(gkt, -1, -2), fresh=True)
 
-    return _make(data, (nq, nk, npq, npr), bw)
+    return _make(data, (nq, nk, nu, nv, npr), bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -854,8 +926,9 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     the gathered x rows when d_in <= d_out, the GEMM results otherwise.
     Each expert runs one GEMM over its contiguous range of the gathered
     rows. Backward is hand-written for x, bank and gate and runs one
-    expert at a time; it keeps no forward temporary but the ungated
-    results of an output gate, which its grad needs. MACs are
+    expert at a time; it keeps no forward temporary: the ungated results
+    that an output gate's grad reads are formed again, one expert's GEMM
+    at a time, from the x rows it gathers again anyway. MACs are
     A*d_in*d_out under ``term`` and the gate multiply's A*min(d_in, d_out)
     under ``gate_term`` (None: ``term``); the stored floats are left to the
     caller, whose cost accounting names them.
@@ -900,10 +973,9 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     counter.add(term, macs=A * d_in * d_out)
     if w is not None:
         counter.add(gate_term or term, macs=A * min(d_in, d_out))
-    # the output-side gate's grad needs the ungated results; nothing else
-    # from the forward is kept (x rows are gathered again from xd), and
-    # of the plan only what the backward reads
-    kept = ys if gate_out and ngate is not None else None
+    # nothing from the forward is kept (x rows are gathered again from xd,
+    # and an output gate's ungated results formed again from them), and of
+    # the plan only what the backward reads
     segments, inverse = plan.segments, plan.inverse
     dst_rows = None if dst is None else dst.rows
 
@@ -911,7 +983,7 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         # one expert at a time: its grad rows, x rows and GEMMs, so the
         # only [A, d] array made is the x grad in expert order, which the
         # combine reads slot by slot across experts
-        need_xs = nbank is not None or (gate_in and ngate is not None)
+        need_xs = nbank is not None or ngate is not None
         need_gx = nx is not None or (gate_in and ngate is not None)
         gbank = None if nbank is None else np.zeros_like(bd)
         gxs = None if nx is None else np.empty((A, d_in), dtype=g.dtype)
@@ -919,11 +991,12 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         for e, lo, hi in segments:
             wl = None if w is None else w[lo:hi, None]
             gs = g[lo:hi] if dst_rows is None else g.take(dst_rows[lo:hi], axis=0)
+            xs = rows_of(lo, hi) if need_xs else None
             if gate_out:
                 if ngate is not None:
-                    ggate[lo:hi] = np.einsum("ad,ad->a", gs, kept[lo:hi])
+                    # the ungated results, with the forward's GEMM
+                    ggate[lo:hi] = np.einsum("ad,ad->a", gs, np.matmul(xs, bd[e]))
                 gs = gs * wl if dst_rows is None else np.multiply(gs, wl, out=gs)
-            xs = rows_of(lo, hi) if need_xs else None
             if nbank is not None:
                 np.matmul((xs * wl if gate_in else xs).T, gs, out=gbank[e])
             if need_gx:

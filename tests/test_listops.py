@@ -29,6 +29,20 @@ def test_eval_hand_worked(expr, want):
     assert eval_tokens(expr.split()) == want
 
 
+def test_eval_leaves_no_garbage():
+    # an evaluation frees everything it made by reference counting alone,
+    # so the cyclic collector finds nothing (a recursive closure would
+    # leave a cycle per call)
+    gc.collect()
+    gc.disable()
+    try:
+        for expr in ("( MAX 2 ( SM 9 9 9 ) 3 )", "( SM ( MIN 3 2 ) ( MAX 8 9 ) )"):
+            eval_tokens(expr.split())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_apply_op_rules():
     assert apply_op("MED", [4, 1]) == 1          # lower of the two
     assert apply_op("SM", [5, 5]) == 0
@@ -145,8 +159,7 @@ def test_record_footprint():
     # a run keeps every example of its splits alive: each record, with its
     # slot in the split's list, takes at most 256 traced bytes (a
     # __dict__ and a list of int ids would take about 500). The cyclic
-    # collector runs first: each eval_tokens call leaves a reference cycle
-    # (its recursive parser), whose garbage would count otherwise
+    # collector runs first, so no earlier garbage is counted
     n = 2000
     gen_listops(1, 3, 5, seed=101)    # what a first call sets up stays
     gc.collect()

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from switchlab import attention, model as model_mod, moe, tensor
+from switchlab import attention, moe, tensor
 from switchlab.attention import AttentionConfig, ExpertFlags, init_attention_params
 from switchlab.counter import OpCounter
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
@@ -278,28 +278,28 @@ def _base(a):
 _B, _T = 2, 5
 
 
-@pytest.mark.parametrize("attn, mlp, kept", [
-    # V's ungated [A, dh] results, A = B*T*H*K; O is gated on its inputs
+@pytest.mark.parametrize("attn, mlp", [
+    # V gates its [A, dh] results, A = B*T*H*K; O is gated on its inputs
     (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
                      expert_flags=ExpertFlags.value_output()),
-     MLPConfig("dense", 7), {(_B * _T * 4, 4): 1}),
+     MLPConfig("dense", 7)),
     # K, Q and V gate their results, O its inputs
     (AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
                      context_mult=2, expert_flags=_ALL),
-     MLPConfig("dense", 7), {(_B * _T * 4, 4): 3}),
+     MLPConfig("dense", 7)),
     # MoA: the ungated q heads keep nothing, the o experts gate their inputs
     (AttentionConfig(12, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
-     MLPConfig("dense", 7), {}),
+     MLPConfig("dense", 7)),
     # sigma-MoE: the hidden rows are tensor data, down gates its 7-wide inputs
     (AttentionConfig(12, 2, 4, variant="dense"),
-     MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), {}),
+     MLPConfig("sigma_moe", 7, n_experts=3, k_active=2)),
 ], ids=["switchhead_vo", "switchhead_all", "moa", "sigma_moe"])
-def test_tape_holds_no_routed_temporaries(attn, mlp, kept, tape_arrays, tensor_values):
-    # of the routed path's [A, d] arrays (A = tokens x slots), a layer's
-    # backward closures keep only the ungated results of an output-gated
-    # dispatch, which the gate's grad needs; gathered rows, gated copies
-    # and the results of an input-gated dispatch are not kept (the
-    # temporaries are the held arrays that are no tensor's data)
+def test_tape_holds_no_routed_temporaries(attn, mlp, tape_arrays, tensor_values):
+    # a layer's backward closures keep none of the routed path's [A, d]
+    # arrays (A = tokens x slots): gathered rows, gated copies and the
+    # results of a dispatch, input- or output-gated, are not kept; an
+    # output gate's grad forms the ungated results again (the temporaries
+    # are the held arrays that are no tensor's data)
     n_layers = 2
     model = build(ModelSpec(n_layers, 12, attn, mlp, 11, T=_T), 0)
     toks = rng_for(0, "routed-tape-toks").integers(11, size=(_B, _T))
@@ -308,22 +308,21 @@ def test_tape_holds_no_routed_temporaries(attn, mlp, kept, tape_arrays, tensor_v
         _, _, caches = model.forward(toks)
     logits, _, _ = model.forward(toks, caches=caches)
     values = {_base(a) for a in tensor_values}
-    slot_rows = {A for A, _ in kept} | {_B * _T * a for a in (2, 3, 4)}
-    found = {}
-    for a in tape_arrays(logits):
-        if _base(a) not in values and a.ndim == 2 and a.shape[0] in slot_rows:
-            found[a.shape] = found.get(a.shape, 0) + 1
-    assert found == {shape: n * n_layers for shape, n in kept.items()}
+    slot_rows = {_B * _T * a for a in (2, 3, 4)}
+    found = [a.shape for a in tape_arrays(logits)
+             if _base(a) not in values and a.ndim == 2 and a.shape[0] in slot_rows]
+    assert found == []
 
 
-@pytest.mark.parametrize("mlp", [MLPConfig("dense", 7),
-                                 MLPConfig("sigma_moe", 7, n_experts=3, k_active=2)],
+@pytest.mark.parametrize("mlp, n_relu", [(MLPConfig("dense", 7), 0),
+                                         (MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), 2)],
                          ids=["dense_mlp", "sigma_moe"])
-def test_forward_drops_what_no_backward_reads(mlp, monkeypatch):
-    # residual sums, pre-ReLU outputs (the dense MLP's up matmul, the
-    # sigma-MoE up projection) and the routed O projection's output die as
-    # soon as the forward drops them, with the tape alive; a ReLU output,
-    # which its own backward reads, lives until backward frees the tape
+def test_forward_drops_what_no_backward_reads(mlp, n_relu, monkeypatch, tape_arrays):
+    # residual sums, the sigma-MoE's pre-ReLU up projection and the routed
+    # O projection's output die as soon as the forward drops them, with the
+    # tape alive; a sigma-MoE ReLU output, which its own backward reads,
+    # lives until backward frees the tape; the dense MLP is one op whose
+    # backward forms its hidden again, so no [B*T, d_ff] array is held
     attn = AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
                            expert_flags=ExpertFlags.value_output())
     model = build(ModelSpec(2, 12, attn, mlp, 11, T=_T), 0)
@@ -350,14 +349,16 @@ def test_forward_drops_what_no_backward_reads(mlp, monkeypatch):
         return out
 
     monkeypatch.setattr(tensor, "add", add)
-    for module in (model_mod, moe):
-        monkeypatch.setattr(module, "relu", relu)
+    monkeypatch.setattr(moe, "relu", relu)
     monkeypatch.setattr(attention, "dispatch", dispatch)
     toks = rng_for(0, "drop-toks").integers(11, size=(_B, _T))
     logits, _, _ = model.forward(toks)
-    assert {k: len(v) for k, v in dead.items()} == {"residual": 4, "pre_relu": 2, "o_proj": 4}
+    assert ({k: len(v) for k, v in dead.items()}
+            == {"residual": 4, "pre_relu": n_relu, "o_proj": 4})
     assert all(ref() is None for refs in dead.values() for ref in refs)
-    assert len(held) == 2 and all(ref() is not None for ref in held)
+    assert len(held) == n_relu and all(ref() is not None for ref in held)
+    assert not [a.shape for a in tape_arrays(logits)
+                if a.shape[-1] == mlp.d_ff and a.size == _B * _T * mlp.d_ff]
     cross_entropy(logits, toks).backward()
     assert all(ref() is None for ref in held)
 

@@ -16,7 +16,7 @@ from switchlab.rng import rng_for
 from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk_rows,
                               attention_probs, concat, constant,
                               cross_entropy, expert_matmul, gather_rows,
-                              layer_norm, matmul, mul, relu, reshape, sigmoid,
+                              layer_norm, matmul, mul, relu, relu_mlp, reshape, sigmoid,
                               slice_, softmax_last, take_last, transpose, tsum)
 
 
@@ -213,6 +213,63 @@ def test_matmul_counter_macs_and_mem():
     c2 = OpCounter()
     matmul(a, b, c2, store=False)
     assert c2.mem_floats == 0
+
+
+def _mlp_chain(h, w_up, w_down, counter):
+    """The chain ``relu_mlp`` fuses: matmul, relu, matmul, none stored."""
+    up = matmul(h, w_up, counter, store=False, term="mlp")
+    return matmul(relu(up), w_down, counter, store=False, term="mlp")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h_shape", [(7, 6), (2, 5, 6)])
+def test_relu_mlp_matches_the_chain_bit_for_bit(dtype, h_shape, tape_arrays):
+    # values, counter and the grads of h, w_up and w_down equal the chain's
+    # bit for bit; the tape keeps h and the weights, no [..., d_ff] hidden
+    rng = rng_for(3, "relu-mlp", len(h_shape))
+    h = Tensor(rng.uniform(-1, 1, h_shape).astype(dtype), requires_grad=True)
+    w_up = Tensor(rng.uniform(-1, 1, (6, 9)).astype(dtype), requires_grad=True)
+    w_down = Tensor(rng.uniform(-1, 1, (9, 4)).astype(dtype), requires_grad=True)
+    w = constant(rng.uniform(-1, 1, h_shape[:-1] + (4,)).astype(dtype))
+    results = []
+    for fn in (relu_mlp, _mlp_chain):
+        counter = OpCounter()
+        out = fn(h, w_up, w_down, counter)
+        if fn is relu_mlp:
+            assert h_shape[:-1] + (9,) not in [a.shape for a in tape_arrays(out)]
+        tsum(mul(out, w)).backward()
+        results.append([out.data, h.grad, w_up.grad, w_down.grad, counter.snapshot()])
+        for t in (h, w_up, w_down):
+            t.grad = None
+    fused, chain = results
+    assert fused[0].dtype == dtype and fused[-1] == chain[-1]
+    rows = np.prod(h_shape[:-1])
+    assert chain[-1]["terms"] == {"mlp": (rows * 6 * 9 + rows * 9 * 4, 0)}
+    for got, want in zip(fused[:-1], chain[:-1]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_relu_mlp_matches_finite_differences():
+    rng = rng_for(4, "relu-mlp-fd")
+    h = Tensor(rng.uniform(-1, 1, (2, 3, 5)), requires_grad=True)
+    w_up = Tensor(rng.uniform(-1, 1, (5, 8)), requires_grad=True)
+    w_down = Tensor(rng.uniform(-1, 1, (8, 4)), requires_grad=True)
+    w = constant(rng.uniform(-1, 1, (2, 3, 4)))
+
+    def loss_fn():
+        return float(tsum(mul(relu_mlp(h, w_up, w_down), w)).data)
+
+    tsum(mul(relu_mlp(h, w_up, w_down), w)).backward()
+    for t in (h, w_up, w_down):
+        assert rel_err(fd_grad(loss_fn, t.data), t.grad) < 1e-7
+
+
+def test_relu_mlp_rejects_bad_shapes():
+    h = Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        relu_mlp(h, Tensor(np.zeros((5, 6))), Tensor(np.zeros((6, 2))))
+    with pytest.raises(ShapeError):
+        relu_mlp(h, Tensor(np.zeros((4, 6))), Tensor(np.zeros((5, 2))))
 
 
 def test_softmax_stability_and_rows():
@@ -556,10 +613,13 @@ def test_take_last_rejects_out_of_range_and_misshapen_index():
             take_last(x, np.array(idx))
 
 
-def _unfused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
+def _unfused_probs(q, k, scale, mask, u, v, pos_r, cache_len, counter):
     """The chain attention_probs fuses, of the remaining primitives, with
     the relative shift as a take_last gather of each row's distances."""
     T, S = q.shape[-2], k.shape[-2]
+    pos_q = None
+    if pos_r is not None:
+        pos_q, q = add(q, v), add(q, u)
     scores = matmul(q, transpose(k, (0, 1, 3, 2)), counter, term="scores")
     if pos_q is not None:
         p = matmul(pos_q, pos_r, counter, term="pos_scores")
@@ -574,8 +634,8 @@ def _unfused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
     return probs
 
 
-def _fused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
-    return attention_probs(q, k, scale, mask=mask, pos_q=pos_q, pos_r=pos_r,
+def _fused_probs(q, k, scale, mask, u, v, pos_r, cache_len, counter):
+    return attention_probs(q, k, scale, mask=mask, u=u, v=v, pos_r=pos_r,
                            cache_len=cache_len, counter=counter)
 
 
@@ -592,16 +652,20 @@ def _fused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, counter):
 @example(B=1, H=3, T=1, cache_len=1, dh=3, pos="shared", shared_k=False, masked=True, seed=65)
 def test_attention_probs_matches_unfused_chain(B, H, T, cache_len, dh, pos, shared_k,
                                                masked, seed):
-    # float64: the fused op against the unfused chain (the same arithmetic,
-    # so equal bit for bit, counter included) and against finite differences;
-    # a shared key head ([B, 1, S, dh]) broadcasts over the H query heads
+    # float64: the fused op against the unfused chain, the two bias adds
+    # included (the same arithmetic, so equal bit for bit, counter and the
+    # u and v grads included) and against finite differences; a shared key
+    # head ([B, 1, S, dh]) broadcasts over the H query heads, and shared
+    # positions take one [1, dh] bias pair, per-head ones a [H, 1, dh] pair
     rng = rng_for(seed, "attention-probs")
     S = cache_len + T
     q = Tensor(rng.uniform(-1, 1, (B, H, T, dh)), requires_grad=True)
     k = Tensor(rng.uniform(-1, 1, (B, 1 if shared_k else H, S, dh)), requires_grad=True)
-    pos_q = pos_r = None
+    u = v = pos_r = None
     if pos != "none":
-        pos_q = Tensor(rng.uniform(-1, 1, (B, H, T, dh)), requires_grad=True)
+        bias_shape = (1, dh) if pos == "shared" else (H, 1, dh)
+        u = Tensor(rng.uniform(-1, 1, bias_shape), requires_grad=True)
+        v = Tensor(rng.uniform(-1, 1, bias_shape), requires_grad=True)
         r_shape = (dh, 2 * S) if pos == "shared" else (H, dh, 2 * S)
         pos_r = Tensor(rng.uniform(-1, 1, r_shape), requires_grad=True)
     mask = None
@@ -610,11 +674,11 @@ def test_attention_probs_matches_unfused_chain(B, H, T, cache_len, dh, pos, shar
         mask = np.where(rng.uniform(size=(B, 1, T, S)) < 0.3, -1e30, 0.0)
         mask[..., 0] = 0.0
     scale = float(rng.uniform(0.2, 2.0))
-    inputs = [t for t in (q, k, pos_q, pos_r) if t is not None]
+    inputs = [t for t in (q, k, u, v, pos_r) if t is not None]
     w = constant(rng.uniform(-1, 1, (B, H, T, S)))
 
     def run(fn, counter):
-        out = fn(q, k, scale, mask, pos_q, pos_r, cache_len, counter)
+        out = fn(q, k, scale, mask, u, v, pos_r, cache_len, counter)
         tsum(mul(out, w)).backward()
         grads = [t.grad for t in inputs]
         for t in inputs:
@@ -629,7 +693,7 @@ def test_attention_probs_matches_unfused_chain(B, H, T, cache_len, dh, pos, shar
         assert np.array_equal(gf, gu)
 
     def loss_fn():
-        out = _fused_probs(q, k, scale, mask, pos_q, pos_r, cache_len, OpCounter(False))
+        out = _fused_probs(q, k, scale, mask, u, v, pos_r, cache_len, OpCounter(False))
         return float(tsum(mul(out, w)).data)
 
     for t, g in zip(inputs, grads_f):
@@ -639,10 +703,16 @@ def test_attention_probs_matches_unfused_chain(B, H, T, cache_len, dh, pos, shar
 def test_attention_probs_rejects_bad_position_width():
     q = Tensor(np.zeros((1, 3, 2)))
     k = Tensor(np.zeros((1, 4, 2)))
+    b = Tensor(np.zeros((1, 2)))
     with pytest.raises(ShapeError):     # cache_len 1 + T 3 keys need 8 distance columns
-        attention_probs(q, k, 1.0, pos_q=q, pos_r=Tensor(np.zeros((2, 7))), cache_len=1)
+        attention_probs(q, k, 1.0, u=b, v=b, pos_r=Tensor(np.zeros((2, 7))), cache_len=1)
     with pytest.raises(ShapeError):     # 4 keys are not cache_len 0 + T 3
-        attention_probs(q, k, 1.0, pos_q=q, pos_r=Tensor(np.zeros((2, 8))))
+        attention_probs(q, k, 1.0, u=b, v=b, pos_r=Tensor(np.zeros((2, 8))))
+    with pytest.raises(ShapeError):     # the biases come with the position table
+        attention_probs(q, k, 1.0, u=b, v=b, cache_len=1)
+    with pytest.raises(ShapeError):     # a bias that widens the queries
+        attention_probs(q, k, 1.0, u=Tensor(np.zeros((2, 1, 2))), v=b,
+                        pos_r=Tensor(np.zeros((2, 8))), cache_len=1)
     with pytest.raises(ShapeError):     # a mask wider than the scores
         attention_probs(q, k, 1.0, mask=np.zeros((3, 5)))
 
