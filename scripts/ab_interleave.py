@@ -1,7 +1,7 @@
 """A/B timing, or tape size, of two checkouts of the lab, one persistent
 worker each.
 
-    python3 scripts/ab_interleave.py PARENT_DIR CHANGE_DIR WORKLOAD {eval|step|tape} N
+    python3 scripts/ab_interleave.py PARENT_DIR CHANGE_DIR WORKLOAD {eval|step|tape|setup} N
 
 Each checkout gets one worker process that imports switchlab and the
 benchmark's workloads from that checkout (``bench/workloads.py``), sets the
@@ -17,6 +17,12 @@ runs spread by about 15% on a 2-vCPU virtual machine, more than the gains
 worth measuring. The script prints each side's median and quartiles, the
 ratio of the medians (change / parent) and the number of pairs in which
 the change was faster.
+
+``setup`` times the set-up instead: a request runs one ``W.setup(wl, 0)``
+(data generation, task construction, ``model.build`` and Adam), reads the
+CPU seconds that ``W.setup`` itself measures, as ``bench/run.py``'s
+``setup_s`` does, and drops what it built. Its worker sets nothing up
+before the first request but one untimed warm-up set-up.
 
 ``tape`` measures memory instead of time: a request runs one forward,
 loss and backward on the workload's longest batch under ``tracemalloc``
@@ -82,21 +88,25 @@ def worker(root: str, workload: str, mode: str) -> None:
     from bench import workloads as W
 
     wl = W.WORKLOADS[workload]
-    _, (task, eval_task, model, opt) = W.setup(wl, SEED)
-    trainer = W.Trainer(wl, task, model, opt, SEED)
+    if mode == "setup":
+        def once():
+            return W.setup(wl, SEED)[0]
+    else:
+        _, (task, eval_task, model, opt) = W.setup(wl, SEED)
+        trainer = W.Trainer(wl, task, model, opt, SEED)
 
-    def once():
-        if mode == "tape":
-            return tape_bytes(W, wl, trainer)
-        if mode == "eval":
-            return W.evaluate(wl, model, eval_task)[2]
-        c0 = W.cpu_clock()
-        for _ in range(W.cycle_steps(wl)):
+        def once():
+            if mode == "tape":
+                return tape_bytes(W, wl, trainer)
+            if mode == "eval":
+                return W.evaluate(wl, model, eval_task)[2]
+            c0 = W.cpu_clock()
+            for _ in range(W.cycle_steps(wl)):
+                trainer.step()
+            return W.cpu_clock() - c0
+
+        for _ in range(W.WARMUP_STEPS):
             trainer.step()
-        return W.cpu_clock() - c0
-
-    for _ in range(W.WARMUP_STEPS):
-        trainer.step()
     once()
     print("ready", flush=True)
     for line in sys.stdin:
@@ -138,7 +148,7 @@ def main() -> None:
     ap.add_argument("parent_dir")
     ap.add_argument("change_dir")
     ap.add_argument("workload")
-    ap.add_argument("mode", choices=("eval", "step", "tape"))
+    ap.add_argument("mode", choices=("eval", "step", "tape", "setup"))
     ap.add_argument("n", type=int)
     args = ap.parse_args()
     if args.n < 1:

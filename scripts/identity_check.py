@@ -21,7 +21,12 @@ capture:
   data: the losses of ``HEAD_GATED_STEPS`` steps and the final parameters,
   then the logits and parameter grads of one forward and backward on the
   first training batch without a key mask (the classifier's unmasked
-  pooling).
+  pooling);
+* for each of these workloads, a case ``data <name>`` with sha256 digests
+  of the data it set up: the ListOps training and evaluation splits (each
+  example's ids, label and depth), or the LM's corpus and evaluation
+  corpus (ids, vocabulary and split point), so a change to the data shows
+  as such and not only through the training steps.
 
 The script then compares the two captures bit for bit, prints each case
 that differs with its largest absolute difference, and exits 1 if any
@@ -30,6 +35,7 @@ case differs (0 if none does).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -88,8 +94,30 @@ def suite_capture(out: dict) -> None:
                     json.dumps(counter.snapshot(), sort_keys=True).encode(), dtype=np.uint8)
 
 
+def digest(chunks) -> np.ndarray:
+    """The sha256 digest of the concatenated byte strings, as 32 uint8."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return np.frombuffer(h.digest(), dtype=np.uint8)
+
+
+def data_capture(out: dict, name: str, task, eval_task) -> None:
+    case = out.setdefault(f"data {name}", {})
+    if task.kind == "classification":
+        for field, examples in (("train", task.splits["train"]),
+                                ("eval", eval_task.splits["valid"])):
+            case[field] = digest(f"{e.tokens.hex()} {e.label} {e.depth}\n".encode()
+                                 for e in examples)
+        return
+    for field, corpus in (("corpus", task.corpus), ("eval_corpus", eval_task.corpus)):
+        case[field] = digest([corpus.data.tobytes(), b"|", corpus.vocab.tobytes(),
+                              b"|", str(corpus.train_end).encode()])
+
+
 def train_capture(out: dict, name: str, wl, W, steps: int, counts: bool):
-    _, (task, _, model, opt) = W.setup(wl, SEED)
+    _, (task, eval_task, model, opt) = W.setup(wl, SEED)
+    data_capture(out, name, task, eval_task)
     trainer = W.Trainer(wl, task, model, opt, SEED)
     for _ in range(steps):
         trainer.step()

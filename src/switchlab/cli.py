@@ -195,6 +195,8 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set or [])
     spec = to_model_spec(cfg)
     tr = cfg["train"]
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else tr["seed"]
     task = _build_task(cfg, tr["batch_size"])
     run = TrainRun(spec=spec, seed=seed, steps=tr["steps"],

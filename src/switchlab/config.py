@@ -70,6 +70,9 @@ SCHEMA = {
     },
 }
 
+# keys that seed a random stream; numpy's SeedSequence takes no negative value
+SEED_KEYS = (("train", "seed"), ("task", "data_seed"))
+
 
 def _parse_value(section: str, key: str, raw: str):
     try:
@@ -90,6 +93,8 @@ def _parse_value(section: str, key: str, raw: str):
             f"[{section}] {key}: expected {typ.__name__}, got '{raw}'") from None
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: expected a finite number, got '{raw}'")
+    if (section, key) in SEED_KEYS and value < 0:
+        raise ConfigError(f"[{section}] {key}: a seed must be >= 0, got '{raw}'")
     return value
 
 

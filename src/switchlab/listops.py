@@ -8,6 +8,16 @@ generator/evaluator agreement is exact by construction and re-checkable.
 A run keeps every example of its splits alive, so a record is compact: a
 slotted object whose token ids are one ``bytes`` string, one byte per id
 (the vocabulary has 17 tokens).
+
+Example i draws from its own Philox stream ``(seed, "listops", i)``
+through ``rng.PhiloxDraws``: the sampler takes one scalar per decision,
+and a ``numpy.random.Generator`` call per scalar cost more than the rest
+of the sampler. ``PhiloxDraws`` reads the stream's raw 64-bit words in
+blocks and forms in Python what the Generator's ``random()`` (numpy's
+53-bit ``next_double``) and ``integers(low, high)`` (numpy's Lemire
+bounded draw on Philox's buffered 32-bit words) would return, call for
+call. So the data is byte-identical to what the Generator-based sampler
+drew, for any arguments; the tests keep that sampler as the oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe import ConfigError
-from .rng import rng_for
+from .rng import PhiloxDraws, philox_for
 
 PAD = 0
 TOKENS = ["<pad>", "(", ")", "MAX", "MIN", "MED", "SM",
@@ -101,26 +111,29 @@ def _parse(tokens: list[str], pos: int) -> tuple[int, int]:
     return apply_op(op, args), pos + 1
 
 
-def _sample_tree(rng: np.random.Generator, depth_left: int, max_args: int) -> tuple[list[str], int]:
-    """Sample (token strings, depth) of one subexpression."""
-    if depth_left == 0 or rng.random() < 0.35:
-        return [str(rng.integers(10))], 0
-    return _sample_op(rng, depth_left, max_args)
+_OPEN, _CLOSE, _DIGIT_0 = TOKEN_ID["("], TOKEN_ID[")"], TOKEN_ID["0"]
+_OPERATOR_IDS = tuple(TOKEN_ID[op] for op in OPERATORS)
 
 
-def _sample_op(rng: np.random.Generator, depth_left: int, max_args: int) -> tuple[list[str], int]:
-    """Sample (token strings, depth) of one operator application whose
-    arguments are subexpressions of up to ``depth_left - 1`` levels."""
-    op = OPERATORS[rng.integers(len(OPERATORS))]
-    n_args = int(rng.integers(MIN_ARGS, max_args + 1))
-    toks = ["(", op]
+def _sample_op(draw: PhiloxDraws, depth_left: int, max_args: int, ids: list[int]) -> int:
+    """Append the ids of one operator application, whose arguments are
+    subexpressions of up to ``depth_left - 1`` levels, to ``ids``; returns
+    its depth.
+
+    An argument is a digit when no level is left or when ``random() <
+    0.35``, else an operator application; the draws come in the order of
+    a depth-first walk of the tree.
+    """
+    ids.append(_OPEN)
+    ids.append(_OPERATOR_IDS[draw.integers(0, len(OPERATORS))])
     depth = 0
-    for _ in range(n_args):
-        sub, d = _sample_tree(rng, depth_left - 1, max_args)
-        toks.extend(sub)
-        depth = max(depth, d)
-    toks.append(")")
-    return toks, depth + 1
+    for _ in range(draw.integers(MIN_ARGS, max_args + 1)):
+        if depth_left == 1 or draw.random() < 0.35:
+            ids.append(_DIGIT_0 + draw.integers(0, 10))
+        else:
+            depth = max(depth, _sample_op(draw, depth_left - 1, max_args, ids))
+    ids.append(_CLOSE)
+    return depth + 1
 
 
 def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
@@ -128,7 +141,9 @@ def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
     """Deterministically generate n verified examples.
 
     Root expressions are always operator applications (never bare digits);
-    samples longer than ``max_len`` tokens are rejected and redrawn.
+    samples longer than ``max_len`` tokens are rejected and redrawn from
+    the same stream. Example i reads its own stream ``(seed, "listops",
+    i)``, so a shorter run is a prefix of a longer one.
     """
     if max_depth < 1:
         raise ConfigError("max_depth must be >= 1")
@@ -138,13 +153,14 @@ def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
         raise ConfigError("max_len leaves no room for one operator application")
     out = []
     for i in range(n):
-        rng = rng_for(seed, "listops", i)
+        draw = PhiloxDraws(philox_for(seed, "listops", i))
         while True:
-            toks, depth = _sample_op(rng, max_depth, max_args)
-            if len(toks) <= max_len:
+            ids: list[int] = []
+            depth = _sample_op(draw, max_depth, max_args, ids)
+            if len(ids) <= max_len:
                 break
-        label = eval_tokens(toks)
-        out.append(ListOpsExample(bytes(TOKEN_ID[t] for t in toks), label, depth))
+        label = eval_tokens([TOKENS[t] for t in ids])
+        out.append(ListOpsExample(bytes(ids), label, depth))
     return out
 
 

@@ -378,6 +378,31 @@ def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, overrid
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--set", "train.seed=-1"], ["--set", "task.data_seed=-1"], ["--seed", "-1"],
+], ids=["train_seed", "data_seed", "seed_option"])
+def test_train_negative_seed_is_usage_error(tmp_path, listops_cfg, capsys, args):
+    # numpy's SeedSequence once met a negative seed as a ValueError traceback
+    code = main(["train", "--config", listops_cfg, *args, "--out", str(tmp_path / "out")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_negative_data_seed_is_usage_error(listops_cfg, trained_ckpt, capsys):
+    code = main(["eval", "--checkpoint", trained_ckpt, "--config", listops_cfg,
+                 "--set", "task.data_seed=-1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: [task] data_seed: ")
+
+
+def test_negative_seed_in_config_file_is_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config("[train]\nseed = -3\n")
+    assert parse_config("[task]\ndata_seed = 0\n")["task"]["data_seed"] == 0
+
+
 def test_train_head_too_small_for_labels_is_usage_error(tmp_path, listops_cfg, capsys):
     # a 3-class head once met ListOps label 6 as an IndexError traceback
     code = main(["train", "--config", listops_cfg, "--set", "model.n_classes=3",

@@ -6,11 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from switchlab.listops import (DEFAULT_MAX_LEN, PAD, TOKEN_ID, TOKENS, VOCAB_SIZE,
-                               ListOpsExample, apply_op, eval_tokens,
-                               gen_listops, pad_batch, to_line)
+from switchlab.listops import (DEFAULT_MAX_LEN, MIN_ARGS, OPERATORS, PAD, TOKEN_ID,
+                               TOKENS, VOCAB_SIZE, ListOpsExample, apply_op,
+                               eval_tokens, gen_listops, pad_batch, to_line)
 from switchlab.moe import ConfigError
+from switchlab.rng import rng_for
 
 
 # -- evaluator -------------------------------------------------------------
@@ -66,6 +69,67 @@ def test_eval_rejects_malformed(bad):
 
 
 # -- generator -------------------------------------------------------------
+
+
+def _oracle_tree(rng: np.random.Generator, depth_left: int, max_args: int):
+    """(token strings, depth) of one subexpression."""
+    if depth_left == 0 or rng.random() < 0.35:
+        return [str(rng.integers(10))], 0
+    return _oracle_op(rng, depth_left, max_args)
+
+
+def _oracle_op(rng: np.random.Generator, depth_left: int, max_args: int):
+    """(token strings, depth) of one operator application whose arguments
+    are subexpressions of up to ``depth_left - 1`` levels."""
+    op = OPERATORS[rng.integers(len(OPERATORS))]
+    n_args = int(rng.integers(MIN_ARGS, max_args + 1))
+    toks = ["(", op]
+    depth = 0
+    for _ in range(n_args):
+        sub, d = _oracle_tree(rng, depth_left - 1, max_args)
+        toks.extend(sub)
+        depth = max(depth, d)
+    toks.append(")")
+    return toks, depth + 1
+
+
+def oracle_listops(n, max_depth, max_args, seed, max_len):
+    """gen_listops as it was written on numpy's Generator, one call per
+    draw: (token ids, label, depth) of each example."""
+    out = []
+    for i in range(n):
+        rng = rng_for(seed, "listops", i)
+        while True:
+            toks, depth = _oracle_op(rng, max_depth, max_args)
+            if len(toks) <= max_len:
+                break
+        out.append((bytes(TOKEN_ID[t] for t in toks), eval_tokens(toks), depth))
+    return out
+
+
+def _records(examples):
+    return [(e.tokens, e.label, e.depth) for e in examples]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**40), n=st.integers(1, 12), max_depth=st.integers(1, 4),
+       max_args=st.integers(MIN_ARGS, 6), max_len=st.integers(MIN_ARGS + 3, 80))
+@example(seed=3, n=12, max_depth=4, max_args=6, max_len=5)    # rejects ~97% of samples
+@example(seed=3, n=12, max_depth=2, max_args=2, max_len=8)    # a span of 1: no draw
+def test_generator_matches_oracle(seed, n, max_depth, max_args, max_len):
+    # the raw-stream sampler draws what the Generator-based one drew, for
+    # any settings, including ones that reject most samples
+    got = gen_listops(n, max_depth, max_args, seed=seed, max_len=max_len)
+    assert _records(got) == oracle_listops(n, max_depth, max_args, seed, max_len)
+
+
+@pytest.mark.parametrize("max_depth,max_args,seed,max_len", [
+    (3, 5, 101, 64), (5, 7, 9, 200), (2, 2, 3, 8), (1, 40, 5, 64), (4, 10, 11, 128),
+])
+def test_generator_matches_oracle_wide_settings(max_depth, max_args, seed, max_len):
+    # deep trees, wide operators and long limits, beyond the property's range
+    got = gen_listops(40, max_depth, max_args, seed=seed, max_len=max_len)
+    assert _records(got) == oracle_listops(40, max_depth, max_args, seed, max_len)
 
 
 def test_generated_labels_reevaluate():
@@ -184,3 +248,11 @@ def test_generator_output_pinned(seed, digest):
     stay byte-identical through any refactor of the generator."""
     text = "\n".join(to_line(e) for e in gen_listops(2000, 3, 5, seed=seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_training_split_pinned():
+    """The benchmark's whole ListOps training split (10000 examples of
+    generator seed 100) stays byte-identical, not only its first 2000."""
+    text = "\n".join(to_line(e) for e in gen_listops(10000, 3, 5, seed=100))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "78c8d49509b0258ac617945eeaf71e25e32a95fda5b52ccf11e8cbdc4d3e109d")
