@@ -26,7 +26,11 @@ capture:
   of the data it set up: the ListOps training and evaluation splits (each
   example's ids, label and depth), or the LM's corpus and evaluation
   corpus (ids, vocabulary and split point), so a change to the data shows
-  as such and not only through the training steps.
+  as such and not only through the training steps;
+* the same digest of ``gen_listops`` for the settings in ``LISTOPS_DATA``,
+  which no workload uses: seeds of two and three 32-bit words, and deep,
+  wide expressions under a short ``max_len``, redrawn so often that their
+  streams run past the generator's first words.
 
 The script then compares the two captures bit for bit, prints each case
 that differs with its largest absolute difference, and exits 1 if any
@@ -53,6 +57,8 @@ TRAIN_STEPS = 6
 UNGATED = ("listops_dense_h8",)
 HEAD_GATED_STEPS = 24
 SEP = "|"
+# gen_listops(n, max_depth, max_args, seed, max_len) cases of the data capture
+LISTOPS_DATA = ((300, 6, 6, 2**40 + 5, 40), (300, 3, 5, 2**32, 64), (300, 3, 5, 2**64 + 3, 64))
 
 
 def suite_capture(out: dict) -> None:
@@ -102,13 +108,24 @@ def digest(chunks) -> np.ndarray:
     return np.frombuffer(h.digest(), dtype=np.uint8)
 
 
+def examples_digest(examples) -> np.ndarray:
+    return digest(f"{e.tokens.hex()} {e.label} {e.depth}\n".encode() for e in examples)
+
+
+def listops_capture(out: dict) -> None:
+    from switchlab.listops import gen_listops
+
+    for n, max_depth, max_args, seed, max_len in LISTOPS_DATA:
+        name = f"data listops n={n} depth={max_depth} args={max_args} seed={seed} len={max_len}"
+        out[name] = {"examples": examples_digest(
+            gen_listops(n, max_depth, max_args, seed=seed, max_len=max_len))}
+
+
 def data_capture(out: dict, name: str, task, eval_task) -> None:
     case = out.setdefault(f"data {name}", {})
     if task.kind == "classification":
-        for field, examples in (("train", task.splits["train"]),
-                                ("eval", eval_task.splits["valid"])):
-            case[field] = digest(f"{e.tokens.hex()} {e.label} {e.depth}\n".encode()
-                                 for e in examples)
+        case["train"] = examples_digest(task.splits["train"])
+        case["eval"] = examples_digest(eval_task.splits["valid"])
         return
     for field, corpus in (("corpus", task.corpus), ("eval_corpus", eval_task.corpus)):
         case[field] = digest([corpus.data.tobytes(), b"|", corpus.vocab.tobytes(),
@@ -152,6 +169,7 @@ def worker(root: str, path: str) -> None:
 
     out: dict = {}
     suite_capture(out)
+    listops_capture(out)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         gated = [w["name"] for w in json.load(f)["workloads"]]
     for name in (*gated, *UNGATED):

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from switchlab import listops
 from switchlab.listops import (DEFAULT_MAX_LEN, MIN_ARGS, OPERATORS, PAD, TOKEN_ID,
                                TOKENS, VOCAB_SIZE, ListOpsExample, apply_op,
                                eval_tokens, gen_listops, pad_batch, to_line)
 from switchlab.moe import ConfigError
-from switchlab.rng import rng_for
+from switchlab.rng import PhiloxDraws, philox_words, rng_for
 
 
 # -- evaluator -------------------------------------------------------------
@@ -112,9 +113,11 @@ def _records(examples):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**40), n=st.integers(1, 12), max_depth=st.integers(1, 4),
+@given(seed=st.integers(0, 2**70), n=st.integers(1, 12), max_depth=st.integers(1, 4),
        max_args=st.integers(MIN_ARGS, 6), max_len=st.integers(MIN_ARGS + 3, 80))
 @example(seed=3, n=12, max_depth=4, max_args=6, max_len=5)    # rejects ~97% of samples
+@example(seed=2**32, n=12, max_depth=3, max_args=5, max_len=64)   # a two-word seed
+@example(seed=2**64 + 9, n=12, max_depth=3, max_args=5, max_len=64)   # a three-word seed
 @example(seed=3, n=12, max_depth=2, max_args=2, max_len=8)    # a span of 1: no draw
 def test_generator_matches_oracle(seed, n, max_depth, max_args, max_len):
     # the raw-stream sampler draws what the Generator-based one drew, for
@@ -130,6 +133,42 @@ def test_generator_matches_oracle_wide_settings(max_depth, max_args, seed, max_l
     # deep trees, wide operators and long limits, beyond the property's range
     got = gen_listops(40, max_depth, max_args, seed=seed, max_len=max_len)
     assert _records(got) == oracle_listops(40, max_depth, max_args, seed, max_len)
+
+
+def test_generator_matches_oracle_across_passes(monkeypatch):
+    # past the first chunk of streams, and with examples that run out of
+    # their first-pass words, then of their second-pass words, and refill
+    # alone many times (from small blocks)
+    calls, refills = [], []
+
+    def recording(keys, start, n):
+        calls.append((len(keys), start, n))
+        return philox_words(keys, start, n)
+
+    def refill(self):
+        if self._key is not None:
+            refills.append(self._end)
+        return PhiloxDraws._refill(self)
+
+    class SmallBlocks(PhiloxDraws):
+        __slots__ = ()
+        BLOCK = 8
+        _refill = refill
+
+    monkeypatch.setattr(listops, "philox_words", recording)
+    monkeypatch.setattr(listops, "PhiloxDraws", SmallBlocks)
+    n = listops._CHUNK + 20
+    got = gen_listops(n, 3, 5, seed=2**40 + 5, max_len=20)
+    assert _records(got) == oracle_listops(n, 3, 5, 2**40 + 5, 20)
+    first, second = listops._FIRST_WORDS, listops._SECOND_WORDS
+    assert calls[:2] == [(listops._CHUNK, 0, first), (20, 0, first)]
+    assert calls[2:] and all(call[1:] == (0, second) for call in calls[2:])
+    assert min(refills) == second and len(refills) > len(set(refills)) > 10
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_generator_empty(n):
+    assert gen_listops(n) == []
 
 
 def test_generated_labels_reevaluate():
