@@ -29,8 +29,8 @@ capture:
   as such and not only through the training steps;
 * the same digest of ``gen_listops`` for the settings in ``LISTOPS_DATA``,
   which no workload uses: seeds of two and three 32-bit words, and deep,
-  wide expressions under a short ``max_len``, redrawn so often that their
-  streams run past the generator's first words.
+  wide expressions under a short ``max_len``, given up so often that the
+  stream is refilled many times.
 
 The script then compares the two captures bit for bit, prints each case
 that differs with its largest absolute difference, and exits 1 if any

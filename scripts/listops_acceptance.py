@@ -3,6 +3,10 @@
 Three architectures (dense 2-head, dense 8-head, SwitchHead 2-head) at
 4 layers / d_model=128 / 8k steps, three seeds each. Results accumulate in
 runs/listops_results.json so an interrupted grid resumes where it stopped.
+Each record names its precision (``dtype``) and the sha256 of its data
+(``data_sha256``, the train and valid splits' ``to_line`` text); a recorded
+run is skipped only when both match this run's, else it is rerun and
+replaced, so a grid never mixes precisions or data unnoticed.
 
     PYTHONPATH=src python scripts/listops_acceptance.py [CONFIG ...]
 
@@ -19,6 +23,7 @@ names the count; a run is then reproducible on any host.
 """
 
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -32,8 +37,8 @@ if __name__ == "__main__":
         os.environ[_var] = str(BLAS_THREADS)
 
 from switchlab.attention import AttentionConfig, ExpertFlags  # noqa: E402
-from switchlab.listops import VOCAB_SIZE, gen_listops  # noqa: E402
-from switchlab.model import MLPConfig, ModelSpec  # noqa: E402
+from switchlab.listops import VOCAB_SIZE, gen_listops, to_line  # noqa: E402
+from switchlab.model import MLPConfig, ModelSpec, build  # noqa: E402
 from switchlab.training import ListOpsTask, TrainRun, evaluate, train  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "runs", "listops_results.json")
@@ -86,6 +91,23 @@ def record_result(key: str, record: dict) -> None:
         os.close(dir_fd)
 
 
+def data_digest(*splits) -> str:
+    """sha256 of the splits' examples as ``to_line`` text, one a line."""
+    text = "".join(to_line(e) + "\n" for split in splits for e in split)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def param_dtype(model) -> str:
+    return str(next(iter(model.params.values())).data.dtype)
+
+
+def is_current(record: dict, dtype: str, data_sha256: str) -> bool:
+    """Whether a recorded run stands for this one: same precision (a record
+    without ``dtype`` predates float32 and is float64) and same data."""
+    return (record.get("dtype", "float64") == dtype
+            and record.get("data_sha256") == data_sha256)
+
+
 def main(argv: list[str]) -> int:
     configs = argv or list(CONFIGS)
     for config in configs:
@@ -95,6 +117,7 @@ def main(argv: list[str]) -> int:
     train_ex = gen_listops(10000, max_depth=3, max_args=5, seed=100)
     valid_ex = gen_listops(2000, max_depth=3, max_args=5, seed=101)
     task = ListOpsTask(train_ex, valid_ex)
+    data_sha256 = data_digest(train_ex, valid_ex)
     progress = logging.StreamHandler(sys.stdout)
     training_log = logging.getLogger("switchlab.training")
     training_log.addHandler(progress)
@@ -102,13 +125,16 @@ def main(argv: list[str]) -> int:
     for config in configs:
         for seed in SEEDS:
             key = f"{config}/seed{seed}"
-            if key in results:
-                print(f"{key}: done ({results[key]['accuracy']:.4f}), skipping",
-                      flush=True)
-                continue
             spec = ModelSpec(N_LAYERS, D_MODEL, attention_for(config),
                              MLPConfig("dense", 256), VOCAB_SIZE, T=64,
                              n_classes=10)
+            if key in results:
+                if is_current(results[key], param_dtype(build(spec, seed)), data_sha256):
+                    print(f"{key}: done ({results[key]['accuracy']:.4f}), skipping",
+                          flush=True)
+                    continue
+                print(f"{key}: recorded at another precision or on other data, "
+                      "rerunning", flush=True)
             run = TrainRun(spec, seed=seed, steps=STEPS, batch_size=16,
                            lr=2.5e-4, warmup_steps=400, clip_norm=1.0,
                            log_every=500)
@@ -118,7 +144,8 @@ def main(argv: list[str]) -> int:
             summary = evaluate(model, task, "valid")
             record = {
                 "config": config, "seed": seed, "steps": STEPS,
-                "dtype": str(next(iter(model.params.values())).data.dtype),
+                "dtype": param_dtype(model),
+                "data_sha256": data_sha256,
                 "blas_threads": BLAS_THREADS,
                 "accuracy": summary["accuracy"],
                 "final_train_loss": metrics[-1]["loss"],

@@ -6,32 +6,18 @@ example's label comes from ``apply_op``, the operator rule of the
 evaluator that tests re-run, so generator/evaluator agreement is exact by
 construction and re-checkable.
 
+A call to ``gen_listops`` reads one stream of uniforms, ``rng_for(seed,
+"listops")``, one uniform per decision, and draws its examples one after
+another from it, so a shorter run is a prefix of a longer one. The sampler
+gives up an expression as soon as its ids can no longer fit in
+``max_len`` and samples a new one from the same stream. Every expression
+that starts with the given-up prefix would have been too long, so the
+accepted expressions are distributed as if whole trees were sampled and
+the long ones rejected.
+
 A run keeps every example of its splits alive, so a record is compact: a
 slotted object whose token ids are one ``bytes`` string, one byte per id
 (the vocabulary has 17 tokens).
-
-Example i draws from its own Philox stream ``(seed, "listops", i)``
-through ``rng.PhiloxDraws``: the sampler takes one scalar per decision,
-and a ``numpy.random.Generator`` call per scalar cost more than the rest
-of the sampler. ``PhiloxDraws`` forms in Python what the Generator's
-``random()`` (numpy's 53-bit ``next_double``) and ``integers(low, high)``
-(numpy's Lemire bounded draw on Philox's buffered 32-bit words) would
-return, call for call, from the stream's raw words. ``gen_listops`` forms
-those words in bulk, a chunk of streams per ``rng.philox_keys`` and
-``rng.philox_words`` call, in two passes: every example first gets
-``_FIRST_WORDS`` words, and an example that runs out goes on in the
-second pass, with four times the words, from the start of the expression
-it could not finish; past those, it refills alone. Chunks are small
-because a bulk call's temporaries grow with it: generating the
-benchmark's 12000 examples in one chunk instead of chunks of 256 raised
-the process's peak RSS from 31.8 to 58.5 MB.
-
-The sampler returns each subexpression's value through ``apply_op``, so
-the label needs no walk over the tokens; ``eval_tokens`` stays as
-the reference evaluator that the tests re-run on every generated example.
-The data is byte-identical, for any arguments, to what a sampler calling
-numpy's Generator once per scalar and labelling through ``eval_tokens``
-draws; the tests keep that sampler as the oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe import ConfigError
-from .rng import PhiloxDraws, StreamEnd, philox_keys, philox_words
+from .rng import rng_for
 
 PAD = 0
 TOKENS = ["<pad>", "(", ")", "MAX", "MIN", "MED", "SM",
@@ -129,29 +115,52 @@ _OPEN, _CLOSE, _DIGIT_0 = TOKEN_ID["("], TOKEN_ID[")"], TOKEN_ID["0"]
 _OPERATOR_IDS = tuple(TOKEN_ID[op] for op in OPERATORS)
 
 
-def _sample_op(draw: PhiloxDraws, depth_left: int, max_args: int,
-               ids: list[int]) -> tuple[int, int]:
+class _TooLong(Exception):
+    """The expression being sampled can no longer fit in ``max_len`` ids."""
+
+
+# Uniforms per numpy call: a call per scalar would cost more than the rest
+# of the sampler.
+_BLOCK = 4096
+
+
+def _uniforms(gen: np.random.Generator):
+    """``gen``'s uniforms in [0, 1), one at a time."""
+    while True:
+        yield from gen.random(_BLOCK).tolist()
+
+
+def _sample_op(draw, depth_left: int, max_args: int, ids: list[int],
+               room: int) -> tuple[int, int]:
     """Append the ids of one operator application, whose arguments are
     subexpressions of up to ``depth_left - 1`` levels, to ``ids``; returns
     its value (through ``apply_op``) and its depth.
 
-    An argument is a digit when no level is left or when ``random() <
-    0.35``, else an operator application; the draws come in the order of
-    a depth-first walk of the tree.
+    ``draw()`` returns the next uniform u, and an integer in [low, high) is
+    ``low + int(u * (high - low))``. An argument is a digit when no level
+    is left or when ``draw() < 0.35``, else an operator application; the
+    draws come in the order of a depth-first walk of the tree. ``room`` is
+    how many ids ``ids`` may hold before this application's ")", with
+    whatever the enclosing applications still need set aside; once the
+    arguments left, at least one id each, do not fit, ``_TooLong`` is
+    raised.
     """
-    integers = draw.integers
-    op = integers(0, len(OPERATORS))
+    op = int(draw() * len(OPERATORS))
     ids.append(_OPEN)
     ids.append(_OPERATOR_IDS[op])
     args = []
     depth = 0
-    for _ in range(integers(MIN_ARGS, max_args + 1)):
-        if depth_left == 1 or draw.random() < 0.35:
-            digit = integers(0, 10)
+    n_args = MIN_ARGS + int(draw() * (max_args - MIN_ARGS + 1))
+    for left in range(n_args, 0, -1):
+        if len(ids) + left > room:
+            raise _TooLong
+        if depth_left == 1 or draw() < 0.35:
+            digit = int(draw() * 10)
             ids.append(_DIGIT_0 + digit)
             args.append(digit)
         else:
-            value, sub_depth = _sample_op(draw, depth_left - 1, max_args, ids)
+            # set aside the arguments after this one and its own ")"
+            value, sub_depth = _sample_op(draw, depth_left - 1, max_args, ids, room - left)
             args.append(value)
             if sub_depth > depth:
                 depth = sub_depth
@@ -159,54 +168,13 @@ def _sample_op(draw: PhiloxDraws, depth_left: int, max_args: int,
     return apply_op(OPERATORS[op], args), depth + 1
 
 
-def _sample_example(draw: PhiloxDraws, max_depth: int, max_args: int,
-                    max_len: int) -> ListOpsExample:
-    """The first expression ``draw`` samples within ``max_len`` tokens.
-
-    When the words run out, the ``StreamEnd`` carries the draw's state at
-    the start of the unfinished expression, from which it can be sampled
-    again with more words.
-    """
-    while True:
-        state = draw.state()
-        ids: list[int] = []
-        try:
-            label, depth = _sample_op(draw, max_depth, max_args, ids)
-        except StreamEnd:
-            raise StreamEnd(state) from None
-        if len(ids) <= max_len:
-            return ListOpsExample(bytes(ids), label, depth)
-
-
-# Streams per bulk call: a call costs about 0.4 ms whatever its size, and
-# its memory grows with it (see the module docstring).
-_CHUNK = 256
-# Words each example gets in the first pass. The median example of the
-# benchmark's data reads 30 and one in 15 more than 96. Fewer first words
-# sample more expressions again; more form more words that are never read.
-_FIRST_WORDS = 96
-# Words an example that ran out gets in the second pass, in calls of as
-# many words as the first pass's; past them, it refills alone. One in 1000
-# examples of the benchmark's data reads more than 256.
-_SECOND_WORDS = 4 * _FIRST_WORDS
-_SECOND_CHUNK = _CHUNK // 4
-
-
 def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
                 max_len: int = DEFAULT_MAX_LEN) -> list[ListOpsExample]:
     """Deterministically generate n verified examples.
 
     Root expressions are always operator applications (never bare digits);
-    samples longer than ``max_len`` tokens are rejected and redrawn from
-    the same stream. Example i reads its own stream ``(seed, "listops",
-    i)``, so a shorter run is a prefix of a longer one.
-
-    The words come in bulk, in two passes. The first forms every
-    example's first ``_FIRST_WORDS`` words, ``_CHUNK`` streams per call.
-    The second forms the first ``_SECOND_WORDS`` of each example that ran
-    out and samples it again from the start of the expression it could
-    not finish, now with its key, so that it refills alone if it needs
-    still more.
+    an expression that cannot fit in ``max_len`` tokens is given up and a
+    new one drawn from the same stream (see the module docstring).
     """
     if max_depth < 1:
         raise ConfigError("max_depth must be >= 1")
@@ -214,26 +182,15 @@ def gen_listops(n: int, max_depth: int = 3, max_args: int = 5, seed: int = 0,
         raise ConfigError(f"max_args must be >= {MIN_ARGS}")
     if max_len < MIN_ARGS + 3:
         raise ConfigError("max_len leaves no room for one operator application")
-    out: list[ListOpsExample | None] = [None] * max(n, 0)
-    resume = {}    # i -> (stream position of its unfinished expression, kept half)
-    for lo in range(0, n, _CHUNK):
-        index = range(lo, min(n, lo + _CHUNK))
-        rows = philox_words(philox_keys(seed, "listops", index=index), 0, _FIRST_WORDS)
-        for i, row in zip(index, rows):
-            try:
-                out[i] = _sample_example(PhiloxDraws(row.tolist()), max_depth, max_args, max_len)
-            except StreamEnd as end:
-                left, half = end.args[0]
-                resume[i] = (_FIRST_WORDS - left, half)
-    todo = list(resume)
-    for lo in range(0, len(todo), _SECOND_CHUNK):
-        index = todo[lo:lo + _SECOND_CHUNK]
-        keys = philox_keys(seed, "listops", index=index)
-        rows = philox_words(keys, 0, _SECOND_WORDS)
-        for i, key, row in zip(index, keys, rows):
-            pos, half = resume[i]
-            draw = PhiloxDraws(row[pos:].tolist(), half, key, _SECOND_WORDS)
-            out[i] = _sample_example(draw, max_depth, max_args, max_len)
+    draw = _uniforms(rng_for(seed, "listops")).__next__
+    out = []
+    while len(out) < n:
+        ids: list[int] = []
+        try:
+            label, depth = _sample_op(draw, max_depth, max_args, ids, max_len - 1)
+        except _TooLong:
+            continue
+        out.append(ListOpsExample(bytes(ids), label, depth))
     return out
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,27 @@ def unit_gates(monkeypatch):
 
     for module in (attention, moe):
         monkeypatch.setattr(module, "select", select)
+
+
+@pytest.fixture
+def cpu_time_limit():
+    """``with cpu_time_limit(seconds):`` raises TimeoutError in the block
+    once the process has spent ``seconds`` of CPU time in it, so code that
+    never finishes fails its test instead of hanging the suite."""
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"more than {seconds} s of process CPU time")
+
+        previous = signal.signal(signal.SIGPROF, expire)
+        signal.setitimer(signal.ITIMER_PROF, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+            signal.signal(signal.SIGPROF, previous)
+
+    return limit
 
 
 def _tape_arrays(root: Tensor) -> list[np.ndarray]:

@@ -270,6 +270,13 @@ def test_listops_ordering():
     if len(dtypes) != 1:
         _report("ListOps ordering (4 layers, d_model=128, 8k steps, 3 seeds)",
                 False, f"the grid mixes precisions: {sorted(dtypes)}")
+    # nor may it mix data (records made before the field existed share the
+    # data they were made on)
+    digests = {str(results[f"{config}/seed{seed}"].get("data_sha256"))
+               for config in accs for seed in (0, 1, 2)}
+    if len(digests) != 1:
+        _report("ListOps ordering (4 layers, d_model=128, 8k steps, 3 seeds)",
+                False, f"the grid mixes data: {sorted(digests)}")
     ok = (accs["switchhead_h2"] >= accs["dense_h2"]
           and accs["switchhead_h2"] >= accs["dense_h8"] - 0.05)
     _report("ListOps ordering: median MoE-attention(H=2) ≥ dense(H=2) and "

@@ -364,6 +364,18 @@ def test_train_set_override_shrinks_run(tmp_path, listops_cfg, capsys):
     assert steps == {"1", "2"}
 
 
+@pytest.mark.parametrize("override", ["task.max_depth=40", "task.max_args=100"])
+def test_train_deep_or_wide_task_finishes(tmp_path, listops_cfg, capsys, cpu_time_limit,
+                                          override):
+    # a sampler that drew each whole tree before checking max_len never
+    # finished the deep task and took 23 s to generate the wide one
+    with cpu_time_limit(10):
+        code = main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                     "--set", override, "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("override", [
     "train.log_every=0", "train.log_every=-1",
     "train.clip_norm=nan", "train.lr=inf", "task.valid_fraction=-inf",

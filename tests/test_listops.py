@@ -1,4 +1,5 @@
-"""ListOps generator/evaluator: hand-worked cases, re-evaluation oracle."""
+"""ListOps generator/evaluator: hand-worked cases, a reference sampler and a
+whole-tree distribution oracle."""
 
 import gc
 import hashlib
@@ -14,7 +15,7 @@ from switchlab.listops import (DEFAULT_MAX_LEN, MIN_ARGS, OPERATORS, PAD, TOKEN_
                                TOKENS, VOCAB_SIZE, ListOpsExample, apply_op,
                                eval_tokens, gen_listops, pad_batch, to_line)
 from switchlab.moe import ConfigError
-from switchlab.rng import PhiloxDraws, philox_words, rng_for
+from switchlab.rng import rng_for
 
 
 # -- evaluator -------------------------------------------------------------
@@ -72,6 +73,54 @@ def test_eval_rejects_malformed(bad):
 # -- generator -------------------------------------------------------------
 
 
+class _GiveUp(Exception):
+    pass
+
+
+def _reference_op(rng: np.random.Generator, depth_left: int, max_args: int,
+                  toks: list[str], pending: int, max_len: int) -> None:
+    """Append the token strings of one operator application to ``toks``,
+    one ``rng.random()`` per decision; ``pending`` is the least number of
+    tokens the enclosing applications still need after this one. Gives up
+    once the tokens so far, one for each argument still to come and the
+    ")"s still to come exceed ``max_len``."""
+    toks += ["(", OPERATORS[int(rng.random() * len(OPERATORS))]]
+    n_args = MIN_ARGS + int(rng.random() * (max_args - MIN_ARGS + 1))
+    for k in range(n_args):
+        if len(toks) + (n_args - k) + 1 + pending > max_len:
+            raise _GiveUp
+        if depth_left == 1 or rng.random() < 0.35:
+            toks.append(str(int(rng.random() * 10)))
+        else:
+            _reference_op(rng, depth_left - 1, max_args, toks, pending + n_args - k, max_len)
+    toks.append(")")
+
+
+def _nesting(toks: list[str]) -> int:
+    depth = deepest = 0
+    for t in toks:
+        depth += (t == "(") - (t == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def reference_listops(n, max_depth, max_args, seed, max_len):
+    """gen_listops written plainly: token strings from one scalar
+    ``Generator.random()`` call per decision on the stream (seed,
+    "listops"), labels through ``eval_tokens`` and depths from the
+    brackets; (token ids, label, depth) of each example."""
+    rng = rng_for(seed, "listops")
+    out = []
+    while len(out) < n:
+        toks = []
+        try:
+            _reference_op(rng, max_depth, max_args, toks, 0, max_len)
+        except _GiveUp:
+            continue
+        out.append((bytes(TOKEN_ID[t] for t in toks), eval_tokens(toks), _nesting(toks)))
+    return out
+
+
 def _oracle_tree(rng: np.random.Generator, depth_left: int, max_args: int):
     """(token strings, depth) of one subexpression."""
     if depth_left == 0 or rng.random() < 0.35:
@@ -95,8 +144,9 @@ def _oracle_op(rng: np.random.Generator, depth_left: int, max_args: int):
 
 
 def oracle_listops(n, max_depth, max_args, seed, max_len):
-    """gen_listops as it was written on numpy's Generator, one call per
-    draw: (token ids, label, depth) of each example."""
+    """The distribution gen_listops samples from, by its definition: whole
+    trees drawn on numpy's Generator, the ones longer than ``max_len``
+    rejected; (token ids, label, depth) of each example."""
     out = []
     for i in range(n):
         rng = rng_for(seed, "listops", i)
@@ -115,55 +165,64 @@ def _records(examples):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**70), n=st.integers(1, 12), max_depth=st.integers(1, 4),
        max_args=st.integers(MIN_ARGS, 6), max_len=st.integers(MIN_ARGS + 3, 80))
-@example(seed=3, n=12, max_depth=4, max_args=6, max_len=5)    # rejects ~97% of samples
+@example(seed=3, n=12, max_depth=4, max_args=6, max_len=5)    # gives up most samples
 @example(seed=2**32, n=12, max_depth=3, max_args=5, max_len=64)   # a two-word seed
 @example(seed=2**64 + 9, n=12, max_depth=3, max_args=5, max_len=64)   # a three-word seed
-@example(seed=3, n=12, max_depth=2, max_args=2, max_len=8)    # a span of 1: no draw
-def test_generator_matches_oracle(seed, n, max_depth, max_args, max_len):
-    # the raw-stream sampler draws what the Generator-based one drew, for
-    # any settings, including ones that reject most samples
+@example(seed=3, n=12, max_depth=2, max_args=2, max_len=8)    # one choice of argument count
+def test_generator_matches_reference(seed, n, max_depth, max_args, max_len):
+    # the sampler draws what the plain reference draws, for any settings,
+    # including ones that give up most samples
     got = gen_listops(n, max_depth, max_args, seed=seed, max_len=max_len)
-    assert _records(got) == oracle_listops(n, max_depth, max_args, seed, max_len)
+    assert _records(got) == reference_listops(n, max_depth, max_args, seed, max_len)
 
 
 @pytest.mark.parametrize("max_depth,max_args,seed,max_len", [
     (3, 5, 101, 64), (5, 7, 9, 200), (2, 2, 3, 8), (1, 40, 5, 64), (4, 10, 11, 128),
 ])
-def test_generator_matches_oracle_wide_settings(max_depth, max_args, seed, max_len):
+def test_generator_matches_reference_wide_settings(max_depth, max_args, seed, max_len):
     # deep trees, wide operators and long limits, beyond the property's range
     got = gen_listops(40, max_depth, max_args, seed=seed, max_len=max_len)
-    assert _records(got) == oracle_listops(40, max_depth, max_args, seed, max_len)
+    assert _records(got) == reference_listops(40, max_depth, max_args, seed, max_len)
 
 
-def test_generator_matches_oracle_across_passes(monkeypatch):
-    # past the first chunk of streams, and with examples that run out of
-    # their first-pass words, then of their second-pass words, and refill
-    # alone many times (from small blocks)
-    calls, refills = [], []
+def test_generator_matches_reference_across_refills(monkeypatch):
+    # the stream's uniforms come in blocks; with blocks of 7, expressions
+    # and examples straddle many refills
+    monkeypatch.setattr(listops, "_BLOCK", 7)
+    got = gen_listops(300, 3, 5, seed=2**40 + 5, max_len=20)
+    assert _records(got) == reference_listops(300, 3, 5, 2**40 + 5, 20)
 
-    def recording(keys, start, n):
-        calls.append((len(keys), start, n))
-        return philox_words(keys, start, n)
 
-    def refill(self):
-        if self._key is not None:
-            refills.append(self._end)
-        return PhiloxDraws._refill(self)
+def _ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical CDFs, taken at every value either sample holds (ties
+    included)."""
+    a, b = np.sort(a), np.sort(b)
+    values = np.union1d(a, b)
+    gap = (np.searchsorted(a, values, side="right") / len(a)
+           - np.searchsorted(b, values, side="right") / len(b))
+    return float(np.abs(gap).max())
 
-    class SmallBlocks(PhiloxDraws):
-        __slots__ = ()
-        BLOCK = 8
-        _refill = refill
 
-    monkeypatch.setattr(listops, "philox_words", recording)
-    monkeypatch.setattr(listops, "PhiloxDraws", SmallBlocks)
-    n = listops._CHUNK + 20
-    got = gen_listops(n, 3, 5, seed=2**40 + 5, max_len=20)
-    assert _records(got) == oracle_listops(n, 3, 5, 2**40 + 5, 20)
-    first, second = listops._FIRST_WORDS, listops._SECOND_WORDS
-    assert calls[:2] == [(listops._CHUNK, 0, first), (20, 0, first)]
-    assert calls[2:] and all(call[1:] == (0, second) for call in calls[2:])
-    assert min(refills) == second and len(refills) > len(set(refills)) > 10
+def test_lengths_and_depths_match_whole_tree_sampler():
+    # giving up an expression once it cannot fit leaves the distribution of
+    # accepted expressions as whole-tree sampling with rejection. The bound
+    # is the alpha = 0.001 critical value for 4000 examples a side, fixed
+    # before any data was drawn
+    n = 4000
+    bound = 1.95 * np.sqrt(2 / n)
+    got = _records(gen_listops(n, 3, 5, seed=0, max_len=64))
+    want = oracle_listops(n, 3, 5, 0, 64)
+    for field in (lambda r: len(r[0]), lambda r: r[2]):      # length, depth
+        assert _ks_statistic([field(r) for r in got], [field(r) for r in want]) < bound
+
+
+def test_heavy_rejection_finishes(cpu_time_limit):
+    # deep, wide expressions under a short max_len: a sampler that draws the
+    # whole tree before checking its length took 5 s of CPU time here
+    with cpu_time_limit(5):
+        examples = gen_listops(300, 6, 6, seed=2**40 + 5, max_len=40)
+    assert len(examples) == 300 and max(e.length for e in examples) <= 40
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -189,7 +248,7 @@ def test_generation_deterministic_and_prefix_stable():
     a = gen_listops(50, seed=3)
     b = gen_listops(50, seed=3)
     assert [(e.tokens, e.label) for e in a] == [(e.tokens, e.label) for e in b]
-    # per-example seeding: a shorter run is a prefix of a longer one
+    # one stream, drawn in order: a shorter run is a prefix of a longer one
     c = gen_listops(10, seed=3)
     assert [(e.tokens, e.label) for e in c] == [(e.tokens, e.label) for e in a[:10]]
     d = gen_listops(10, seed=4)
@@ -279,8 +338,8 @@ def test_record_footprint():
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (100, "d2c3ca21e49d20d9c4f14bf9b65c515fade03ece719239835ed7052d641a129b"),
-    (101, "1f4a02523635d2ed1171a0ca2c90f96ac5cb052945bb7aa46c700d1c23586d8c"),
+    (100, "19a899613d0328bb157cbdb0d136e7ecf4818910bdbdd8192e2c73a22613874e"),
+    (101, "55e73a07b5da514079ec853d16615698ac652bc0ed1669e3f731a5ab2d7a3e72"),
 ])
 def test_generator_output_pinned(seed, digest):
     """The grid's and the benchmark's data (generator seeds 100 and 101)
@@ -294,4 +353,4 @@ def test_training_split_pinned():
     generator seed 100) stays byte-identical, not only its first 2000."""
     text = "\n".join(to_line(e) for e in gen_listops(10000, 3, 5, seed=100))
     assert (hashlib.sha256(text.encode()).hexdigest()
-            == "78c8d49509b0258ac617945eeaf71e25e32a95fda5b52ccf11e8cbdc4d3e109d")
+            == "b892dc85e37cd50573e7cc1d395368492d55c63f360c4026ce5f244c255283a3")

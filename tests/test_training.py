@@ -155,10 +155,10 @@ def test_corpus_ids_pinned():
     assert bytes(corpus.vocab.tolist()) == b"\t\n ()0123456789ADEIMNSX"
     assert corpus.vocab.dtype == np.uint8
     assert corpus.data.dtype == np.uint8       # one byte per byte of text
-    assert (len(corpus.data), corpus.train_end) == (261697, 235527)
-    assert corpus.data[:12].tolist() == [3, 2, 21, 19, 2, 3, 2, 19, 15, 22, 2, 10]
+    assert (len(corpus.data), corpus.train_end) == (263177, 236859)
+    assert corpus.data[:12].tolist() == [3, 2, 19, 15, 22, 2, 3, 2, 19, 15, 22, 2]
     assert (hashlib.sha256(corpus.data.astype(np.int64).tobytes()).hexdigest()
-            == "ec233ebb39e30402f812e16e33b57feadaba8c21c232df3dde3ca89b58c65031")
+            == "2f34a9e25b6917a42e39e0ef1233932923dfd9eb103fabfb032d50062a77a1be")
 
 
 def test_char_lm_task_too_small():
