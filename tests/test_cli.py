@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlab.attention import AttentionConfig
-from switchlab.checkpoint import save
+from switchlab.checkpoint import load, save
 from switchlab import cli
 from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_cost_row
 from switchlab.config import SCHEMA, dump_config, parse_config, to_model_spec
@@ -335,6 +335,31 @@ def test_export_attn_writes_head_gating_selections(tmp_path, listops_cfg, capsys
     assert gates.shape == (5, 3)                  # [T, H]
     assert np.all((gates > 0).sum(axis=1) == 2)   # k = 2 selected heads per token
     assert np.all(gates <= 1)                     # sigmoid gates
+
+
+def test_export_attn_writes_switchhead_selections(tmp_path, listops_cfg, capsys):
+    # each head's source and destination gates, one [T, k] grid per head
+    # and side, as the model's trace gives them
+    out = tmp_path / "out"
+    assert main(["train", "--config", listops_cfg, "--set", "train.steps=1",
+                 "--set", "attention.variant=switchhead", "--set", "attention.n_experts=3",
+                 "--set", "attention.k_active=2", "--set", "attention.expert_v=true",
+                 "--set", "attention.expert_o=true", "--out", str(out)]) == EXIT_OK
+    grids = tmp_path / "grids"
+    sample = "( MAX 1 ( SM 2 3 ) 4 )"
+    assert main(["export-attn", "--checkpoint", str(out / "model.ckpt"),
+                 "--sample", sample, "--out", str(grids)]) == EXIT_OK
+    capsys.readouterr()
+    model = load(str(out / "model.ckpt"))
+    _, traces, _ = model.forward(cli._tokenize_sample(model, sample), want_trace=True)
+    selections = traces[0].selections
+    T, H, k = len(sample.split()), 2, 2
+    for side in ("source", "dest"):
+        for h in range(H):
+            grid = np.loadtxt(grids / f"layer0_{side}_sel_head{h}.csv", delimiter=",",
+                              ndmin=2)
+            assert grid.shape == (T, k)
+            np.testing.assert_allclose(grid, selections[side][h][1][0], rtol=1e-9)
 
 
 @pytest.mark.parametrize("n_classes, sample", [
