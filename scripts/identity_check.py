@@ -10,8 +10,9 @@ capture:
 * float64, every ``gradcheck.suite_cases()`` attention config for seeds
   0-2 and (B, T) in {(1, 4), (2, 5), (3, 7)}, with a pre-filled cache where
   the config keeps one: the output, the input and parameter grads, the
-  attention matrices and routing decisions of the trace, the new cache
-  and the OpCounter snapshot of one forward and backward;
+  attention matrices of the trace and its routing decisions (one
+  (indices, weights) pair per routing decision), the new cache and the
+  OpCounter snapshot of one forward and backward;
 * float32, each workload ``BENCHMARK.json`` gates and the benchmark's
   ungated dense ListOps workload ``listops_dense_h8`` (the one bench model
   with per-head XL position biases and a dense MLP), set up as the
@@ -89,11 +90,9 @@ def suite_capture(out: dict) -> None:
                 case["y"], case["grad.input"], case["attn"] = y.data, x.grad, trace.attn
                 for key, p in params.items():
                     case[f"grad.{key}"] = p.grad
-                for key, sel in trace.selections.items():
-                    for i, (indices, weights) in enumerate(sel if isinstance(sel, list)
-                                                           else [sel]):
-                        case[f"sel.{key}.{i}.indices"] = indices
-                        case[f"sel.{key}.{i}.weights"] = weights
+                for key, (indices, weights) in trace.selections.items():
+                    case[f"sel.{key}.indices"] = indices
+                    case[f"sel.{key}.weights"] = weights
                 if new_cache is not None:
                     case["cache.k"], case["cache.v"] = new_cache.k, new_cache.v
                 case["counter"] = np.frombuffer(

@@ -120,40 +120,45 @@ def main(argv: list[str]) -> int:
     data_sha256 = data_digest(train_ex, valid_ex)
     progress = logging.StreamHandler(sys.stdout)
     training_log = logging.getLogger("switchlab.training")
+    level = training_log.level
     training_log.addHandler(progress)
     training_log.setLevel(logging.INFO)
-    for config in configs:
-        for seed in SEEDS:
-            key = f"{config}/seed{seed}"
-            spec = ModelSpec(N_LAYERS, D_MODEL, attention_for(config),
-                             MLPConfig("dense", 256), VOCAB_SIZE, T=64,
-                             n_classes=10)
-            if key in results:
-                if is_current(results[key], param_dtype(build(spec, seed)), data_sha256):
-                    print(f"{key}: done ({results[key]['accuracy']:.4f}), skipping",
-                          flush=True)
-                    continue
-                print(f"{key}: recorded at another precision or on other data, "
-                      "rerunning", flush=True)
-            run = TrainRun(spec, seed=seed, steps=STEPS, batch_size=16,
-                           lr=2.5e-4, warmup_steps=400, clip_norm=1.0,
-                           log_every=500)
-            progress.setFormatter(logging.Formatter(f"{key}: %(message)s"))
-            t0 = time.time()
-            model, metrics = train(run, task)
-            summary = evaluate(model, task, "valid")
-            record = {
-                "config": config, "seed": seed, "steps": STEPS,
-                "dtype": param_dtype(model),
-                "data_sha256": data_sha256,
-                "blas_threads": BLAS_THREADS,
-                "accuracy": summary["accuracy"],
-                "final_train_loss": metrics[-1]["loss"],
-                "minutes": round((time.time() - t0) / 60, 1),
-            }
-            record_result(key, record)
-            print(f"{key}: acc={summary['accuracy']:.4f} "
-                  f"({record['minutes']} min)", flush=True)
+    try:
+        for config in configs:
+            for seed in SEEDS:
+                key = f"{config}/seed{seed}"
+                spec = ModelSpec(N_LAYERS, D_MODEL, attention_for(config),
+                                 MLPConfig("dense", 256), VOCAB_SIZE, T=64,
+                                 n_classes=10)
+                if key in results:
+                    if is_current(results[key], param_dtype(build(spec, seed)), data_sha256):
+                        print(f"{key}: done ({results[key]['accuracy']:.4f}), skipping",
+                              flush=True)
+                        continue
+                    print(f"{key}: recorded at another precision or on other data, "
+                          "rerunning", flush=True)
+                run = TrainRun(spec, seed=seed, steps=STEPS, batch_size=16,
+                               lr=2.5e-4, warmup_steps=400, clip_norm=1.0,
+                               log_every=500)
+                progress.setFormatter(logging.Formatter(f"{key}: %(message)s"))
+                t0 = time.time()
+                model, metrics = train(run, task)
+                summary = evaluate(model, task, "valid")
+                record = {
+                    "config": config, "seed": seed, "steps": STEPS,
+                    "dtype": param_dtype(model),
+                    "data_sha256": data_sha256,
+                    "blas_threads": BLAS_THREADS,
+                    "accuracy": summary["accuracy"],
+                    "final_train_loss": metrics[-1]["loss"],
+                    "minutes": round((time.time() - t0) / 60, 1),
+                }
+                record_result(key, record)
+                print(f"{key}: acc={summary['accuracy']:.4f} "
+                      f"({record['minutes']} min)", flush=True)
+    finally:
+        training_log.removeHandler(progress)
+        training_log.setLevel(level)
     return 0
 
 

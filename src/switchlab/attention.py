@@ -11,10 +11,10 @@ terms, scores, mask and readout once on [B, H, T, S] for all heads (scores
 to probabilities as the one op ``tensor.attention_probs``), and O is the
 plain merge-GEMM or a ``moe.dispatch`` call from head rows back into token
 rows. Head gating routes O alone, each token reading its k selected heads
-as its own experts' rows; SwitchHead routes any of its four
-roles, one ``select`` per head and side; MoA is multi-query attention,
-its k routed query experts as k heads against one shared K/V head, so
-its cache is [B, 1, S, dh].
+as its own experts' rows; SwitchHead routes any of its four roles, one
+``select`` per side over the [H, dm, E] bank of its heads' routers; MoA
+is multi-query attention, its k routed query experts as k heads against
+one shared K/V head, so its cache is [B, 1, S, dh].
 
 Conventions shared by every variant:
   * a "head" is one computed attention matrix;
@@ -121,7 +121,13 @@ class LayerCache:
 
 @dataclass
 class AttentionTrace:
-    """Per-call record: attention matrices and routing decisions."""
+    """Per-call record: attention matrices and routing decisions.
+
+    ``selections`` maps each routing decision to one (indices, weights)
+    pair of arrays: ``source`` and ``dest`` for SwitchHead's two sides,
+    [B, T, H, k] with each head's expert ids local in [0, E); ``heads`` for
+    head gating and ``router`` for MoA, [B, T, k].
+    """
     attn: np.ndarray | None = None            # [B, n_matrices, T, S]
     selections: dict = field(default_factory=dict)
 
@@ -319,21 +325,22 @@ def _head_gate_routes(x, params, cfg, counter):
 
 
 def _switchhead_routes(x, params, cfg, counter):
-    """One ``select`` per head and side: the source side routes K and V, the
-    destination side Q and O; head h's experts are rows h*E.. of the flat
-    [H*E, d_in, d_out] bank, and its k slots are a token's slots h*k.."""
-    H, E, f = cfg.n_heads, cfg.n_experts, cfg.expert_flags
+    """One ``select`` per side over its [H, dm, E] router bank: the source
+    side routes K and V, the destination side Q and O; head h's experts are
+    rows h*E.. of the flat [H*E, d_in, d_out] bank, and its k slots are a
+    token's slots h*k.."""
+    (B, T, _), H, E, f = x.shape, cfg.n_heads, cfg.n_experts, cfg.expert_flags
     sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
     routes, selections = {}, {}
     for side, w_name, roles in (("source", "w_s", "kv"), ("dest", "w_d", "qo")):
         roles = [r for r in roles if getattr(f, r)]
         if not roles:
             continue
-        sels = [select(x, params[w_name][h], sel_cfg, counter) for h in range(H)]
-        eid = np.concatenate([s.indices + h * E for h, s in enumerate(sels)], axis=-1)
-        route = Route(ExpertPlan(eid, H * E), concat([s.weights for s in sels], axis=-1))
+        sel = select(x, params[w_name], sel_cfg, counter)          # [B, T, H, k]
+        eid = (sel.indices + E * np.arange(H)[:, None]).reshape(B, T, -1)
+        route = Route(ExpertPlan(eid, H * E), reshape(sel.weights, eid.shape))
         routes.update(dict.fromkeys(roles, route))
-        selections[side] = sels
+        selections[side] = sel
     return routes, selections
 
 
@@ -405,7 +412,5 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
     if want_trace:
         trace.attn = attn.data.copy()
         for key, sel in selections.items():
-            trace.selections[key] = ([(s.indices.copy(), s.weights.data.copy()) for s in sel]
-                                     if isinstance(sel, list)
-                                     else (sel.indices.copy(), sel.weights.data.copy()))
+            trace.selections[key] = (sel.indices.copy(), sel.weights.data.copy())
     return y, trace, new_cache

@@ -260,11 +260,12 @@ def cmd_export_attn(args) -> int:
         for h in range(attn.shape[0]):
             _grid(os.path.join(args.out, f"layer{layer}_head{h}.csv"), attn[h])
         _grid(os.path.join(args.out, f"layer{layer}_max.csv"), attn.max(axis=0))
-        for side in ("source", "dest"):
+        for side in ("source", "dest"):          # [T, H, k]: each head's k gates
             if side in trace.selections:
-                for h, (_, weights) in enumerate(trace.selections[side]):
+                weights = trace.selections[side][1][0]
+                for h in range(weights.shape[1]):
                     _grid(os.path.join(args.out, f"layer{layer}_{side}_sel_head{h}.csv"),
-                          weights[0])
+                          weights[:, h])
         if "router" in trace.selections:
             _grid(os.path.join(args.out, f"layer{layer}_router_sel.csv"),
                   trace.selections["router"][1][0])

@@ -2,7 +2,10 @@
 
 ``select`` is every router in the lab (SwitchHead's two sides, head
 gating, the MoA router and the sigma-MoE MLP): a bias-free linear gating
-projection, sigmoid (or softmax) activation and top-k. Every routed
+projection, sigmoid (or softmax) activation and top-k. It takes one
+router [d_model, E] or a bank of G routers [G, d_model, E], which it runs
+as one [d_model, G*E] GEMM and one top-k; SwitchHead's side is the bank
+of its H heads' routers, one routing decision for all heads. Every routed
 projection is one ``tensor.expert_matmul`` dispatch. An attention
 variant's routed roles are ``Route`` records, and ``dispatch`` moves rows
 from one [B, n, T] row layout of the route's plan to another: token rows
@@ -20,7 +23,7 @@ import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
 from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, expert_matmul, matmul,
-                     relu, reshape, sigmoid, softmax_last, take_last)
+                     relu, reshape, sigmoid, softmax_last, take_last, transpose)
 
 
 class ConfigError(ValueError):
@@ -47,8 +50,9 @@ class SelectionConfig:
 class ExpertSelection:
     """Routing decision: per token the chosen expert indices and gate weights.
 
-    ``indices`` has shape [..., k] (ascending per token); ``weights`` is the
-    matching differentiable gate tensor.
+    ``indices`` has shape [..., k], or [..., G, k] for a bank of G routers
+    (ascending per token and router, each router's ids local in [0, E));
+    ``weights`` is the matching differentiable gate tensor.
     """
     indices: np.ndarray
     weights: Tensor
@@ -58,14 +62,24 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
            counter: OpCounter = NULL_COUNTER) -> ExpertSelection:
     """Route tokens: logits = x @ w_sel (no bias), activation, top-k.
 
-    Sigmoid gates are non-competitive: weights are the per-expert sigmoid
-    values, not normalized across experts. Softmax gates are the softmax of
-    the full logit row restricted to the selected indices. The router's
-    MACs and its stored logits count under the ``selection`` extra, apart
-    from the headline.
+    ``w_sel`` is one router [d_model, E] or a bank [G, d_model, E] of G
+    routers, each choosing its own k of its E experts; a bank's logits are
+    one [d_model, G*E] GEMM viewed as [..., G, E], and the top-k and
+    activation run per router on that view. Sigmoid gates are
+    non-competitive: weights are the per-expert sigmoid values, not
+    normalized across experts. Softmax gates are the softmax of the full
+    logit row restricted to the selected indices. The router's MACs and
+    its stored logits count under the ``selection`` extra, apart from the
+    headline.
     """
     cfg.validate()
-    logits = matmul(x, w_sel, counter, term="selection")
+    if w_sel.ndim == 3:
+        G, d_model, E = w_sel.shape
+        logits = matmul(x, reshape(transpose(w_sel, (1, 0, 2)), (d_model, G * E)), counter,
+                        term="selection")
+        logits = reshape(logits, x.shape[:-1] + (G, E))
+    else:
+        logits = matmul(x, w_sel, counter, term="selection")
     indices = argtopk_rows(logits.data, cfg.k_active)
     if cfg.activation == "sigmoid":
         # sigmoid is monotone and elementwise, so the top-k of the logits is

@@ -519,10 +519,10 @@ def test_trace_shapes():
     _, trace, _ = attention_forward(rand_x(rng, 1, 4, DM), params, cfg,
                                     want_trace=True)
     assert trace.attn.shape == (1, 2, 4, 4)
-    assert len(trace.selections["source"]) == 2
-    assert all(w.shape == (1, 4, 2) for _, w in trace.selections["source"])
-    assert np.all((trace.selections["source"][0][1] >= 0)
-                  & (trace.selections["source"][0][1] <= 1))
+    idx, w = trace.selections["source"]           # [B, T, H, k]
+    assert idx.shape == w.shape == (1, 4, 2, 2)
+    assert np.all((idx >= 0) & (idx < cfg.n_experts))
+    assert np.all((w >= 0) & (w <= 1))
 
 
 # -- head-batched layer vs the per-head loop it replaced -------------------
@@ -627,7 +627,8 @@ def test_switchhead_matches_per_head_loop(position, flags):
     for name, p in params.items():
         assert np.max(np.abs(p.grad - ref_params[name].grad)) < 1e-8, name
     for side, sels in (("source", sel_s), ("dest", sel_d)):
-        assert len(trace.selections[side]) == cfg.n_heads
-        for (idx, w), ref in zip(trace.selections[side], sels):
-            assert np.array_equal(idx, ref.indices)
-            assert np.max(np.abs(w - ref.weights.data)) < 1e-12
+        idx, w = trace.selections[side]           # [B, T, H, k]
+        assert idx.shape[2] == cfg.n_heads
+        for h, ref in enumerate(sels):
+            assert np.array_equal(idx[:, :, h], ref.indices)
+            assert np.max(np.abs(w[:, :, h] - ref.weights.data)) < 1e-12

@@ -359,7 +359,7 @@ def test_export_attn_writes_switchhead_selections(tmp_path, listops_cfg, capsys)
             grid = np.loadtxt(grids / f"layer0_{side}_sel_head{h}.csv", delimiter=",",
                               ndmin=2)
             assert grid.shape == (T, k)
-            np.testing.assert_allclose(grid, selections[side][h][1][0], rtol=1e-9)
+            np.testing.assert_allclose(grid, selections[side][1][0, :, h], rtol=1e-9)
 
 
 @pytest.mark.parametrize("n_classes, sample", [

@@ -74,8 +74,8 @@ def test_recorded_runs_rerun_unless_precision_and_data_match(tmp_path, monkeypat
 
     monkeypatch.setattr(grid, "train", train)
     monkeypatch.setattr(grid, "evaluate", lambda model, task, split: {"accuracy": 0.5})
-    log = logging.getLogger("switchlab.training")       # main adds its progress handler
-    monkeypatch.setattr(log, "handlers", list(log.handlers))
+    log = logging.getLogger("switchlab.training")
+    handlers, level = list(log.handlers), log.level
     old = {"accuracy": 0.25}
     with open(grid.OUT, "w") as f:
         json.dump({
@@ -87,6 +87,7 @@ def test_recorded_runs_rerun_unless_precision_and_data_match(tmp_path, monkeypat
         }, f)
     assert grid.main(["dense_h2", "dense_h8"]) == 0
     assert trained == [(2, 0), (2, 2), (8, 0), (8, 1), (8, 2)]
+    assert (log.handlers, log.level) == (handlers, level)  # main's progress log is gone
     results = grid.load_results()
     assert results["dense_h2/seed1"] == {**old, "dtype": "float32", "data_sha256": digest}
     for key in set(results) - {"dense_h2/seed1"}:

@@ -91,6 +91,25 @@ def test_select_softmax_weights():
     assert np.allclose(sel.weights.data, got, atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["sigmoid", "softmax"])
+@pytest.mark.parametrize("G", [1, 2, 3])
+def test_select_bank_matches_per_router_calls(G, activation):
+    # a bank [G, dm, E] is G routers in one GEMM and one top-k: the same
+    # indices, gates and selection counts as one select per router
+    rng = rng_for(G, "moe-bank", activation)
+    x = Tensor(rng.uniform(-1, 1, (2, 7, 6)))
+    bank = Tensor(uniform_init(rng, (G, 6, 5), 6))
+    cfg = SelectionConfig(5, 2, activation)
+    c_bank, c_each = OpCounter(), OpCounter()
+    sel = select(x, bank, cfg, c_bank)
+    assert sel.indices.shape == sel.weights.shape == (2, 7, G, 2)
+    for g in range(G):
+        ref = select(x, Tensor(bank.data[g]), cfg, c_each)
+        assert np.array_equal(sel.indices[..., g, :], ref.indices)
+        assert np.max(np.abs(sel.weights.data[..., g, :] - ref.weights.data)) <= 1e-15
+    assert c_bank.extras["selection"] == c_each.extras["selection"]
+
+
 def one_head_route(sel, n_experts=5, **kw):
     # a [n, k] selection as one head's route over a batch of one sequence
     return Route(ExpertPlan(sel.indices[None], n_experts),
@@ -292,8 +311,9 @@ def test_each_selection_is_sorted_once(monkeypatch):
     # one forward and backward of a layer with SwitchHead on all four roles
     # and a sigma-MoE MLP: the source side (K, V), the destination side
     # (Q, O) and the MLP (up, down) are three routing decisions, and each is
-    # sorted by expert once, for all its dispatches and their backwards; the
-    # routers still make one select per head and side, and one for the MLP
+    # sorted by expert once, for all its dispatches and their backwards, and
+    # each is one select: one per side over its bank of H routers, one for
+    # the MLP
     H = 2
     attn = AttentionConfig(12, H, 4, variant="switchhead", n_experts=3, k_active=2,
                            expert_flags=ExpertFlags(v=True, k=True, q=True, o=True))
@@ -314,7 +334,7 @@ def test_each_selection_is_sorted_once(monkeypatch):
     toks = rng_for(0, "sort-once").integers(11, size=(2, 5))
     logits, _, _ = model.forward(toks)
     tsum(logits).backward()
-    assert calls == {"sort": 3, "select": 2 * H + 1}
+    assert calls == {"sort": 3, "select": 3}
 
 
 def test_head_gating_gathers_no_head_rows(monkeypatch):
