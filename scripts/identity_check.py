@@ -35,7 +35,11 @@ capture:
 
 The script then compares the two captures bit for bit, prints each case
 that differs with its largest absolute difference, and exits 1 if any
-case differs (0 if none does).
+case differs (0 if none does). Both workers read the traces with this
+script's code, so a checkout whose trace selections are not
+(indices, weights) pairs of arrays stops the run with exit 2, naming the
+checkout, the case and the selection; a worker that fails otherwise
+stops it with the worker's exit code.
 """
 
 from __future__ import annotations
@@ -62,7 +66,13 @@ SEP = "|"
 LISTOPS_DATA = ((300, 6, 6, 2**40 + 5, 40), (300, 3, 5, 2**32, 64), (300, 3, 5, 2**64 + 3, 64))
 
 
-def suite_capture(out: dict) -> None:
+def suite_capture(out: dict, root: str) -> None:
+    """Capture the float64 gradient-suite cases into ``out``.
+
+    Selections are read in this script's layout of
+    ``AttentionTrace.selections``; one that is not an (indices, weights)
+    pair of arrays (another layout, in the checkout at ``root``) stops the
+    capture with exit 2 instead of being misread."""
     from switchlab.attention import (LayerCache, attention_forward, cache_shape,
                                      init_attention_params)
     from switchlab.counter import OpCounter
@@ -73,7 +83,8 @@ def suite_capture(out: dict) -> None:
     for name, cfg in suite_cases().items():
         for seed in SUITE_SEEDS:
             for B, T in SUITE_SHAPES:
-                case = out.setdefault(f"f64 {name} seed={seed} B={B} T={T}", {})
+                case_name = f"f64 {name} seed={seed} B={B} T={T}"
+                case = out.setdefault(case_name, {})
                 rng = rng_for(seed, "identity", name, B, T)
                 params = init_attention_params(cfg, rng)
                 x = Tensor(rng.uniform(-1, 1, (B, T, cfg.d_model)), requires_grad=True)
@@ -90,7 +101,13 @@ def suite_capture(out: dict) -> None:
                 case["y"], case["grad.input"], case["attn"] = y.data, x.grad, trace.attn
                 for key, p in params.items():
                     case[f"grad.{key}"] = p.grad
-                for key, (indices, weights) in trace.selections.items():
+                for key, sel in trace.selections.items():
+                    if not (isinstance(sel, tuple) and len(sel) == 2
+                            and all(isinstance(a, np.ndarray) for a in sel)):
+                        print(f"error: {root}: case '{case_name}': trace selection '{key}' "
+                              "is not an (indices, weights) pair of arrays", file=sys.stderr)
+                        sys.exit(2)
+                    indices, weights = sel
                     case[f"sel.{key}.indices"] = indices
                     case[f"sel.{key}.weights"] = weights
                 if new_cache is not None:
@@ -167,7 +184,7 @@ def worker(root: str, path: str) -> None:
     from switchlab.attention import AttentionConfig
 
     out: dict = {}
-    suite_capture(out)
+    suite_capture(out, root)
     listops_capture(out)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         gated = [w["name"] for w in json.load(f)["workloads"]]
@@ -185,8 +202,10 @@ def worker(root: str, path: str) -> None:
 
 def capture(root: str, path: str) -> dict:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", root, path],
-                   env=env, check=True)
+    code = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", root, path],
+                          env=env).returncode
+    if code:
+        sys.exit(code)
     cases: dict = {}
     with np.load(path) as data:
         for key in data.files:

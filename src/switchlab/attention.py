@@ -37,7 +37,7 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, Route, SelectionConfig, dispatch, select
 from .rng import uniform_init
 from .tensor import (ExpertPlan, ShapeError, Tensor, attention_probs, concat, constant,
-                     matmul, mul, reshape, transpose)
+                     matmul, mul, reshape, take_last, transpose)
 
 NEG_INF = -1e30
 
@@ -213,16 +213,17 @@ def _sinusoid_table(n_rows: int, d_model: int, offset: int,
 def rope_rotate(x: Tensor, cos: np.ndarray, sin: np.ndarray,
                 counter: OpCounter = NULL_COUNTER) -> Tensor:
     """Rotate interleaved channel pairs of [..., T, dh] by position angles:
-    each pair (a, b) becomes (a cos - b sin, b cos + a sin), the pairs times
-    [cos, cos] plus the swapped pairs times [-sin, sin]."""
+    each pair (a, b) becomes (a cos - b sin, b cos + a sin), x times cos
+    repeated per pair plus x with each pair swapped (``take_last`` of
+    channel i ^ 1) times [-sin, sin] interleaved."""
     dh = x.shape[-1]
     if dh % 2 != 0:
         raise ShapeError("rotary rotation needs channel pairs (even d_head)")
-    pairs = reshape(x, x.shape[:-1] + (dh // 2, 2))
-    c = constant(np.stack([cos, cos], axis=-1).astype(x.data.dtype))
-    s = constant(np.stack([-sin, sin], axis=-1).astype(x.data.dtype))
+    c = np.repeat(cos, 2, axis=-1)
+    s = np.stack([-sin, sin], axis=-1).reshape(c.shape)
     counter.add("rotary", macs=2 * x.size)
-    return reshape(mul(pairs, c) + mul(pairs[..., ::-1], s), x.shape)
+    # mul casts the float64 angle arrays to x's dtype
+    return mul(x, c) + mul(take_last(x, np.arange(dh) ^ 1), s)
 
 
 def rope_angles(T: int, d_head: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,8 @@ class CostInputs:
         if self.variant != "dense" and self.k_active > self.E:
             raise ConfigError(f"{self.variant} routes K={self.k_active} of E={self.E} "
                               "experts; K must not exceed E")
+        if self.variant == "moa" and self.H != self.k_active:
+            raise ConfigError("moa computes K attention matrices; H must equal K")
         if self.position == "rope" and self.C != 1:
             raise ConfigError("rope has no context cache; C must be 1")
 
@@ -198,8 +200,6 @@ def measure(ci: CostInputs) -> CostReport:
     over the steady-state C*T source positions that the formulas assume.
     """
     ci.validate()
-    if ci.variant == "moa" and ci.H != ci.k_active:
-        raise ConfigError("for moa measurement H must equal k_active")
     if ci.T < 1:
         raise ShapeError("measurement needs T >= 1")
     cfg = config_for(ci)

@@ -177,10 +177,8 @@ class Model:
         """
         spec = self.spec
         tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
         if tokens.ndim != 2:
-            raise ShapeError(f"tokens must be [T] or [B, T], got shape {tokens.shape}")
+            raise ShapeError(f"tokens must be [B, T], got shape {tokens.shape}")
         if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= spec.vocab_size:
             raise ShapeError("token id out of vocabulary range")
         B, T = tokens.shape
@@ -290,7 +288,7 @@ def match_params(target: int, template: ModelSpec,
     counted under ``count_params``' ``per_head_pos`` convention.
     """
     if target < 1:
-        raise MatchingError("target parameter count must be positive")
+        raise ConfigError("target parameter count must be positive")
     template.validate()
 
     def count_at(dh: int, dff: int) -> int:

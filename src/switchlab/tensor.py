@@ -6,17 +6,21 @@ scalar (or a raw array) mixed into ``add``/``mul`` takes its tensor
 partner's dtype, so a float32 graph stays float32 end to end. Gradients
 are held in the dtype of the data they belong to.
 
-A ``Tensor`` is a value: its array ``data`` and ``requires_grad``. An op
-whose inputs need grads records a ``Node`` on the tape: the output's grad,
-the op's backward closure, the input nodes and the dtype, but no forward
-data. Each closure keeps only the input nodes it sends grads to and the
-arrays its backward reads (``matmul`` its operands, ``relu``, ``sigmoid``
-and ``softmax_last`` their outputs, ``add`` and the shaping ops shapes
-alone), so an activation that no backward reads dies as soon as the
-forward drops it. Three ops form a cheap array again in the backward
-rather than keep it from the forward (selective recomputation):
-``relu_mlp`` its hidden layer, ``expert_matmul`` an output gate's
-ungated results and ``attention_probs`` its biased queries.
+A ``Tensor`` is a value, its array ``data``, and it needs a grad exactly
+when it has a tape node: a leaf gets one from ``requires_grad=True``, an
+op's output when any of its inputs has one, and no tensor gets one later
+(setting a grad on a tensor without a node, or running ``backward()``
+from it, raises GraphError). An op whose inputs need grads records a
+``Node`` on the tape: the output's grad, the op's backward closure, the
+input nodes and the dtype, but no forward data. Each closure keeps only
+the input nodes it sends grads to and the arrays its backward reads
+(``matmul`` its operands, ``relu``, ``sigmoid`` and ``softmax_last``
+their outputs, ``add`` and the shaping ops shapes alone), so an
+activation that no backward reads dies as soon as the forward drops it.
+Three ops form a cheap array again in the backward rather than keep it
+from the forward (selective recomputation): ``relu_mlp`` its hidden
+layer, ``expert_matmul`` an output gate's ungated results and
+``attention_probs`` its biased queries.
 ``backward()`` on a scalar loss walks the nodes in reverse topological
 order and frees the tape as it goes.
 Four ops consume an OpCounter, each filing its cost under a term name
@@ -142,23 +146,25 @@ class Node:
 class Tensor:
     """A value, ``data``, and, when it needs a grad, its tape ``node``.
 
-    The value is the array and ``requires_grad``; the tape is made of
-    nodes, which hold no forward data (see ``Node``), and an op's backward
-    closure keeps only the input nodes it sends grads to and the arrays it
-    reads, so no tape entry keeps a tensor's value alive for its own sake.
-    ``grad`` reads and writes the node's grad. The node fixes the dtype
-    the grad takes, so a cast is a new tensor (``Model.astype``), not a
-    new ``data`` of another dtype. A tensor that does not require grad has
-    no node until a grad is set on it.
+    Needing a grad is one fact, having a node (the module docstring says
+    which tensors have one), so ``requires_grad`` reads ``node is not
+    None``. The tape is made of nodes, which hold no forward data (see
+    ``Node``). ``grad`` reads and writes the node's grad; setting a grad on
+    a tensor without a node, or running ``backward()`` from one, raises
+    GraphError. The node fixes the dtype the grad takes, so a cast is a new
+    tensor (``Model.astype``), not a new ``data`` of another dtype.
     """
-    __slots__ = ("data", "requires_grad", "node")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
-        self.requires_grad = requires_grad
         self.node = Node(self.data.dtype) if requires_grad else None
 
     # -- helpers -----------------------------------------------------------
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
 
     @property
     def grad(self) -> np.ndarray | None:
@@ -169,7 +175,7 @@ class Tensor:
         if self.node is None:
             if g is None:
                 return
-            self.node = Node(self.data.dtype)
+            raise GraphError("a tensor that needs no grad takes none")
         self.node.grad = g
 
     @property
@@ -195,7 +201,7 @@ class Tensor:
             raise GraphError("backward requires a scalar loss")
         root = self.node
         if root is None:
-            root = self.node = Node(self.data.dtype)
+            raise GraphError("backward from a tensor that needs no grad")
         if root.spent:
             raise GraphError("backward called twice on the same graph")
         root.spent = True
@@ -234,9 +240,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __getitem__(self, key):
-        return slice_(self, key)
-
 
 def constant(values) -> Tensor:
     return Tensor(_as_array(values))
@@ -264,11 +267,6 @@ def _binary(a, b) -> tuple[Tensor, Tensor]:
     return _coerce(a, b), b
 
 
-def _node(t: Tensor) -> Node | None:
-    """The node an op's backward sends ``t``'s grad to; None if t needs none."""
-    return t.node if t.requires_grad else None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient over broadcast dimensions back to ``shape``."""
     if g.shape == shape:
@@ -282,35 +280,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _axis_order(a: np.ndarray) -> tuple | None:
-    """The axis order, outermost first, in which ``np.zeros_like(a)`` lays
-    out its memory (NumPy's 'K' order), or None for C order.
-
-    A backward that allocates its input's grad keeps this instead of the
-    input, so the grad's layout, and with it the summation order of every
-    reduction over it, stays that of ``np.zeros_like(input)``.
-    """
-    if a.flags.c_contiguous:
-        return None
-    if a.flags.f_contiguous:
-        return tuple(reversed(range(a.ndim)))
-    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
-
-
-def _zeros(shape: tuple, dtype, order: tuple | None) -> np.ndarray:
-    """Zeros of ``shape`` laid out in the axis ``order`` of ``_axis_order``."""
-    if order is None:
-        return np.zeros(shape, dtype=dtype)
-    return np.zeros([shape[i] for i in order], dtype=dtype).transpose(np.argsort(order))
-
-
 def _make(data, nodes, backward) -> Tensor:
     """The op output ``data``; with its backward on the tape if any of the
     input ``nodes`` (None for an input that needs no grad) is live."""
     out = Tensor(data)
     inputs = tuple(n for n in nodes if n is not None)
     if inputs:
-        out.requires_grad = True
         out.node = Node(out.data.dtype, inputs, backward)
     return out
 
@@ -320,7 +295,7 @@ def _make(data, nodes, backward) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _binary(a, b)
-    na, nb = _node(a), _node(b)
+    na, nb = a.node, b.node
     a_shape, b_shape = a.data.shape, b.data.shape
 
     def bw(g):
@@ -338,7 +313,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _binary(a, b)
-    na, nb = _node(a), _node(b)
+    na, nb = a.node, b.node
     a_shape, b_shape = a.data.shape, b.data.shape
     # each operand's grad reads the other operand, which is kept only then
     ad = a.data if nb is not None else None
@@ -355,7 +330,7 @@ def mul(a, b) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    nx = _node(x)
+    nx = x.node
 
     def bw(g):
         # out > 0 exactly where x > 0, so the input need not be kept
@@ -370,7 +345,7 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))
     out = np.where(x.data >= 0, 1.0, e)
     out /= 1.0 + e
-    nx = _node(x)
+    nx = x.node
 
     def bw(g):
         nx.accum(g * out * (1.0 - out), fresh=True)
@@ -423,7 +398,7 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
     ad, bd = a.data, b.data
     data = _matmul_data(ad, bd)
     counter.add(term, macs=data.size * ad.shape[-1], mem=data.size if store else 0)
-    na, nb = _node(a), _node(b)
+    na, nb = a.node, b.node
 
     def bw(g):
         ga, gb = _matmul_grads(ad, bd, g, na is not None, nb is not None)
@@ -457,7 +432,7 @@ def relu_mlp(h: Tensor, w_up: Tensor, w_down: Tensor,
     counter.add("mlp", macs=hidden.size * hd.shape[-1])
     data = _matmul_data(hidden, dd)
     counter.add("mlp", macs=data.size * dd.shape[0])
-    nh, nup, ndown = _node(h), _node(w_up), _node(w_down)
+    nh, nup, ndown = h.node, w_up.node, w_down.node
 
     def bw(g):
         hidden = _matmul_data(hd, ud)
@@ -489,7 +464,7 @@ def softmax_last(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     ez = np.exp(z)
     out = ez / ez.sum(axis=-1, keepdims=True)
-    nx = _node(x)
+    nx = x.node
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -568,7 +543,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
                          f"+ T = {S} keys, got {u.shape}, {v.shape} and {pos_r.shape} with "
                          f"cache_len={cache_len}")
     qd, kt = q.data, np.swapaxes(k.data, -1, -2)
-    nq, nk, nu, nv, npr = _node(q), _node(k), None, None, None
+    nq, nk, nu, nv, npr = q.node, k.node, None, None, None
     if xl:
         ud, vd, prd = u.data, v.data, pos_r.data
         data = _matmul_data(qd + ud, kt)
@@ -577,7 +552,7 @@ def attention_probs(q: Tensor, k: Tensor, scale: float, *,
         data += _rel_shift_view(p, cache_len)
         p_shape = p.shape
         del p
-        nu, nv, npr = _node(u), _node(v), _node(pos_r)
+        nu, nv, npr = u.node, v.node, pos_r.node
     else:
         data = _matmul_data(qd, kt)
     scale = data.dtype.type(scale)
@@ -644,7 +619,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     tgt_logit = np.take_along_axis(z, targets[..., None], axis=-1)[..., 0]
     nll = lse - tgt_logit
     count = nll.size
-    nl = _node(logits)
+    nl = logits.node
 
     def bw(g):
         p = np.exp(z - lse[..., None])
@@ -662,21 +637,16 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def tsum(x: Tensor, axis=None) -> Tensor:
     data = x.data.sum(axis=axis)
-    nx, shape, order = _node(x), x.data.shape, _axis_order(x.data)
+    nx, shape = x.node, x.data.shape
 
     def bw(g):
-        if axis is None:
-            full = _zeros(shape, nx.dtype, order)
-            full[...] = g
-            nx.accum(full, fresh=True)
-        else:
-            nx.accum(np.broadcast_to(np.expand_dims(g, axis), shape))
+        nx.accum(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape))
 
     return _make(data, (nx,), bw)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    old, nx = x.data.shape, _node(x)
+    old, nx = x.data.shape, x.node
 
     def bw(g):
         nx.accum(g.reshape(old), fresh=True)
@@ -687,7 +657,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.data.ndim)))
-    inv, nx = np.argsort(axes), _node(x)
+    inv, nx = np.argsort(axes), x.node
 
     def bw(g):
         nx.accum(g.transpose(inv), fresh=True)
@@ -697,7 +667,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
-    nodes = [_node(t) for t in tensors]
+    nodes = [t.node for t in tensors]
     offsets = list(itertools.accumulate((t.data.shape[axis] for t in tensors), initial=0))
 
     def bw(g):
@@ -710,18 +680,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), nodes, bw)
 
 
-def slice_(x: Tensor, key) -> Tensor:
-    """Basic (non-fancy) indexing with gradient."""
-    nx, shape, order = _node(x), x.data.shape, _axis_order(x.data)
-
-    def bw(g):
-        if nx.grad is None:
-            nx.grad = _zeros(shape, nx.dtype, order)
-        nx.grad[key] += g
-
-    return _make(x.data[key], (nx,), bw)
-
-
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Index the first axis with an integer array (embedding / expert pick).
 
@@ -729,11 +687,11 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     by index and each run of equal indices is summed by ``np.add.reduceat``.
     """
     idx = np.asarray(idx)
-    nx, shape, layout = _node(x), x.data.shape, _axis_order(x.data)
+    nx, shape = x.node, x.data.shape
 
     def bw(g):
         flat_idx = idx.reshape(-1)
-        full = _zeros(shape, nx.dtype, layout)
+        full = np.zeros(shape, dtype=nx.dtype)
         if flat_idx.size:
             order = np.argsort(flat_idx, kind="stable")
             ranked = flat_idx[order]
@@ -777,7 +735,7 @@ def take_last(x: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ShapeError(f"take_last index out of range [0, {n})")
     data = x.data.reshape(-1).take(_flat_index(x.shape, idx))
-    nx, shape = _node(x), x.data.shape
+    nx, shape = x.node, x.data.shape
 
     def bw(g):
         # the offsets are formed again rather than kept from the forward
@@ -950,8 +908,8 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     gate_in = w is not None and d_in <= d_out
     gate_out = w is not None and d_in > d_out
     xd, bd = x.data, bank.data
-    nx, nbank = _node(x), _node(bank)
-    ngate, gate_shape = (None, None) if gate is None else (_node(gate), gate.shape)
+    nx, nbank = x.node, bank.node
+    ngate, gate_shape = (None, None) if gate is None else (gate.node, gate.shape)
 
     def rows_of(lo: int, hi: int) -> np.ndarray:
         # x's rows of the assignments lo:hi in expert order: a fresh
@@ -1042,7 +1000,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
-    nx, ngain, nbias, gd = _node(x), _node(gain), _node(bias), gain.data
+    nx, ngain, nbias, gd = x.node, gain.node, bias.node, gain.data
 
     def bw(g):
         g2 = g.reshape(-1, n)

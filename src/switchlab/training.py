@@ -125,8 +125,10 @@ def _check_finite(value: float, step: int, extra: dict) -> None:
 
 def train(run: TrainRun, task) -> tuple[Model, list[dict]]:
     """Train a fresh model on a task; returns (model, metrics log)."""
-    if run.steps < 0 or run.batch_size < 1 or run.log_every < 1:
-        raise ConfigError("steps must be >= 0, batch_size >= 1 and log_every >= 1")
+    if (run.steps < 0 or run.batch_size < 1 or run.log_every < 1 or run.lr < 0
+            or run.warmup_steps < 0):
+        raise ConfigError("steps must be >= 0, batch_size >= 1, log_every >= 1, lr >= 0 "
+                          "and warmup_steps >= 0")
     _check_head(run.spec, task)
     model = build(run.spec, run.seed)
     opt = Adam(model.params, lr=run.lr, warmup_steps=run.warmup_steps,

@@ -1,7 +1,9 @@
 """Attention variants: invariants, reduction oracles, materialized-mixture
 oracles for every expert-flag combination, and structural counter checks."""
 
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +527,34 @@ def test_trace_shapes():
     assert np.all((w >= 0) & (w <= 1))
 
 
+def test_identity_check_stops_on_a_per_head_selection_list(monkeypatch, capsys):
+    # the script reads both checkouts' traces with its own code, so an older
+    # layout (one (indices, weights) pair per head) must stop the run, not
+    # be unpacked as one pair and compared
+    script = Path(__file__).resolve().parents[1] / "scripts" / "identity_check.py"
+    spec = importlib.util.spec_from_file_location("identity_check", script)
+    identity_check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity_check)
+    real_forward = attention.attention_forward
+
+    def per_head_forward(*args, **kwargs):
+        y, trace, cache = real_forward(*args, **kwargs)
+        for side in ("source", "dest"):
+            if side in trace.selections:
+                idx, w = trace.selections[side]         # [B, T, H, k]
+                trace.selections[side] = [(idx[:, :, h], w[:, :, h])
+                                          for h in range(idx.shape[2])]
+        return y, trace, cache
+
+    monkeypatch.setattr(attention, "attention_forward", per_head_forward)
+    with pytest.raises(SystemExit) as stop:
+        identity_check.suite_capture({}, "parent-checkout")
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parent-checkout: ")
+    assert "'f64 switchhead_vo seed=0 B=1 T=4'" in err and "'source'" in err
+
+
 # -- head-batched layer vs the per-head loop it replaced -------------------
 
 
@@ -536,14 +566,16 @@ def _loop_mixture(x, bank, sel):
         w_tok = gather_rows(bank, sel.indices[..., j])            # [B, T, din, dout]
         o = matmul(reshape(x, x.shape[:-1] + (1, x.shape[-1])), w_tok)
         o = mul(reshape(o, x.shape[:-1] + (bank.shape[-1],)),
-                reshape(sel.weights[..., j], x.shape[:-1] + (1,)))
+                take_last(sel.weights, np.array([j])))
         y = o if y is None else y + o
     return y
 
 
 def _per_head_switchhead(x, params, cfg, cache):
     """The SwitchHead layer as a Python loop over heads: one router pair,
-    projection set, position term and attention per head."""
+    projection set, position term and attention per head. ``params`` holds
+    a list of per-head leaves for each parameter with a head axis, and the
+    shared ``w_r`` as one tensor."""
     B, T, dm = x.shape
     H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
     f = cfg.expert_flags
@@ -610,7 +642,9 @@ def test_switchhead_matches_per_head_loop(position, flags):
         cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
     probe = constant(rng.uniform(-1, 1, (B, T, DM)))
     params = init_attention_params(cfg, rng)
-    ref_params = {name: Tensor(p.data.copy(), requires_grad=True) for name, p in params.items()}
+    ref_params = {name: Tensor(p.data.copy(), requires_grad=True) if name == "w_r"
+                  else [Tensor(w.copy(), requires_grad=True) for w in p.data]
+                  for name, p in params.items()}
 
     x = Tensor(x_data, requires_grad=True)
     y, trace, new_cache = attention_forward(x, params, cfg, cache=cache, want_trace=True)
@@ -625,7 +659,9 @@ def test_switchhead_matches_per_head_loop(position, flags):
         assert np.max(np.abs(new_cache.k - k_ref)) < 1e-10
     assert np.max(np.abs(x.grad - x_ref.grad)) < 1e-8
     for name, p in params.items():
-        assert np.max(np.abs(p.grad - ref_params[name].grad)) < 1e-8, name
+        ref = ref_params[name]
+        ref_grad = ref.grad if name == "w_r" else np.stack([w.grad for w in ref])
+        assert np.max(np.abs(p.grad - ref_grad)) < 1e-8, name
     for side, sels in (("source", sel_s), ("dest", sel_d)):
         idx, w = trace.selections[side]           # [B, T, H, k]
         assert idx.shape[2] == cfg.n_heads

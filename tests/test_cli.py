@@ -126,7 +126,7 @@ def test_cost_bad_row_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row", ["dense H=x", "dense position=foo", "moa H=2 K=3 E=2",
-                                 "switchhead H=2 E=2 K=3 experts=vo"])
+                                 "switchhead H=2 E=2 K=3 experts=vo", "moa H=3 K=2 E=4"])
 def test_cost_malformed_rows_are_usage_errors(tmp_path, capsys, row):
     rows = tmp_path / "rows.txt"
     rows.write_text("dense H=2\n" + row + "\n")
@@ -200,6 +200,13 @@ def test_match_fixed_point_slack_zero(listops_cfg, capsys):
 def test_match_infeasible_is_runtime_error(listops_cfg, capsys):
     code = main(["match", "--config", listops_cfg, "--target", "10"])
     assert code == EXIT_RUNTIME
+
+
+@pytest.mark.parametrize("target", ["0", "-5"])
+def test_match_non_positive_target_is_usage_error(listops_cfg, capsys, target):
+    assert main(["match", "--config", listops_cfg, "--target", target]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "must be positive" in err
 
 
 def test_match_bad_config_is_usage_error(tmp_path, capsys):
@@ -404,10 +411,13 @@ def test_train_deep_or_wide_task_finishes(tmp_path, listops_cfg, capsys, cpu_tim
 @pytest.mark.parametrize("override", [
     "train.log_every=0", "train.log_every=-1",
     "train.clip_norm=nan", "train.lr=inf", "task.valid_fraction=-inf",
+    "train.lr=-1", "train.warmup_steps=-3",
 ])
 def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, override):
     # a zero log_every once died in `step % log_every`, a nan clip_norm
-    # silently switched clipping off, and an infinite lr trained to a divergence
+    # silently switched clipping off, an infinite lr trained to a divergence,
+    # a negative lr ran gradient ascent and a negative warmup_steps turned
+    # warm-up off
     code = main(["train", "--config", listops_cfg, "--set", override,
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE

@@ -118,16 +118,17 @@ def _random_cases():
             K = int(rng.integers(1, E + 1))
             cases.append(CostInputs("moa", K, T, dh, dm, C=C, E=E, k_active=K,
                                     position=pos))
-    for flags in product([False, True], repeat=4):  # all 16 expert-flag combos
-        f = ExpertFlags(*flags)
-        E = 3 if f.any() else 1
-        K = 2 if f.any() else 1
-        cases.append(CostInputs("switchhead", 2, 3, 4, 8, C=2, E=E,
-                                k_active=K, expert_flags=f))
-    for f in (ExpertFlags.value_output(), ExpertFlags(v=True, k=True, q=True, o=True)):
-        # dh > dm: every routed role gates its dm-wide side
-        cases.append(CostInputs("switchhead", 2, 3, 8, 4, C=2, E=3, k_active=2,
-                                expert_flags=f))
+    for pos, C in (("xl_relative", 2), ("rope", 1), ("none", 1)):
+        for flags in product([False, True], repeat=4):  # all 16 expert-flag combos
+            f = ExpertFlags(*flags)
+            E = 3 if f.any() else 1
+            K = 2 if f.any() else 1
+            cases.append(CostInputs("switchhead", 2, 3, 4, 8, C=C, E=E,
+                                    k_active=K, expert_flags=f, position=pos))
+        for f in (ExpertFlags.value_output(), ExpertFlags(v=True, k=True, q=True, o=True)):
+            # dh > dm: every routed role gates its dm-wide side
+            cases.append(CostInputs("switchhead", 2, 3, 8, 4, C=C, E=3, k_active=2,
+                                    expert_flags=f, position=pos))
     return cases
 
 

@@ -368,6 +368,10 @@ def test_forward_rejects_bad_tokens():
     from switchlab.tensor import ShapeError
     with pytest.raises(ShapeError):
         m.forward(np.array([[99]]))
+    # ids are [B, T] only: a bare [T] row or a [B, T, 1] block is refused
+    for tokens in (np.arange(4), np.arange(4).reshape(1, 4, 1)):
+        with pytest.raises(ShapeError):
+            m.forward(tokens)
 
 
 def test_47m_row_builds_and_runs_small():
