@@ -18,6 +18,8 @@ capture:
   with per-head XL position biases and a dense MLP), set up as the
   benchmark does (seed 0): the losses of ``TRAIN_STEPS`` training steps,
   the parameters after them and the exact counts of ``forward_counts``;
+* for each gated workload, a case ``eval <name>``: the numbers of the
+  benchmark's ``evaluate()`` call on the model after those steps;
 * float32, a head-gated ListOps model (H=8, k=2) on the benchmark's ListOps
   data: the losses of ``HEAD_GATED_STEPS`` steps and the final parameters,
   then the logits and parameter grads of one forward and backward on the
@@ -148,7 +150,10 @@ def data_capture(out: dict, name: str, task, eval_task) -> None:
                               b"|", str(corpus.train_end).encode()])
 
 
-def train_capture(out: dict, name: str, wl, W, steps: int, counts: bool):
+def train_capture(out: dict, name: str, wl, W, steps: int, counts: bool,
+                  evaluate: bool = False):
+    """Train ``steps`` steps as the benchmark does and capture the losses,
+    the parameters and, as asked, the exact counts and the ``eval`` case."""
     _, (task, eval_task, model, opt) = W.setup(wl, SEED)
     data_capture(out, name, task, eval_task)
     trainer = W.Trainer(wl, task, model, opt, SEED)
@@ -162,6 +167,10 @@ def train_capture(out: dict, name: str, wl, W, steps: int, counts: bool):
         for key, value in W.forward_counts(wl, task, model, SEED).items():
             if key != "gmacs_per_s":          # a timing, not a count
                 case[key] = np.array(value)
+    if evaluate:
+        result = W.evaluate(wl, model, eval_task)[0]
+        out[f"eval {name}"] = {key: np.array(value) for key, value in result.items()
+                               if key != "split"}
     return task, model
 
 
@@ -189,7 +198,8 @@ def worker(root: str, path: str) -> None:
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         gated = [w["name"] for w in json.load(f)["workloads"]]
     for name in (*gated, *UNGATED):
-        train_capture(out, name, W.WORKLOADS[name], W, TRAIN_STEPS, counts=True)
+        train_capture(out, name, W.WORKLOADS[name], W, TRAIN_STEPS, counts=True,
+                      evaluate=name in gated)
     head_gated = replace(W.WORKLOADS["listops_dense_h8"], name="listops_head_gated_h8",
                          attention=AttentionConfig(128, 8, 16, variant="head_gated",
                                                    causal=False, k_active=2))

@@ -261,28 +261,52 @@ def cache_shape(cfg: AttentionConfig, batch: int, length: int) -> tuple[int, int
     return (batch, 1 if cfg.variant == "moa" else cfg.n_heads, length, cfg.d_head)
 
 
+def _stream_keys(cur: Tensor, past: np.ndarray, keep: int) -> tuple[Tensor, np.ndarray]:
+    """Keys (or values) of B consecutive chunks of one stream that continues
+    the one-row ``past`` [1, n, P, dh]: row b of ``cur`` [B, n, T, dh] gets,
+    stop-gradient, the last ``keep`` positions of ``past`` followed by rows
+    < b, then its own T. Also returns the stream's last ``keep`` positions
+    as one row, the next cache."""
+    B, n, T, dh = cur.shape
+    stream = np.concatenate([past[0], cur.data.transpose(1, 0, 2, 3).reshape(n, B * T, dh)],
+                            axis=1)                                  # [n, P + B*T, dh]
+    start = past.shape[2] - keep + T * np.arange(B)
+    windows = stream[:, start[:, None] + np.arange(keep)].transpose(1, 0, 2, 3)
+    return concat([constant(windows), cur], axis=2), stream[None, :, -keep:].copy()
+
+
 def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
-                  per_head_pos: bool):
+                  per_head_pos: bool, one_stream: bool = False):
     """The one attention core: cache, position terms, scores and readout,
     once for all heads.
 
     ``q`` is [B, H, T, dh]; ``k_cur`` and ``v_cur`` are [B, H, T, dh], or
     [B, 1, T, dh] for one K/V head shared by the H query heads (MoA).
     ``per_head_pos`` projects the XL position table per head (``w_r`` is
-    [dm, H*dh]) instead of once for all heads ([dm, dh]). Returns the
-    attention matrices [B, H, T, S], the readout [B, H, T, dh] and the new
-    cache.
+    [dm, H*dh]) instead of once for all heads ([dm, dh]). With
+    ``one_stream`` the B rows are consecutive chunks of one stream that
+    continues the one-row cache (``_stream_keys``). Returns the attention
+    matrices [B, H, T, S], the readout [B, H, T, dh] and the new cache.
     """
-    k, v, cache_len = k_cur, v_cur, 0
-    if cache is not None:
-        k = concat([constant(cache.k), k_cur], axis=2)
-        v = concat([constant(cache.v), v_cur], axis=2)
-        cache_len = cache.length
     T = q.shape[2]
-    S = cache_len + T
     keep = (cfg.context_mult - 1) * T      # the FIFO keeps the last C-1 chunks
-    new_cache = (LayerCache(k=k.data[..., -keep:, :].copy(), v=v.data[..., -keep:, :].copy())
-                 if keep else None)
+    if one_stream and keep:
+        if cache is None or cache.k.shape[0] != 1 or cache.length < keep:
+            raise ShapeError(f"a one-stream forward needs a one-row cache of at least "
+                             f"(C-1)*T = {keep} positions, got "
+                             f"{'none' if cache is None else cache.k.shape}")
+        k, k_keep = _stream_keys(k_cur, cache.k, keep)
+        v, v_keep = _stream_keys(v_cur, cache.v, keep)
+        cache_len, new_cache = keep, LayerCache(k=k_keep, v=v_keep)
+    else:
+        k, v, cache_len = k_cur, v_cur, 0
+        if cache is not None:
+            k = concat([constant(cache.k), k_cur], axis=2)
+            v = concat([constant(cache.v), v_cur], axis=2)
+            cache_len = cache.length
+        new_cache = (LayerCache(k=k.data[..., -keep:, :].copy(),
+                                v=v.data[..., -keep:, :].copy()) if keep else None)
+    S = cache_len + T
     u = v_bias = pos_r = None
     if cfg.position == "xl_relative":
         # relative-position scores from the projected 2S-row sinusoid table;
@@ -369,13 +393,21 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
                       counter: OpCounter = NULL_COUNTER, *,
                       cache: LayerCache | None = None,
                       key_mask: np.ndarray | None = None,
-                      want_trace: bool = False):
+                      want_trace: bool = False, one_stream: bool = False):
     """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache).
 
     K, Q and V are each a plain [dm, heads*dh] GEMM or a routed dispatch into
     head rows, ``_attend_heads`` runs on all heads at once, and O is the
     plain merge-GEMM or a routed dispatch back into token rows. The
     variant's router says which roles are routed.
+
+    ``one_stream`` says the B rows are consecutive chunks of one stream
+    that continues a one-row cache: row b's stop-gradient cache is the last
+    (C-1)*T positions before it, taken from the cache followed by the
+    current keys and values of rows < b, and the returned cache is the
+    stream's last (C-1)*T positions, as one row. The cache must then have
+    one row and at least (C-1)*T positions (else ``ShapeError``). With
+    C = 1 there is no cache and the flag changes nothing.
     """
     cfg.validate()
     if x.ndim != 3 or x.shape[-1] != cfg.d_model:
@@ -401,7 +433,8 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
 
     k_cur, q, v_cur = project("k"), project("q"), project("v")
     attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
-                                        key_mask, per_head_pos=per_head_pos)
+                                        key_mask, per_head_pos=per_head_pos,
+                                        one_stream=one_stream)
     if "o" in routes:
         y = reshape(dispatch(av, reshape(params["w_o"], (-1, dh, dm)), routes["o"], 1,
                              counter, store=False), (B, T, dm))

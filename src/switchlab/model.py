@@ -166,7 +166,7 @@ class Model:
                 key_mask: np.ndarray | None = None,
                 counter: OpCounter = NULL_COUNTER,
                 dropout_rng: np.random.Generator | None = None,
-                want_trace: bool = False):
+                want_trace: bool = False, one_stream: bool = False):
         """Map token ids [B, T] to logits; returns (logits, traces, caches).
 
         Logits are [B, T, vocab] for language models or [B, n_classes] for
@@ -174,6 +174,11 @@ class Model:
         per-layer cached key/value chunks for XL streaming; pass the
         returned list back in for the next chunk. ``dropout_rng`` enables
         MLP-output dropout (training mode); omit it for evaluation.
+        ``one_stream`` reads the B rows as consecutive chunks of one stream
+        that continues one-row caches, and returns one-row caches (see
+        ``attention_forward``); each layer then attends, for every row, to
+        its own keys of the C-1 chunks before that row, so B chunks of a
+        frozen model take one forward.
         """
         spec = self.spec
         tokens = np.asarray(tokens)
@@ -196,7 +201,8 @@ class Model:
                            self.params[f"layers.{i}.ln1.b"])
             y, trace, new_cache = attention_forward(
                 h, self._layer_params(i, "attn"), spec.attention, counter,
-                cache=caches[i], key_mask=key_mask, want_trace=want_trace)
+                cache=caches[i], key_mask=key_mask, want_trace=want_trace,
+                one_stream=one_stream)
             traces.append(trace)
             new_caches.append(new_cache)
             x = x + y

@@ -170,7 +170,20 @@ def evaluate(model: Model, task, split: str = "valid",
 
     The forward passes run on a view of the model whose parameters share
     the same arrays but do not require grad, so no tape is recorded and the
-    live parameters' grads are left alone.
+    live parameters' grads are left alone. ``batch_size`` is the row count
+    of a classification forward.
+
+    A language model reads the split as a stream of T-sized chunks (the
+    last may be shorter). The first C-1 chunks, while the XL cache fills,
+    and a short last chunk run one at a time; the other chunks run in
+    groups of ``task.batch_size`` consecutive chunks, one ``one_stream``
+    forward per group: a frozen layer needs only its own keys and values
+    of the C-1 chunks before a chunk, so the group goes through each layer
+    at once. Each chunk's nll comes from its own row of logits. The math is
+    that of one chunk at a time, but the bits need not be: a BLAS GEMM's
+    output rows can change with the number of rows it is given, so the nll
+    may differ in the last places; ``task.batch_size = 1`` runs the chunks
+    one at a time.
     """
     _check_head(model.spec, task)
     model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
@@ -190,18 +203,22 @@ def evaluate(model: Model, task, split: str = "valid",
     T = task.T
     if len(data) < 2:
         raise ConfigError(f"split '{split}' is empty")
+    n_full, n_chunks = (len(data) - 1) // T, -(-(len(data) - 1) // T)
+    warm = model.spec.attention.context_mult - 1
     caches = model.empty_caches()
     total_nll = 0.0
     total_tok = 0
-    for lo in range(0, len(data) - 1, T):
-        x = data[lo:lo + T][None, :]
-        y = data[lo + 1:lo + 1 + x.shape[1]][None, :]
-        if y.shape[1] < x.shape[1]:
-            x = x[:, :y.shape[1]]
-        logits, _, caches = model.forward(x, caches=caches)
-        nll = cross_entropy(logits, y)
-        total_nll += float(nll.data) * y.size
-        total_tok += y.size
+    c = 0
+    while c < n_chunks:
+        g = min(task.batch_size, n_full - c) if warm <= c < n_full else 1
+        y = np.stack([data[i * T + 1:(i + 1) * T + 1] for i in range(c, c + g)])
+        x = np.stack([data[i * T:i * T + y.shape[1]] for i in range(c, c + g)])
+        logits, _, caches = model.forward(x, caches=caches, one_stream=g > 1)
+        for j in range(g):
+            nll = cross_entropy(Tensor(logits.data[j:j + 1]), y[j:j + 1])
+            total_nll += float(nll.data) * y.shape[1]
+            total_tok += y.shape[1]
+        c += g
     mean_nll = total_nll / total_tok
     return {"split": split, "n": total_tok, "nll": mean_nll,
             "bpc": mean_nll / math.log(2), "perplexity": math.exp(mean_nll)}

@@ -15,8 +15,8 @@ from switchlab.attention import (AttentionConfig, ExpertFlags, LayerCache,
 from switchlab.counter import OpCounter
 from switchlab.moe import ConfigError, SelectionConfig, select
 from switchlab.rng import rng_for
-from switchlab.tensor import (Tensor, concat, constant, gather_rows, matmul, mul,
-                              reshape, softmax_last, take_last, transpose, tsum)
+from switchlab.tensor import (ShapeError, Tensor, concat, constant, gather_rows, matmul,
+                              mul, reshape, softmax_last, take_last, transpose, tsum)
 
 
 def rand_x(rng, B, T, dm, grad=False):
@@ -465,6 +465,64 @@ def test_cache_with_context_mult_one_rejected():
     cache = LayerCache(k=np.zeros((1, 2, 2, 4)), v=np.zeros((1, 2, 2, 4)))
     with pytest.raises(ConfigError):
         attention_forward(rand_x(rng, 1, 2, DM), params, cfg, cache=cache)
+
+
+def _stream_cases():
+    cases = {name: cfg for name, cfg in all_variant_cases().items() if cfg.context_mult > 1}
+    cases["dense_c3_nopos"] = AttentionConfig(DM, 2, 4, variant="dense", position="none",
+                                              context_mult=3)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_stream_cases()))
+def test_one_stream_rows_match_chunk_loop(name):
+    # G consecutive chunks in one forward: outputs, attention matrices, the
+    # final cache and the parameter grads are those of feeding the chunks
+    # one at a time (float64, 1e-12)
+    cfg = _stream_cases()[name]
+    rng = rng_for(27, "one-stream", name)
+    params = init_attention_params(cfg, rng)
+    T, G = 3, 4
+    cache = None
+    for _ in range(cfg.context_mult - 1):             # fill the cache
+        _, _, cache = attention_forward(rand_x(rng, 1, T, DM), params, cfg, cache=cache)
+    x = rand_x(rng, G, T, DM)
+    probe = constant(rng.uniform(-1, 1, (G, T, DM)))
+    y, trace, new_cache = attention_forward(x, params, cfg, cache=cache, want_trace=True,
+                                            one_stream=True)
+    tsum(mul(y, probe)).backward()
+    grads = {k: p.grad for k, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    ys, attns, loop_cache = [], [], cache
+    for b in range(G):
+        yb, tb, loop_cache = attention_forward(Tensor(x.data[b:b + 1]), params, cfg,
+                                               cache=loop_cache, want_trace=True)
+        ys.append(yb)
+        attns.append(tb.attn)
+    tsum(mul(concat(ys), probe)).backward()
+    assert new_cache.k.shape == loop_cache.k.shape
+    for got, want in ((y.data, concat(ys).data), (trace.attn, np.concatenate(attns)),
+                      (new_cache.k, loop_cache.k), (new_cache.v, loop_cache.v),
+                      *((grads[k], p.grad) for k, p in params.items())):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_one_stream_rejects_bad_caches():
+    cfg = AttentionConfig(DM, 2, 4, variant="dense", context_mult=2)
+    rng = rng_for(28, "one-stream-bad")
+    params = init_attention_params(cfg, rng)
+    x = rand_x(rng, 2, 3, DM)
+    two_rows = LayerCache(k=np.zeros((2, 2, 3, 4)), v=np.zeros((2, 2, 3, 4)))
+    short = LayerCache(k=np.zeros((1, 2, 2, 4)), v=np.zeros((1, 2, 2, 4)))
+    for cache in (two_rows, short, None):
+        with pytest.raises(ShapeError):
+            attention_forward(x, params, cfg, cache=cache, one_stream=True)
+    # with C = 1 there is no cache and the flag changes nothing
+    c1 = AttentionConfig(DM, 2, 4, variant="dense", context_mult=1)
+    y1, _, cache1 = attention_forward(x, params, c1, one_stream=True)
+    y0, _, _ = attention_forward(x, params, c1)
+    assert cache1 is None and np.array_equal(y1.data, y0.data)
 
 
 # -- invariances -----------------------------------------------------------

@@ -210,19 +210,31 @@ def switchall_lm_spec(T=8, vocab=4):
                      MLPConfig("sigma_moe", 8, 3, 2), vocab, T=T)
 
 
-@pytest.fixture
-def forward_outputs(monkeypatch):
-    """Logits of every Model.forward call made while the test runs."""
+def _record_forward(monkeypatch, field: int) -> list:
+    """Item ``field`` of what every Model.forward call returns while the
+    test runs: 0 the logits, 2 the caches."""
     seen = []
     live_forward = Model.forward
 
     def recording_forward(self, *args, **kwargs):
         out = live_forward(self, *args, **kwargs)
-        seen.append(out[0])
+        seen.append(out[field])
         return out
 
     monkeypatch.setattr(Model, "forward", recording_forward)
     return seen
+
+
+@pytest.fixture
+def forward_outputs(monkeypatch):
+    """Logits of every Model.forward call made while the test runs."""
+    return _record_forward(monkeypatch, 0)
+
+
+@pytest.fixture
+def forward_caches(monkeypatch):
+    """The caches every Model.forward call returns while the test runs."""
+    return _record_forward(monkeypatch, 2)
 
 
 def test_evaluate_classification_is_tape_free_and_exact(forward_outputs):
@@ -259,6 +271,63 @@ def test_evaluate_lm_is_tape_free_and_exact(forward_outputs):
     assert out["n"] == total_tok
     assert out["nll"] == total_nll / total_tok
     assert out["bpc"] == out["nll"] / math.log(2)
+
+
+def stream_lm_spec(C, T=8, vocab=4):
+    dm = 16
+    return ModelSpec(2, dm,
+                     AttentionConfig(dm, 2, 4, variant="switchhead",
+                                     context_mult=C, n_experts=3, k_active=2,
+                                     expert_flags=ExpertFlags.value_output()),
+                     MLPConfig("sigma_moe", 8, 3, 2), vocab, T=T)
+
+
+# (valid split length, batch_size): 9 full chunks of T=8 and a 4-token
+# last chunk in groups of 4; 3 full chunks, fewer than one group; the same
+# 9 + 1 chunks one at a time
+STREAM_LAYOUTS = [(77, 4), (25, 4), (77, 1)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n_valid, group", STREAM_LAYOUTS)
+@pytest.mark.parametrize("C", [1, 2, 3])
+def test_grouped_evaluate_matches_chunk_loop(forward_caches, C, n_valid, group, dtype):
+    # Grouped evaluation is the chunk loop's math, but GEMMs over more rows
+    # may round differently: nll within 1e-12 relative in float64 and 1e-6
+    # in float32, n exact, final cache allclose; one chunk per group is the
+    # chunk loop itself, bit for bit.
+    raw = bytes(rng_for(C, "stream-corpus").integers(4, size=200 + n_valid).tolist())
+    corpus = from_bytes(raw)
+    corpus.train_end = 200
+    task = CharLMTask(corpus, T=8, batch_size=group)
+    model = build(stream_lm_spec(C, vocab=corpus.vocab_size), C).astype(dtype)
+    out = evaluate(model, task, "valid")
+    got_caches = forward_caches[-1]
+    data = corpus.split("valid")
+    caches = model.empty_caches()
+    total_nll, total_tok = 0.0, 0
+    for lo in range(0, len(data) - 1, 8):
+        y = data[lo + 1:lo + 9][None, :]
+        x = data[lo:lo + y.shape[1]][None, :]
+        logits, _, caches = model.forward(x, caches=caches)
+        total_nll += float(cross_entropy(logits, y).data) * y.size
+        total_tok += y.size
+    assert out["n"] == total_tok == n_valid - 1
+    if group == 1:
+        assert out["nll"] == total_nll / total_tok
+    else:
+        rel = 1e-12 if dtype == np.float64 else 1e-6
+        assert out["nll"] == pytest.approx(total_nll / total_tok, rel=rel, abs=0)
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want in zip(got_caches, caches):
+        if C == 1:
+            assert got is None and want is None
+            continue
+        for a, b in ((got.k, want.k), (got.v, want.v)):
+            assert a.shape == b.shape and a.dtype == b.dtype == dtype
+            assert np.allclose(a, b, rtol=tol, atol=tol)
+            if group == 1:
+                assert np.array_equal(a, b)
 
 
 def test_train_logs_each_record(caplog):
