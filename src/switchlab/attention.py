@@ -32,6 +32,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, Route, SelectionConfig, dispatch, select
@@ -113,10 +114,6 @@ class LayerCache:
     """Stop-gradient cached source-side states (keys/values) of past chunks."""
     k: np.ndarray
     v: np.ndarray
-
-    @property
-    def length(self) -> int:
-        return self.k.shape[-2]
 
 
 @dataclass
@@ -261,51 +258,50 @@ def cache_shape(cfg: AttentionConfig, batch: int, length: int) -> tuple[int, int
     return (batch, 1 if cfg.variant == "moa" else cfg.n_heads, length, cfg.d_head)
 
 
-def _stream_keys(cur: Tensor, past: np.ndarray, keep: int) -> tuple[Tensor, np.ndarray]:
-    """Keys (or values) of B consecutive chunks of one stream that continues
-    the one-row ``past`` [1, n, P, dh]: row b of ``cur`` [B, n, T, dh] gets,
-    stop-gradient, the last ``keep`` positions of ``past`` followed by rows
-    < b, then its own T. Also returns the stream's last ``keep`` positions
-    as one row, the next cache."""
+def _cached_keys(cur: Tensor, past: np.ndarray | None, keep: int
+                 ) -> tuple[Tensor, int, np.ndarray]:
+    """Prefix each row of ``cur`` [B, n, T, dh] with the P stop-gradient
+    positions before it in its stream, the R-row ``past`` [R, n, P, dh]
+    holding R streams (the rule in ``attention_forward``). Returns the keys
+    (or values) [B, n, P + T, dh], P and the keys of each stream's last row,
+    whose last ``keep`` positions are the stream's last ones."""
+    if past is None:
+        return cur, 0, cur.data
     B, n, T, dh = cur.shape
-    stream = np.concatenate([past[0], cur.data.transpose(1, 0, 2, 3).reshape(n, B * T, dh)],
-                            axis=1)                                  # [n, P + B*T, dh]
-    start = past.shape[2] - keep + T * np.arange(B)
-    windows = stream[:, start[:, None] + np.arange(keep)].transpose(1, 0, 2, 3)
-    return concat([constant(windows), cur], axis=2), stream[None, :, -keep:].copy()
+    R, P = past.shape[0], past.shape[2]
+    if B % R or (R < B and P != keep):
+        raise ShapeError(f"a cache of shape {past.shape} cannot be continued by {B} rows: "
+                         f"it needs one row per input row, or a row count dividing {B} "
+                         f"and (C-1)*T = {keep} positions")
+    G = B // R
+    before = cur.data.reshape(R, G, n, T, dh)[:, :-1].transpose(0, 2, 1, 3, 4)
+    # each stream up to its run's last row: the cache, then the rows before it
+    stream = np.concatenate([past, before.reshape(R, n, -1, dh)], axis=2)
+    windows = sliding_window_view(stream, P, axis=2)[:, :, ::T]        # [R, n, G, dh, P]
+    keys = concat([constant(windows.transpose(0, 2, 1, 4, 3).reshape(B, n, P, dh)), cur],
+                  axis=2)
+    return keys, P, keys.data[G - 1::G]
 
 
 def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
-                  per_head_pos: bool, one_stream: bool = False):
+                  per_head_pos: bool):
     """The one attention core: cache, position terms, scores and readout,
     once for all heads.
 
     ``q`` is [B, H, T, dh]; ``k_cur`` and ``v_cur`` are [B, H, T, dh], or
     [B, 1, T, dh] for one K/V head shared by the H query heads (MoA).
     ``per_head_pos`` projects the XL position table per head (``w_r`` is
-    [dm, H*dh]) instead of once for all heads ([dm, dh]). With
-    ``one_stream`` the B rows are consecutive chunks of one stream that
-    continues the one-row cache (``_stream_keys``). Returns the attention
-    matrices [B, H, T, S], the readout [B, H, T, dh] and the new cache.
+    [dm, H*dh]) instead of once for all heads ([dm, dh]). The cache's row
+    count says which stream each row continues (``_cached_keys``). Returns
+    the attention matrices [B, H, T, S], the readout [B, H, T, dh] and the
+    new cache.
     """
     T = q.shape[2]
     keep = (cfg.context_mult - 1) * T      # the FIFO keeps the last C-1 chunks
-    if one_stream and keep:
-        if cache is None or cache.k.shape[0] != 1 or cache.length < keep:
-            raise ShapeError(f"a one-stream forward needs a one-row cache of at least "
-                             f"(C-1)*T = {keep} positions, got "
-                             f"{'none' if cache is None else cache.k.shape}")
-        k, k_keep = _stream_keys(k_cur, cache.k, keep)
-        v, v_keep = _stream_keys(v_cur, cache.v, keep)
-        cache_len, new_cache = keep, LayerCache(k=k_keep, v=v_keep)
-    else:
-        k, v, cache_len = k_cur, v_cur, 0
-        if cache is not None:
-            k = concat([constant(cache.k), k_cur], axis=2)
-            v = concat([constant(cache.v), v_cur], axis=2)
-            cache_len = cache.length
-        new_cache = (LayerCache(k=k.data[..., -keep:, :].copy(),
-                                v=v.data[..., -keep:, :].copy()) if keep else None)
+    k, cache_len, k_last = _cached_keys(k_cur, None if cache is None else cache.k, keep)
+    v, _, v_last = _cached_keys(v_cur, None if cache is None else cache.v, keep)
+    new_cache = (LayerCache(k=k_last[..., -keep:, :].copy(),
+                            v=v_last[..., -keep:, :].copy()) if keep else None)
     S = cache_len + T
     u = v_bias = pos_r = None
     if cfg.position == "xl_relative":
@@ -393,7 +389,7 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
                       counter: OpCounter = NULL_COUNTER, *,
                       cache: LayerCache | None = None,
                       key_mask: np.ndarray | None = None,
-                      want_trace: bool = False, one_stream: bool = False):
+                      want_trace: bool = False):
     """One attention layer on x [B, T, d_model]. Returns (y, trace, new_cache).
 
     K, Q and V are each a plain [dm, heads*dh] GEMM or a routed dispatch into
@@ -401,13 +397,13 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
     plain merge-GEMM or a routed dispatch back into token rows. The
     variant's router says which roles are routed.
 
-    ``one_stream`` says the B rows are consecutive chunks of one stream
-    that continues a one-row cache: row b's stop-gradient cache is the last
-    (C-1)*T positions before it, taken from the cache followed by the
-    current keys and values of rows < b, and the returned cache is the
-    stream's last (C-1)*T positions, as one row. The cache must then have
-    one row and at least (C-1)*T positions (else ``ShapeError``). With
-    C = 1 there is no cache and the flag changes nothing.
+    A cache of R rows holds R streams, and the B rows are R runs of B/R
+    consecutive chunks, one run per stream: row b's stop-gradient cache is
+    the positions before it in its stream, the cache followed by the
+    current keys and values of the earlier rows of its run. With R = B each
+    row continues its own cache, of any length; with R < B the cache must
+    hold exactly (C-1)*T positions (else ``ShapeError``). The returned
+    cache is the last (C-1)*T positions of each stream, one row per stream.
     """
     cfg.validate()
     if x.ndim != 3 or x.shape[-1] != cfg.d_model:
@@ -433,8 +429,7 @@ def attention_forward(x: Tensor, params: dict[str, Tensor], cfg: AttentionConfig
 
     k_cur, q, v_cur = project("k"), project("q"), project("v")
     attn, av, new_cache = _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache,
-                                        key_mask, per_head_pos=per_head_pos,
-                                        one_stream=one_stream)
+                                        key_mask, per_head_pos=per_head_pos)
     if "o" in routes:
         y = reshape(dispatch(av, reshape(params["w_o"], (-1, dh, dm)), routes["o"], 1,
                              counter, store=False), (B, T, dm))

@@ -166,7 +166,7 @@ class Model:
                 key_mask: np.ndarray | None = None,
                 counter: OpCounter = NULL_COUNTER,
                 dropout_rng: np.random.Generator | None = None,
-                want_trace: bool = False, one_stream: bool = False):
+                want_trace: bool = False):
         """Map token ids [B, T] to logits; returns (logits, traces, caches).
 
         Logits are [B, T, vocab] for language models or [B, n_classes] for
@@ -174,11 +174,9 @@ class Model:
         per-layer cached key/value chunks for XL streaming; pass the
         returned list back in for the next chunk. ``dropout_rng`` enables
         MLP-output dropout (training mode); omit it for evaluation.
-        ``one_stream`` reads the B rows as consecutive chunks of one stream
-        that continues one-row caches, and returns one-row caches (see
-        ``attention_forward``); each layer then attends, for every row, to
-        its own keys of the C-1 chunks before that row, so B chunks of a
-        frozen model take one forward.
+        Caches of R rows read the B rows as R streams of B/R consecutive
+        chunks and return R-row caches (see ``attention_forward``); a
+        one-row cache thus runs B chunks of one stream in one forward.
         """
         spec = self.spec
         tokens = np.asarray(tokens)
@@ -201,8 +199,7 @@ class Model:
                            self.params[f"layers.{i}.ln1.b"])
             y, trace, new_cache = attention_forward(
                 h, self._layer_params(i, "attn"), spec.attention, counter,
-                cache=caches[i], key_mask=key_mask, want_trace=want_trace,
-                one_stream=one_stream)
+                cache=caches[i], key_mask=key_mask, want_trace=want_trace)
             traces.append(trace)
             new_caches.append(new_cache)
             x = x + y

@@ -80,6 +80,9 @@ class CharLMTask:
     kind = "lm"
 
     def __init__(self, corpus: CharCorpus, T: int, batch_size: int):
+        if batch_size < 1 or T < 1:
+            raise ConfigError(f"char_lm needs batch_size >= 1 and T >= 1, "
+                              f"got batch_size={batch_size}, T={T}")
         self.corpus = corpus
         self.T = T
         self.batch_size = batch_size
@@ -176,14 +179,14 @@ def evaluate(model: Model, task, split: str = "valid",
     A language model reads the split as a stream of T-sized chunks (the
     last may be shorter). The first C-1 chunks, while the XL cache fills,
     and a short last chunk run one at a time; the other chunks run in
-    groups of ``task.batch_size`` consecutive chunks, one ``one_stream``
-    forward per group: a frozen layer needs only its own keys and values
-    of the C-1 chunks before a chunk, so the group goes through each layer
-    at once. Each chunk's nll comes from its own row of logits. The math is
-    that of one chunk at a time, but the bits need not be: a BLAS GEMM's
-    output rows can change with the number of rows it is given, so the nll
-    may differ in the last places; ``task.batch_size = 1`` runs the chunks
-    one at a time.
+    groups of ``task.batch_size`` consecutive chunks, one forward per group
+    that continues the one-row caches: a frozen layer needs only its own
+    keys and values of the C-1 chunks before a chunk, so the group goes
+    through each layer at once. Each chunk's nll comes from its own row of
+    logits. The math is that of one chunk at a time, but the bits need not
+    be: a BLAS GEMM's output rows can change with the number of rows it is
+    given, so the nll may differ in the last places; ``task.batch_size = 1``
+    runs the chunks one at a time.
     """
     _check_head(model.spec, task)
     model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
@@ -213,7 +216,7 @@ def evaluate(model: Model, task, split: str = "valid",
         g = min(task.batch_size, n_full - c) if warm <= c < n_full else 1
         y = np.stack([data[i * T + 1:(i + 1) * T + 1] for i in range(c, c + g)])
         x = np.stack([data[i * T:i * T + y.shape[1]] for i in range(c, c + g)])
-        logits, _, caches = model.forward(x, caches=caches, one_stream=g > 1)
+        logits, _, caches = model.forward(x, caches=caches)
         for j in range(g):
             nll = cross_entropy(Tensor(logits.data[j:j + 1]), y[j:j + 1])
             total_nll += float(nll.data) * y.shape[1]

@@ -10,7 +10,7 @@ import pytest
 
 from switchlab import attention
 from switchlab.attention import (AttentionConfig, ExpertFlags, LayerCache,
-                                 attention_forward, init_attention_params,
+                                 attention_forward, cache_shape, init_attention_params,
                                  rope_angles, rope_rotate, sinusoid_table)
 from switchlab.counter import OpCounter
 from switchlab.moe import ConfigError, SelectionConfig, select
@@ -475,10 +475,10 @@ def _stream_cases():
 
 
 @pytest.mark.parametrize("name", sorted(_stream_cases()))
-def test_one_stream_rows_match_chunk_loop(name):
-    # G consecutive chunks in one forward: outputs, attention matrices, the
-    # final cache and the parameter grads are those of feeding the chunks
-    # one at a time (float64, 1e-12)
+def test_one_row_cache_rows_match_chunk_loop(name):
+    # G consecutive chunks continuing a one-row cache in one forward:
+    # outputs, attention matrices, the final cache and the parameter grads
+    # are those of feeding the chunks one at a time (float64, 1e-12)
     cfg = _stream_cases()[name]
     rng = rng_for(27, "one-stream", name)
     params = init_attention_params(cfg, rng)
@@ -488,8 +488,7 @@ def test_one_stream_rows_match_chunk_loop(name):
         _, _, cache = attention_forward(rand_x(rng, 1, T, DM), params, cfg, cache=cache)
     x = rand_x(rng, G, T, DM)
     probe = constant(rng.uniform(-1, 1, (G, T, DM)))
-    y, trace, new_cache = attention_forward(x, params, cfg, cache=cache, want_trace=True,
-                                            one_stream=True)
+    y, trace, new_cache = attention_forward(x, params, cfg, cache=cache, want_trace=True)
     tsum(mul(y, probe)).backward()
     grads = {k: p.grad for k, p in params.items()}
     for p in params.values():
@@ -509,20 +508,22 @@ def test_one_stream_rows_match_chunk_loop(name):
 
 
 def test_one_stream_rejects_bad_caches():
+    # a cache of R rows continues B rows only as R runs of B/R chunks, and
+    # with R < B it must hold exactly (C-1)*T positions
     cfg = AttentionConfig(DM, 2, 4, variant="dense", context_mult=2)
     rng = rng_for(28, "one-stream-bad")
     params = init_attention_params(cfg, rng)
-    x = rand_x(rng, 2, 3, DM)
+    x = rand_x(rng, 3, 3, DM)
     two_rows = LayerCache(k=np.zeros((2, 2, 3, 4)), v=np.zeros((2, 2, 3, 4)))
     short = LayerCache(k=np.zeros((1, 2, 2, 4)), v=np.zeros((1, 2, 2, 4)))
-    for cache in (two_rows, short, None):
+    long = LayerCache(k=np.zeros((1, 2, 4, 4)), v=np.zeros((1, 2, 4, 4)))
+    for cache in (two_rows, short, long):
         with pytest.raises(ShapeError):
-            attention_forward(x, params, cfg, cache=cache, one_stream=True)
-    # with C = 1 there is no cache and the flag changes nothing
+            attention_forward(x, params, cfg, cache=cache)
+    # with C = 1 there is no cache to continue
     c1 = AttentionConfig(DM, 2, 4, variant="dense", context_mult=1)
-    y1, _, cache1 = attention_forward(x, params, c1, one_stream=True)
-    y0, _, _ = attention_forward(x, params, c1)
-    assert cache1 is None and np.array_equal(y1.data, y0.data)
+    _, _, cache1 = attention_forward(x, params, c1)
+    assert cache1 is None
 
 
 # -- invariances -----------------------------------------------------------
@@ -539,6 +540,18 @@ def test_batch_invariance():
         yb, _, _ = attention_forward(xb, params, cfg)
         sep = np.concatenate([ya.data, yb.data], axis=0)
         assert np.max(np.abs(y_both.data - sep)) < 1e-12, name
+        if cfg.context_mult == 1:
+            continue
+        # a B-row cache: each row continues its own cache, of any length
+        shape = cache_shape(cfg, 2, 3)
+        cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
+        y_both, _, c_both = attention_forward(both, params, cfg, cache=cache)
+        for b, xr in enumerate((xa, xb)):
+            row = LayerCache(k=cache.k[b:b + 1], v=cache.v[b:b + 1])
+            yr, _, cr = attention_forward(xr, params, cfg, cache=row)
+            assert np.max(np.abs(y_both.data[b] - yr.data[0])) < 1e-12, name
+            assert np.array_equal(c_both.k[b:b + 1], cr.k), name
+            assert np.array_equal(c_both.v[b:b + 1], cr.v), name
 
 
 def test_switchhead_expert_permutation_invariance():
@@ -640,7 +653,7 @@ def _per_head_switchhead(x, params, cfg, cache):
     sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
     sel_s = [select(x, params["w_s"][h], sel_cfg) for h in range(H)] if f.v or f.k else None
     sel_d = [select(x, params["w_d"][h], sel_cfg) for h in range(H)] if f.q or f.o else None
-    cache_len = 0 if cache is None else cache.length
+    cache_len = 0 if cache is None else cache.k.shape[2]
     S = cache_len + T
     if cfg.position == "xl_relative":
         pos = Tensor(sinusoid_table(2 * S, dm, offset=S - 1))

@@ -486,6 +486,27 @@ def test_char_lm_directory_path_is_usage_error(tmp_path, listops_cfg, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("override", ["train.batch_size=0", "model.t=0",
+                                      "train.batch_size=-2", "model.t=-1"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_char_lm_non_positive_batch_or_t_is_usage_error(tmp_path, listops_cfg, trained_ckpt,
+                                                        capsys, command, override):
+    # a zero batch_size or T once died in CharLMTask as a ZeroDivisionError
+    # (exit 1), and a negative one reported a "train split too small"
+    text = tmp_path / "corpus.txt"
+    text.write_text("(MAX 1 2 3) " * 200)
+    args = ["--config", listops_cfg, "--set", "task.name=char_lm", "--set", "model.n_classes=0",
+            "--set", "model.vocab_size=256", "--set", f"task.path={text}", "--set", override]
+    if command == "train":
+        args += ["--out", str(tmp_path / "out")]
+    else:
+        args += ["--checkpoint", trained_ckpt]
+    assert main([command, *args]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: char_lm needs batch_size >= 1 and T >= 1")
+    assert not (tmp_path / "out").exists()
+
+
 def test_checkpoint_directory_is_usage_error(tmp_path, listops_cfg, capsys):
     assert main(["export-attn", "--checkpoint", str(tmp_path), "--sample", "5",
                  "--out", str(tmp_path / "grids")]) == EXIT_USAGE
