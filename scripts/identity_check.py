@@ -13,6 +13,14 @@ capture:
   attention matrices of the trace and its routing decisions (one
   (indices, weights) pair per routing decision), the new cache and the
   OpCounter snapshot of one forward and backward;
+* float64, two whole models for seeds 0-2, layer norms and heads
+  included: the gradient suite's SwitchAll language model (2 layers,
+  SwitchHead V and O experts, XL cache C = 2, sigma-MoE MLP) over two
+  chunks, the second continuing the first's cache, and a dense-MLP
+  SwitchHead ListOps classifier on a padded batch with its key mask, each
+  with every parameter moved off its initial value by a seeded draw (so no
+  layer norm has unit gains and zero biases): the logits (and the LM's
+  returned caches) and every parameter grad of one forward and backward;
 * float32, each workload ``BENCHMARK.json`` gates and the benchmark's
   ungated dense ListOps workload ``listops_dense_h8`` (the one bench model
   with per-head XL position biases and a dense MLP), set up as the
@@ -60,6 +68,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 0
 SUITE_SEEDS = (0, 1, 2)
 SUITE_SHAPES = ((1, 4), (2, 5), (3, 7))
+MODEL_B, MODEL_T = 3, 6              # rows and chunk length of the LM model case
 TRAIN_STEPS = 6
 UNGATED = ("listops_dense_h8",)
 HEAD_GATED_STEPS = 24
@@ -116,6 +125,66 @@ def suite_capture(out: dict, root: str) -> None:
                     case["cache.k"], case["cache.v"] = new_cache.k, new_cache.v
                 case["counter"] = np.frombuffer(
                     json.dumps(counter.snapshot(), sort_keys=True).encode(), dtype=np.uint8)
+
+
+def model_capture(out: dict) -> None:
+    """Capture the float64 whole-model cases into ``out``.
+
+    The LM is ``gradcheck._switchall_case``'s spec, written out here, so a
+    checkout whose gradient suite has another model is still compared on
+    this one."""
+    from switchlab.attention import AttentionConfig, ExpertFlags
+    from switchlab.listops import N_LABELS, VOCAB_SIZE, gen_listops, pad_batch
+    from switchlab.model import MLPConfig, ModelSpec, build
+    from switchlab.rng import rng_for
+    from switchlab.tensor import add, cross_entropy
+
+    def built(spec, seed):
+        model = build(spec, seed).astype(np.float64)
+        rng = rng_for(seed, "identity", "model-params")
+        for p in model.params.values():
+            p.data += rng.uniform(-0.2, 0.2, p.shape)
+        return model
+
+    dm = 8
+    switchall = ModelSpec(
+        n_layers=2, d_model=dm,
+        attention=AttentionConfig(dm, 2, 4, variant="switchhead", context_mult=2,
+                                  n_experts=3, k_active=2,
+                                  expert_flags=ExpertFlags.value_output()),
+        mlp=MLPConfig("sigma_moe", d_ff=6, n_experts=3, k_active=2),
+        vocab_size=11, T=MODEL_T)
+    classifier = ModelSpec(
+        n_layers=2, d_model=dm,
+        attention=AttentionConfig(dm, 2, 4, variant="switchhead", causal=False,
+                                  n_experts=3, k_active=2,
+                                  expert_flags=ExpertFlags.value_output()),
+        mlp=MLPConfig("dense", d_ff=12), vocab_size=VOCAB_SIZE, T=32, n_classes=N_LABELS)
+    for seed in SUITE_SEEDS:
+        case = out.setdefault(f"f64 model switchall seed={seed}", {})
+        model = built(switchall, seed)
+        rng = rng_for(seed, "identity", "switchall-model")
+        tokens = rng.integers(switchall.vocab_size, size=(MODEL_B, 2 * MODEL_T + 1))
+        caches, losses = None, []
+        for c in range(2):
+            lo, hi = c * MODEL_T, (c + 1) * MODEL_T
+            logits, _, caches = model.forward(tokens[:, lo:hi], caches=caches)
+            losses.append(cross_entropy(logits, tokens[:, lo + 1:hi + 1]))
+            case[f"logits.{c}"] = logits.data
+        add(*losses).backward()
+        for i, cache in enumerate(caches):
+            case[f"cache.{i}.k"], case[f"cache.{i}.v"] = cache.k, cache.v
+        for key, p in model.params.items():
+            case[f"grad.{key}"] = p.grad
+
+        case = out.setdefault(f"f64 model listops classifier seed={seed}", {})
+        model = built(classifier, seed)
+        tokens, labels, mask = pad_batch(gen_listops(4, 3, 4, seed=seed, max_len=32))
+        logits, _, _ = model.forward(tokens, key_mask=mask)
+        cross_entropy(logits, labels).backward()
+        case["logits"] = logits.data
+        for key, p in model.params.items():
+            case[f"grad.{key}"] = p.grad
 
 
 def digest(chunks) -> np.ndarray:
@@ -194,6 +263,7 @@ def worker(root: str, path: str) -> None:
 
     out: dict = {}
     suite_capture(out, root)
+    model_capture(out)
     listops_capture(out)
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         gated = [w["name"] for w in json.load(f)["workloads"]]

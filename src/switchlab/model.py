@@ -211,9 +211,9 @@ class Model:
                 scale = keep / (1.0 - spec.dropout)
                 m = mul(m, constant(scale.astype(m.data.dtype)))
             x = x + m
-            # no backward reads y or m; held over, they would raise the
-            # next layer's forward peak
-            del y, m
+            # no backward reads y or m, and h's readers keep its rebuild;
+            # held over, they would raise the next layer's forward peak
+            del y, m, h
         x = layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
         if spec.n_classes is not None:

@@ -17,10 +17,14 @@ the input nodes it sends grads to and the arrays its backward reads
 (``matmul`` its operands, ``relu``, ``sigmoid`` and ``softmax_last``
 their outputs, ``add`` and the shaping ops shapes alone), so an
 activation that no backward reads dies as soon as the forward drops it.
-Three ops form a cheap array again in the backward rather than keep it
-from the forward (selective recomputation): ``relu_mlp`` its hidden
-layer, ``expert_matmul`` an output gate's ungated results and
-``attention_probs`` its biased queries.
+Cheap arrays are formed again in the backward rather than kept from the
+forward (selective recomputation): ``relu_mlp`` forms its hidden layer,
+``expert_matmul`` an output gate's ungated results and
+``attention_probs`` its biased queries; and a ``layer_norm`` output on
+the tape carries a rebuild (``Node.rebuild``, passed on by ``reshape``),
+which ``matmul``, ``relu_mlp`` and ``expert_matmul`` keep in place of the
+array: the first backward that reads the output forms it again, with the
+forward's bits, and the norm's own backward drops it.
 ``backward()`` on a scalar loss walks the nodes in reverse topological
 order and frees the tape as it goes.
 Four ops consume an OpCounter, each filing its cost under a term name
@@ -115,16 +119,20 @@ class Node:
     the arrays its own backward reads, never an operand's value for its
     own sake, so an activation that no backward reads dies as soon as the
     forward drops it. ``spent`` marks the node of a loss that backward has
-    run from.
+    run from. ``rebuild``, when set (see ``layer_norm``), forms the
+    tensor's data again, the forward's bits, for a backward that reads it:
+    an op keeps it in place of the array (``_kept``), so the array itself
+    dies with the forward.
     """
-    __slots__ = ("grad", "backward", "inputs", "dtype", "spent")
+    __slots__ = ("grad", "backward", "inputs", "dtype", "spent", "rebuild")
 
-    def __init__(self, dtype, inputs=(), backward=None):
+    def __init__(self, dtype, inputs=(), backward=None, rebuild=None):
         self.grad: np.ndarray | None = None
         self.backward = backward
         self.inputs = inputs
         self.dtype = dtype
         self.spent = False
+        self.rebuild = rebuild
 
     def accum(self, g: np.ndarray, fresh: bool = False) -> None:
         """Add ``g`` into this node's grad.
@@ -222,9 +230,9 @@ class Tensor:
                 topo.append(node)
         root.grad = np.ones_like(self.data)
         # free the tape as we go (a second backward needs a re-forward): a
-        # spent node drops its closure, its inputs and, unless it is a leaf,
-        # its grad, so the arrays a closure kept die as soon as nothing
-        # upstream needs them
+        # spent node drops its closure, its inputs, its rebuild and, unless
+        # it is a leaf, its grad, so the arrays a closure kept die as soon as
+        # nothing upstream needs them
         while topo:
             node = topo.pop()
             if node.backward is None:
@@ -234,6 +242,7 @@ class Tensor:
                 node.grad = None
             node.backward = None
             node.inputs = ()
+            node.rebuild = None
 
     # -- operator sugar ----------------------------------------------------
 
@@ -280,14 +289,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _make(data, nodes, backward) -> Tensor:
-    """The op output ``data``; with its backward on the tape if any of the
-    input ``nodes`` (None for an input that needs no grad) is live."""
+def _make(data, nodes, backward, rebuild=None) -> Tensor:
+    """The op output ``data``; with its backward (and its ``rebuild``, see
+    ``Node``) on the tape if any of the input ``nodes`` (None for an input
+    that needs no grad) is live."""
     out = Tensor(data)
     inputs = tuple(n for n in nodes if n is not None)
     if inputs:
-        out.node = Node(out.data.dtype, inputs, backward)
+        out.node = Node(out.data.dtype, inputs, backward, rebuild)
     return out
+
+
+def _kept(t: Tensor):
+    """What a backward keeps to read ``t``'s data: its node's rebuild when
+    it has one, else the array itself; ``_value`` reads either."""
+    node = t.node
+    return node.rebuild if node is not None and node.rebuild is not None else t.data
+
+
+def _value(kept) -> np.ndarray:
+    return kept() if callable(kept) else kept
 
 
 # -- elementwise ----------------------------------------------------------
@@ -388,20 +409,21 @@ def matmul(a: Tensor, b: Tensor, counter: OpCounter = NULL_COUNTER, *,
 
     MAC count is prod(batch) * m * n * k; when ``store`` is set the output
     size is added to the stored-float count (training-mode accounting).
-    Both count under ``term``.
+    Both count under ``term``. The backward keeps each operand's data, or
+    its rebuild when it has one (``Node``).
     """
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    ad, bd = a.data, b.data
-    data = _matmul_data(ad, bd)
-    counter.add(term, macs=data.size * ad.shape[-1], mem=data.size if store else 0)
+    data = _matmul_data(a.data, b.data)
+    counter.add(term, macs=data.size * a.data.shape[-1], mem=data.size if store else 0)
     na, nb = a.node, b.node
+    ka, kb = _kept(a), _kept(b)
 
     def bw(g):
-        ga, gb = _matmul_grads(ad, bd, g, na is not None, nb is not None)
+        ga, gb = _matmul_grads(_value(ka), _value(kb), g, na is not None, nb is not None)
         if ga is not None:
             na.accum(ga, fresh=True)
         if gb is not None:
@@ -416,25 +438,28 @@ def relu_mlp(h: Tensor, w_up: Tensor, w_down: Tensor,
 
     The arithmetic is that of the chain matmul, relu, matmul, and so is the
     backward's, call for call, so the results agree bit for bit; but only
-    ``h`` and the weights are kept. The backward rebuilds the [..., d_ff]
-    hidden from them, with the forward's GEMM, instead of holding it from
-    the forward to the backward. The counter gets the chain's two ``mlp``
-    entries, with no stored floats (the convention stores none).
+    ``h`` (or its rebuild, when h is a layer-norm output) and the weights
+    are kept. The backward rebuilds the [..., d_ff] hidden from them, with
+    the forward's GEMM, instead of holding it from the forward to the
+    backward. The counter gets the chain's two ``mlp`` entries, with no
+    stored floats (the convention stores none).
     """
     h, w_up, w_down = _coerce(h), _coerce(w_up), _coerce(w_down)
     if (h.ndim < 2 or w_up.ndim != 2 or w_down.ndim != 2 or h.shape[-1] != w_up.shape[0]
             or w_up.shape[1] != w_down.shape[0]):
         raise ShapeError(f"relu_mlp needs h [..., d], w_up [d, d_ff] and w_down [d_ff, d_out], "
                          f"got {h.shape}, {w_up.shape} and {w_down.shape}")
-    hd, ud, dd = h.data, w_up.data, w_down.data
-    hidden = _matmul_data(hd, ud)
+    ud, dd = w_up.data, w_down.data
+    hidden = _matmul_data(h.data, ud)
     np.maximum(hidden, 0.0, out=hidden)
-    counter.add("mlp", macs=hidden.size * hd.shape[-1])
+    counter.add("mlp", macs=hidden.size * h.shape[-1])
     data = _matmul_data(hidden, dd)
     counter.add("mlp", macs=data.size * dd.shape[0])
     nh, nup, ndown = h.node, w_up.node, w_down.node
+    kh = _kept(h)
 
     def bw(g):
+        hd = _value(kh)
         hidden = _matmul_data(hd, ud)
         np.maximum(hidden, 0.0, out=hidden)
         need_hidden = nh is not None or nup is not None
@@ -646,12 +671,18 @@ def tsum(x: Tensor, axis=None) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    """``x``'s data in ``shape``; a rebuild of x (see ``Node``) passes on,
+    reshaped, to the output."""
     old, nx = x.data.shape, x.node
+    src = None if nx is None else nx.rebuild
 
     def bw(g):
         nx.accum(g.reshape(old), fresh=True)
 
-    return _make(x.data.reshape(shape), (nx,), bw)
+    def rebuild():
+        return src().reshape(shape)
+
+    return _make(x.data.reshape(shape), (nx,), bw, None if src is None else rebuild)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -884,9 +915,10 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     the gathered x rows when d_in <= d_out, the GEMM results otherwise.
     Each expert runs one GEMM over its contiguous range of the gathered
     rows. Backward is hand-written for x, bank and gate and runs one
-    expert at a time; it keeps no forward temporary: the ungated results
-    that an output gate's grad reads are formed again, one expert's GEMM
-    at a time, from the x rows it gathers again anyway. MACs are
+    expert at a time; it keeps no forward temporary, only x's data (or
+    its rebuild, when x is a reshaped layer-norm output): the x rows are
+    gathered again, and the ungated results that an output gate's grad
+    reads are formed again from them, one expert's GEMM at a time. MACs are
     A*d_in*d_out under ``term`` and the gate multiply's A*min(d_in, d_out)
     under ``gate_term`` (None: ``term``); the stored floats are left to the
     caller, whose cost accounting names them.
@@ -907,20 +939,21 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     w = None if gate is None else gate.data.reshape(-1).take(plan.order)
     gate_in = w is not None and d_in <= d_out
     gate_out = w is not None and d_in > d_out
-    xd, bd = x.data, bank.data
+    bd = bank.data
     nx, nbank = x.node, bank.node
     ngate, gate_shape = (None, None) if gate is None else (gate.node, gate.shape)
 
-    def rows_of(lo: int, hi: int) -> np.ndarray:
-        # x's rows of the assignments lo:hi in expert order: a fresh
-        # array, or a view of xd (the forward takes them all at once: one
-        # gather per expert made evaluation slower and no peak lower)
+    def rows_of(xd: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # the rows of x's data xd of the assignments lo:hi in expert order:
+        # a fresh array, or a view of xd (the forward takes them all at
+        # once: one gather per expert made evaluation slower and no peak
+        # lower)
         return xd[lo:hi] if src is None else xd.take(src.rows[lo:hi], axis=0)
 
-    xs = rows_of(0, A)
+    xs = rows_of(x.data, 0, A)
     if gate_in:
         xs = xs * w[:, None] if src is None else np.multiply(xs, w[:, None], out=xs)
-    ys = np.empty((A, d_out), dtype=np.result_type(xd, bd))
+    ys = np.empty((A, d_out), dtype=np.result_type(x.data, bd))
     for e, lo, hi in plan.segments:
         np.matmul(xs[lo:hi], bd[e], out=ys[lo:hi])
     del xs                     # before the combine allocates
@@ -931,11 +964,12 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
     counter.add(term, macs=A * d_in * d_out)
     if w is not None:
         counter.add(gate_term or term, macs=A * min(d_in, d_out))
-    # nothing from the forward is kept (x rows are gathered again from xd,
-    # and an output gate's ungated results formed again from them), and of
-    # the plan only what the backward reads
+    # nothing from the forward is kept (x rows are gathered again from x's
+    # data, or its rebuild, and an output gate's ungated results formed
+    # again from them), and of the plan only what the backward reads
     segments, inverse = plan.segments, plan.inverse
     dst_rows = None if dst is None else dst.rows
+    kx = _kept(x)
 
     def bw(g):
         # one expert at a time: its grad rows, x rows and GEMMs, so the
@@ -946,10 +980,11 @@ def expert_matmul(x: Tensor, bank: Tensor, plan: ExpertPlan, src: ExpertRows | N
         gbank = None if nbank is None else np.zeros_like(bd)
         gxs = None if nx is None else np.empty((A, d_in), dtype=g.dtype)
         ggate = None if ngate is None else np.empty(A, dtype=ngate.dtype)
+        xd = _value(kx) if need_xs else None
         for e, lo, hi in segments:
             wl = None if w is None else w[lo:hi, None]
             gs = g[lo:hi] if dst_rows is None else g.take(dst_rows[lo:hi], axis=0)
-            xs = rows_of(lo, hi) if need_xs else None
+            xs = rows_of(xd, lo, hi) if need_xs else None
             if gate_out:
                 if ngate is not None:
                     # the ungated results, with the forward's GEMM
@@ -991,6 +1026,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     and the inverse deviations ``inv`` are kept for the backward, which
     takes two column reductions (gain and bias grads, GEMVs against ones)
     and two row reductions (the x grad's mean terms).
+
+    The output is not kept: on the tape it carries a rebuild (``Node``)
+    that forms ``xhat * gain + bias`` again with the forward's operations,
+    so with its bits. The first backward that reads the output forms it,
+    every later one reads the same array, and this op's own backward,
+    which runs after all of them, drops it.
     """
     shape, n = x.data.shape, x.data.shape[-1]
     x2 = x.data.reshape(-1, n)
@@ -998,11 +1039,23 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = x2 - (x2 @ mean_w)[:, None]
     inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / n + LN_EPS))[:, None]
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
-    nx, ngain, nbias, gd = x.node, gain.node, bias.node, gain.data
+    gd, bd = gain.data, bias.data
+    out = xhat * gd
+    out += bd
+    nx, ngain, nbias = x.node, gain.node, bias.node
+    memo = None
+
+    def rebuild():
+        nonlocal memo
+        if memo is None:
+            memo = xhat * gd
+            memo += bd
+            memo = memo.reshape(shape)
+        return memo
 
     def bw(g):
+        nonlocal memo
+        memo = None                    # every backward that reads it has run
         g2 = g.reshape(-1, n)
         ones = np.ones(g2.shape[0], dtype=g2.dtype)
         if ngain is not None:
@@ -1019,7 +1072,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             gx *= inv
             nx.accum(gx.reshape(shape), fresh=True)
 
-    return _make(out.reshape(shape), (nx, ngain, nbias), bw)
+    return _make(out.reshape(shape), (nx, ngain, nbias), bw, rebuild)
 
 
 # -- routing helpers ------------------------------------------------------

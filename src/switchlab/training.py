@@ -174,7 +174,7 @@ def evaluate(model: Model, task, split: str = "valid",
     The forward passes run on a view of the model whose parameters share
     the same arrays but do not require grad, so no tape is recorded and the
     live parameters' grads are left alone. ``batch_size`` is the row count
-    of a classification forward.
+    of a classification forward; below 1 it raises ConfigError.
 
     A language model reads the split as a stream of T-sized chunks (the
     last may be shorter). The first C-1 chunks, while the XL cache fills,
@@ -189,6 +189,8 @@ def evaluate(model: Model, task, split: str = "valid",
     runs the chunks one at a time.
     """
     _check_head(model.spec, task)
+    if batch_size < 1:
+        raise ConfigError(f"evaluation batch_size must be >= 1, got {batch_size}")
     model = Model(model.spec, {k: Tensor(p.data) for k, p in model.params.items()})
     if task.kind == "classification":
         if split not in task.splits:

@@ -50,11 +50,12 @@ def cpu_time_limit():
 def _tape_arrays(root: Tensor) -> list[np.ndarray]:
     """The distinct float arrays the tape below ``root`` holds.
 
-    Walks the live nodes through their inputs and reads the closure cells
-    of each node's backward, nested closures included (a tuple or list
-    cell is read item by item). Nodes hold no arrays themselves, so these
-    are all the arrays the tape keeps alive; a closure that holds a
-    ``Tensor`` (and with it a value its backward may not read) fails the
+    Walks the live nodes through their inputs and reads each node's
+    backward and rebuild: their closure cells and default arguments
+    (``__defaults__``, ``__kwdefaults__``), nested closures included (a
+    tuple or list is read item by item). Nodes hold no arrays themselves,
+    so these are all the arrays the tape keeps alive; a closure that holds
+    a ``Tensor`` (and with it a value its backward may not read) fails the
     walk.
     """
     held, seen, stack = {}, set(), [root.node]
@@ -64,13 +65,15 @@ def _tape_arrays(root: Tensor) -> list[np.ndarray]:
             continue
         seen.add(id(node))
         stack.extend(node.inputs)
-        values = [node.backward] if node.backward is not None else []
+        values = [f for f in (node.backward, node.rebuild) if f is not None]
         while values:
             v = values.pop()
             assert not isinstance(v, Tensor), "a backward closure holds a Tensor"
-            if callable(v) and getattr(v, "__closure__", None) and id(v) not in seen:
+            if callable(v) and hasattr(v, "__code__") and id(v) not in seen:
                 seen.add(id(v))
-                for cell in v.__closure__:
+                values.extend(v.__defaults__ or ())
+                values.extend((v.__kwdefaults__ or {}).values())
+                for cell in v.__closure__ or ():
                     try:
                         values.append(cell.cell_contents)
                     except ValueError:          # a name the op never bound

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from switchlab import attention, moe, tensor
+from switchlab import model as model_module
 from switchlab.attention import AttentionConfig, ExpertFlags, init_attention_params
 from switchlab.counter import OpCounter
 from switchlab.model import (MatchingError, MLPConfig, ModelSpec, build,
@@ -318,17 +319,20 @@ def test_tape_holds_no_routed_temporaries(attn, mlp, tape_arrays, tensor_values)
                                          (MLPConfig("sigma_moe", 7, n_experts=3, k_active=2), 2)],
                          ids=["dense_mlp", "sigma_moe"])
 def test_forward_drops_what_no_backward_reads(mlp, n_relu, monkeypatch, tape_arrays):
-    # residual sums, the sigma-MoE's pre-ReLU up projection and the routed
-    # O projection's output die as soon as the forward drops them, with the
-    # tape alive; a sigma-MoE ReLU output, which its own backward reads,
-    # lives until backward frees the tape; the dense MLP is one op whose
-    # backward forms its hidden again, so no [B*T, d_ff] array is held
+    # residual sums, the sigma-MoE's pre-ReLU up projection, the routed O
+    # projection's output and every layer-norm output (whose readers, the
+    # routers, the K/Q/V projections, the MLP and the LM head, keep its
+    # rebuild) die as soon as the forward drops them, with the tape alive; a
+    # sigma-MoE ReLU output, which its own backward reads, lives until
+    # backward frees the tape; the dense MLP is one op whose backward forms
+    # its hidden again, so no [B*T, d_ff] array is held
     attn = AttentionConfig(12, 2, 4, variant="switchhead", n_experts=3, k_active=2,
                            expert_flags=ExpertFlags.value_output())
     model = build(ModelSpec(2, 12, attn, mlp, 11, T=_T), 0)
-    dead = {"residual": [], "pre_relu": [], "o_proj": []}
+    dead = {"residual": [], "pre_relu": [], "o_proj": [], "norm": []}
     held = []
     real_add, real_relu, real_dispatch = tensor.add, tensor.relu, attention.dispatch
+    real_layer_norm = model_module.layer_norm
 
     def add(a, b):
         out = real_add(a, b)
@@ -348,13 +352,19 @@ def test_forward_drops_what_no_backward_reads(mlp, n_relu, monkeypatch, tape_arr
             dead["o_proj"].extend([weakref.ref(out.data), weakref.ref(out.data.base)])
         return out
 
+    def layer_norm(x, gain, bias):
+        out = real_layer_norm(x, gain, bias)
+        dead["norm"].extend([weakref.ref(out.data), weakref.ref(out.data.base)])
+        return out
+
     monkeypatch.setattr(tensor, "add", add)
     monkeypatch.setattr(moe, "relu", relu)
     monkeypatch.setattr(attention, "dispatch", dispatch)
+    monkeypatch.setattr(model_module, "layer_norm", layer_norm)
     toks = rng_for(0, "drop-toks").integers(11, size=(_B, _T))
     logits, _, _ = model.forward(toks)
     assert ({k: len(v) for k, v in dead.items()}
-            == {"residual": 4, "pre_relu": n_relu, "o_proj": 4})
+            == {"residual": 4, "pre_relu": n_relu, "o_proj": 4, "norm": 10})
     assert all(ref() is None for refs in dead.values() for ref in refs)
     assert len(held) == n_relu and all(ref() is not None for ref in held)
     assert not [a.shape for a in tape_arrays(logits)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from switchlab import tensor
 from switchlab.counter import OpCounter
 from switchlab.rng import rng_for
-from switchlab.tensor import (GraphError, ShapeError, Tensor, add, argtopk_rows,
+from switchlab.tensor import (GraphError, Node, ShapeError, Tensor, add, argtopk_rows,
                               attention_probs, concat, constant,
                               cross_entropy, expert_matmul, gather_rows,
                               layer_norm, matmul, mul, relu, relu_mlp, reshape, sigmoid,
@@ -101,6 +101,20 @@ def test_closures_keep_only_what_backward_reads():
     assert refs["s"]() is not None and refs["r"]() is not None
     loss.backward()
     assert all(ref() is None for ref in refs.values())
+
+
+def test_tape_walk_reads_default_arguments(tape_arrays):
+    # an array a backward holds as a default argument, positional or
+    # keyword-only, is held by the tape all the same
+    nx = Tensor(np.ones(3), requires_grad=True).node
+    positional, keyword = np.zeros(3), np.zeros(4)
+
+    def bw(g, held=positional, *, also=keyword):
+        nx.accum(g * held + also[:3])
+
+    out = Tensor(np.ones(3))
+    out.node = Node(out.data.dtype, (nx,), bw)
+    assert {id(a) for a in tape_arrays(out)} == {id(positional), id(keyword)}
 
 
 def test_leaf_grad_lives_in_its_node():
@@ -368,6 +382,41 @@ def test_layer_norm_values_and_grad():
 
     for t in (x, g, b):
         assert rel_err(fd_grad(loss_fn, t.data), t.grad) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_output_is_rebuilt_bit_for_bit(dtype, tape_arrays):
+    # a layer-norm output on the tape carries a rebuild, which the matmuls
+    # reading it keep instead of the array, directly and through a reshape:
+    # it forms the forward's bits once for every reader, and the norm's own
+    # backward drops it; the grads are those of reading a plain leaf
+    rng = rng_for(6, "ln-rebuild")
+    x = Tensor(rng.uniform(-2, 2, (2, 3, 8)).astype(dtype), requires_grad=True)
+    gain = Tensor(rng.uniform(0.5, 1.5, 8).astype(dtype), requires_grad=True)
+    bias = Tensor(rng.uniform(-0.5, 0.5, 8).astype(dtype), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (8, 4)).astype(dtype), requires_grad=True)
+    assert layer_norm(constant(x.data), constant(gain.data), constant(bias.data)).node is None
+
+    def loss_of(out):
+        return tsum(add(matmul(out, w), reshape(matmul(reshape(out, (6, 8)), w), (2, 3, 4))))
+
+    out = layer_norm(x, gain, bias)
+    want, rebuild, dead = out.data.copy(), out.node.rebuild, weakref.ref(out.data)
+    loss = loss_of(out)
+    del out
+    assert dead() is None
+    assert not [a for a in tape_arrays(loss) if a.shape == want.shape]
+    built = rebuild()
+    assert built.dtype == dtype and built.shape == want.shape
+    assert built.tobytes() == want.tobytes() and rebuild() is built
+    memo = weakref.ref(built)
+    del built
+    loss.backward()
+    assert memo() is None
+    grads = w.grad.copy()
+    w.grad = None
+    loss_of(Tensor(want, requires_grad=True)).backward()
+    assert np.array_equal(w.grad, grads)
 
 
 def layer_norm_unfused(x, gain, bias, g, eps=1e-5):

@@ -351,6 +351,15 @@ def test_evaluate_empty_split():
         evaluate(model, task, "valid")
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    # 0 used to fail in range() and -3 to evaluate no example, accuracy 0.0
+    task = listops_task()
+    model = build(listops_spec(), 0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        evaluate(model, task, "valid", batch_size=batch_size)
+
+
 def test_metrics_lines_format():
     text = metrics_lines([{"step": 100, "loss": 1.5, "accuracy": 0.25}])
     assert text == "100 loss 1.5\n100 accuracy 0.25\n"
