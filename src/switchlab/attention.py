@@ -18,8 +18,8 @@ one shared K/V head, so its cache is [B, 1, S, dh].
 
 Conventions shared by every variant:
   * a "head" is one computed attention matrix;
-  * softmax scaling is 1/sqrt(d_model) by default (a config switch selects
-    the conventional 1/sqrt(d_head));
+  * softmax scaling is 1/sqrt(d_model), not the conventional
+    1/sqrt(d_head);
   * causal masking hides source positions after the query position;
   * XL-style cached states are stop-gradient and FIFO over C-1 past chunks;
   * the OpCounter term names (projections / mixing / scores / readout /
@@ -72,8 +72,6 @@ class AttentionConfig:
     expert_flags: ExpertFlags = field(default_factory=ExpertFlags)
     context_mult: int = 1             # C; C-1 cached past chunks
     causal: bool = True
-    scale_by_d_head: bool = False
-    sel_activation: str = "sigmoid"   # router activation (moa / head gating)
 
     def validate(self) -> None:
         if min(self.d_model, self.n_heads, self.d_head, self.context_mult) < 1:
@@ -106,7 +104,7 @@ class AttentionConfig:
                 raise ConfigError("head gating needs 1 <= k_active <= n_heads")
 
     def scale(self) -> float:
-        return 1.0 / np.sqrt(self.d_head if self.scale_by_d_head else self.d_model)
+        return 1.0 / np.sqrt(self.d_model)
 
 
 @dataclass
@@ -338,8 +336,7 @@ def _attend_heads(q, k_cur, v_cur, params, cfg, counter, cache, key_mask, *,
 def _head_gate_routes(x, params, cfg, counter):
     """The k selected heads are output experts over the [H, dh, dm] view of
     ``w_o``, each reading its own head's row and scaled by its gate."""
-    sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active,
-                                                      cfg.sel_activation), counter)
+    sel = select(x, params["w_gate"], SelectionConfig(cfg.n_heads, cfg.k_active), counter)
     route = Route(ExpertPlan(sel.indices, cfg.n_heads), sel.weights, term="projections",
                   gate_term="selection", own_rows=True)
     return {"o": route}, {"heads": sel}
@@ -351,7 +348,7 @@ def _switchhead_routes(x, params, cfg, counter):
     rows h*E.. of the flat [H*E, d_in, d_out] bank, and its k slots are a
     token's slots h*k.."""
     (B, T, _), H, E, f = x.shape, cfg.n_heads, cfg.n_experts, cfg.expert_flags
-    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
+    sel_cfg = SelectionConfig(E, cfg.k_active)
     routes, selections = {}, {}
     for side, w_name, roles in (("source", "w_s", "kv"), ("dest", "w_d", "qo")):
         roles = [r for r in roles if getattr(f, r)]
@@ -368,8 +365,7 @@ def _switchhead_routes(x, params, cfg, counter):
 def _moa_routes(x, params, cfg, counter):
     """Multi-query attention: each token's k routed query experts are its k
     query heads, and the matching output experts sum them with the gates."""
-    sel = select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active,
-                                                        cfg.sel_activation), counter)
+    sel = select(x, params["w_router"], SelectionConfig(cfg.n_experts, cfg.k_active), counter)
     plan = ExpertPlan(sel.indices, cfg.n_experts)
     return ({"q": Route(plan, term="projections"),
              "o": Route(plan, sel.weights, term="projections", gate_term="selection")},

@@ -23,8 +23,6 @@ SCHEMA = {
         "vocab_size": (int, 17),
         "t": (int, 64),
         "n_classes": (int, 0),           # 0 -> language model head
-        "tied_embeddings": (bool, False),
-        "dropout": (float, 0.0),
     },
     "attention": {
         "variant": (str, "dense"),
@@ -35,8 +33,6 @@ SCHEMA = {
         "k_active": (int, 1),
         "context_mult": (int, 1),
         "causal": (bool, True),
-        "scale_by_d_head": (bool, False),
-        "sel_activation": (str, "sigmoid"),
         "expert_v": (bool, False),
         "expert_k": (bool, False),
         "expert_q": (bool, False),
@@ -151,16 +147,14 @@ def to_model_spec(cfg: dict) -> ModelSpec:
         n_experts=a["n_experts"], k_active=a["k_active"],
         expert_flags=ExpertFlags(v=a["expert_v"], k=a["expert_k"],
                                  q=a["expert_q"], o=a["expert_o"]),
-        context_mult=a["context_mult"], causal=a["causal"],
-        scale_by_d_head=a["scale_by_d_head"], sel_activation=a["sel_activation"])
+        context_mult=a["context_mult"], causal=a["causal"])
     mlp = MLPConfig(kind=cfg["mlp"]["kind"], d_ff=cfg["mlp"]["d_ff"],
                     n_experts=cfg["mlp"]["n_experts"],
                     k_active=cfg["mlp"]["k_active"])
     return ModelSpec(
         n_layers=m["n_layers"], d_model=m["d_model"], attention=attn, mlp=mlp,
         vocab_size=m["vocab_size"], T=m["t"],
-        n_classes=m["n_classes"] if m["n_classes"] > 0 else None,
-        tied_embeddings=m["tied_embeddings"], dropout=m["dropout"])
+        n_classes=m["n_classes"] if m["n_classes"] > 0 else None)
 
 
 def from_model_spec(spec: ModelSpec) -> dict:
@@ -169,15 +163,11 @@ def from_model_spec(spec: ModelSpec) -> dict:
     a, f = spec.attention, spec.attention.expert_flags
     cfg["model"].update(n_layers=spec.n_layers, d_model=spec.d_model,
                         vocab_size=spec.vocab_size, t=spec.T,
-                        n_classes=spec.n_classes or 0,
-                        tied_embeddings=spec.tied_embeddings,
-                        dropout=spec.dropout)
+                        n_classes=spec.n_classes or 0)
     cfg["attention"].update(variant=a.variant, position=a.position,
                             n_heads=a.n_heads, d_head=a.d_head,
                             n_experts=a.n_experts, k_active=a.k_active,
                             context_mult=a.context_mult, causal=a.causal,
-                            scale_by_d_head=a.scale_by_d_head,
-                            sel_activation=a.sel_activation,
                             expert_v=f.v, expert_k=f.k, expert_q=f.q, expert_o=f.o)
     cfg["mlp"].update(kind=spec.mlp.kind, d_ff=spec.mlp.d_ff,
                       n_experts=spec.mlp.n_experts, k_active=spec.mlp.k_active)

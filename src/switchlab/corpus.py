@@ -40,7 +40,9 @@ def from_bytes(raw: bytes, valid_fraction: float = 0.1) -> CharCorpus:
     if not (0.0 < valid_fraction < 1.0):
         raise ConfigError("valid_fraction must lie in (0, 1)")
     arr = np.frombuffer(raw, dtype=np.uint8)
-    vocab = np.unique(arr)
+    # the sorted observed values, as np.unique gives them; np.unique would
+    # import numpy.ma, about 1 MB that no run uses
+    vocab = np.flatnonzero(np.bincount(arr, minlength=256)).astype(np.uint8)
     lookup = np.zeros(256, dtype=np.uint8)
     lookup[vocab] = np.arange(len(vocab))
     data = lookup[arr]

@@ -22,7 +22,7 @@ from .counter import NULL_COUNTER, OpCounter
 from .moe import ConfigError, SelectionConfig, sigma_moe_mlp
 from .rng import rng_for, uniform_init
 from .tensor import (ShapeError, Tensor, constant, gather_rows, layer_norm,
-                     matmul, mul, relu_mlp, reshape, transpose, tsum)
+                     matmul, mul, relu_mlp, reshape, tsum)
 
 
 class MatchingError(ValueError):
@@ -56,8 +56,6 @@ class ModelSpec:
     vocab_size: int
     T: int = 256                   # chunk length
     n_classes: int | None = None   # None -> language-model readout
-    tied_embeddings: bool = False
-    dropout: float = 0.0           # applied to MLP outputs only
 
     def validate(self) -> None:
         problems = []
@@ -69,10 +67,6 @@ class ModelSpec:
             problems.append(f"attention d_model {self.attention.d_model} != model d_model {self.d_model}")
         if self.n_classes is not None and self.n_classes < 2:
             problems.append("n_classes must be >= 2 when set")
-        if self.n_classes is not None and self.tied_embeddings:
-            problems.append("classification head cannot tie embeddings")
-        if not (0.0 <= self.dropout < 1.0):
-            problems.append("dropout must lie in [0, 1)")
         if problems:
             raise ConfigError("; ".join(problems))
         self.attention.validate()
@@ -125,7 +119,7 @@ def _layout(spec: ModelSpec, per_head_pos: bool | None = None):
     yield "ln_f.b", (dm,), 0.0
     if spec.n_classes is not None:
         yield "head", (dm, spec.n_classes), ("head", dm)
-    elif not spec.tied_embeddings:
+    else:
         yield "readout", (dm, spec.vocab_size), ("readout", dm)
 
 
@@ -165,18 +159,16 @@ class Model:
     def forward(self, tokens: np.ndarray, *, caches: list | None = None,
                 key_mask: np.ndarray | None = None,
                 counter: OpCounter = NULL_COUNTER,
-                dropout_rng: np.random.Generator | None = None,
                 want_trace: bool = False):
         """Map token ids [B, T] to logits; returns (logits, traces, caches).
 
         Logits are [B, T, vocab] for language models or [B, n_classes] for
         classifiers (mean-pooled over unmasked positions). ``caches`` holds
         per-layer cached key/value chunks for XL streaming; pass the
-        returned list back in for the next chunk. ``dropout_rng`` enables
-        MLP-output dropout (training mode); omit it for evaluation.
-        Caches of R rows read the B rows as R streams of B/R consecutive
-        chunks and return R-row caches (see ``attention_forward``); a
-        one-row cache thus runs B chunks of one stream in one forward.
+        returned list back in for the next chunk. Caches of R rows read
+        the B rows as R streams of B/R consecutive chunks and return R-row
+        caches (see ``attention_forward``); a one-row cache thus runs B
+        chunks of one stream in one forward.
         """
         spec = self.spec
         tokens = np.asarray(tokens)
@@ -205,15 +197,10 @@ class Model:
             x = x + y
             h = layer_norm(x, self.params[f"layers.{i}.ln2.g"],
                            self.params[f"layers.{i}.ln2.b"])
-            m = self._mlp(i, h, counter)
-            if dropout_rng is not None and spec.dropout > 0.0:
-                keep = dropout_rng.random(m.shape) >= spec.dropout
-                scale = keep / (1.0 - spec.dropout)
-                m = mul(m, constant(scale.astype(m.data.dtype)))
-            x = x + m
-            # no backward reads y or m, and h's readers keep its rebuild;
-            # held over, they would raise the next layer's forward peak
-            del y, m, h
+            x = x + self._mlp(i, h, counter)
+            # no backward reads y, and h's readers keep its rebuild; held
+            # over, they would raise the next layer's forward peak
+            del y, h
         x = layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
         if spec.n_classes is not None:
@@ -224,10 +211,7 @@ class Model:
             pooled = mul(pooled, constant(1.0 / counts[:, None]))
             logits = matmul(pooled, self.params["head"], counter, store=False)
         else:
-            w_out = self.params["embed"] if spec.tied_embeddings else self.params["readout"]
-            if spec.tied_embeddings:
-                w_out = transpose(w_out)
-            logits = matmul(x, w_out, counter, store=False)
+            logits = matmul(x, self.params["readout"], counter, store=False)
         return logits, traces, new_caches
 
     def _mlp(self, i: int, h: Tensor, counter: OpCounter) -> Tensor:

@@ -2,10 +2,10 @@
 
 ``select`` is every router in the lab (SwitchHead's two sides, head
 gating, the MoA router and the sigma-MoE MLP): a bias-free linear gating
-projection, sigmoid (or softmax) activation and top-k. It takes one
-router [d_model, E] or a bank of G routers [G, d_model, E], which it runs
-as one [d_model, G*E] GEMM and one top-k; SwitchHead's side is the bank
-of its H heads' routers, one routing decision for all heads. Every routed
+projection, top-k and sigmoid gates. It takes one router [d_model, E] or
+a bank of G routers [G, d_model, E], which it runs as one [d_model, G*E]
+GEMM and one top-k; SwitchHead's side is the bank of its H heads'
+routers, one routing decision for all heads. Every routed
 projection is one ``tensor.expert_matmul`` dispatch. An attention
 variant's routed roles are ``Route`` records, and ``dispatch`` moves rows
 from one [B, n, T] row layout of the route's plan to another: token rows
@@ -23,7 +23,7 @@ import numpy as np
 
 from .counter import NULL_COUNTER, OpCounter
 from .tensor import (ExpertPlan, ShapeError, Tensor, argtopk_rows, expert_matmul, matmul,
-                     relu, reshape, sigmoid, softmax_last, take_last, transpose)
+                     relu, reshape, sigmoid, take_last, transpose)
 
 
 class ConfigError(ValueError):
@@ -34,7 +34,6 @@ class ConfigError(ValueError):
 class SelectionConfig:
     n_experts: int
     k_active: int
-    activation: str = "sigmoid"  # sigmoid | softmax
 
     def validate(self) -> None:
         if self.n_experts < 1:
@@ -42,8 +41,6 @@ class SelectionConfig:
         if not (1 <= self.k_active <= self.n_experts):
             raise ConfigError(
                 f"k_active must satisfy 1 <= k <= {self.n_experts}, got {self.k_active}")
-        if self.activation not in ("sigmoid", "softmax"):
-            raise ConfigError(f"unknown selection activation '{self.activation}'")
 
 
 @dataclass
@@ -60,17 +57,15 @@ class ExpertSelection:
 
 def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
            counter: OpCounter = NULL_COUNTER) -> ExpertSelection:
-    """Route tokens: logits = x @ w_sel (no bias), activation, top-k.
+    """Route tokens: logits = x @ w_sel (no bias), top-k, sigmoid.
 
     ``w_sel`` is one router [d_model, E] or a bank [G, d_model, E] of G
     routers, each choosing its own k of its E experts; a bank's logits are
-    one [d_model, G*E] GEMM viewed as [..., G, E], and the top-k and
-    activation run per router on that view. Sigmoid gates are
-    non-competitive: weights are the per-expert sigmoid values, not
-    normalized across experts. Softmax gates are the softmax of the full
-    logit row restricted to the selected indices. The router's MACs and
-    its stored logits count under the ``selection`` extra, apart from the
-    headline.
+    one [d_model, G*E] GEMM viewed as [..., G, E], and the top-k runs per
+    router on that view. The gates are non-competitive: weights are the
+    per-expert sigmoid values, not normalized across experts. The router's
+    MACs and its stored logits count under the ``selection`` extra, apart
+    from the headline.
     """
     cfg.validate()
     if w_sel.ndim == 3:
@@ -81,13 +76,9 @@ def select(x: Tensor, w_sel: Tensor, cfg: SelectionConfig,
     else:
         logits = matmul(x, w_sel, counter, term="selection")
     indices = argtopk_rows(logits.data, cfg.k_active)
-    if cfg.activation == "sigmoid":
-        # sigmoid is monotone and elementwise, so the top-k of the logits is
-        # the top-k of the gates, and only the k selected logits need it
-        weights = sigmoid(take_last(logits, indices))
-    else:
-        weights = take_last(softmax_last(logits), indices)
-    return ExpertSelection(indices=indices, weights=weights)
+    # sigmoid is monotone and elementwise, so the top-k of the logits is the
+    # top-k of the gates, and only the k selected logits need it
+    return ExpertSelection(indices=indices, weights=sigmoid(take_last(logits, indices)))
 
 
 @dataclass

@@ -6,6 +6,9 @@ import numpy as np
 
 from .tensor import GraphError, Tensor
 
+BETA1, BETA2 = 0.9, 0.999   # decay rates of the first and second moments
+EPS = 1e-8                  # added to the second moment's root
+
 
 class Adam:
     """Adam over a named parameter dict.
@@ -17,14 +20,11 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 2.5e-4,
-                 warmup_steps: int = 0, clip_norm: float | None = None,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+                 warmup_steps: int = 0, clip_norm: float | None = None):
         self.params = params
         self.lr = lr
         self.warmup_steps = warmup_steps
         self.clip_norm = clip_norm
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -52,17 +52,17 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         lr = self.effective_lr(t)
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.grad = None
         return {"step": t, "lr": lr, "grad_norm": norm}
 

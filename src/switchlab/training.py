@@ -139,20 +139,16 @@ def train(run: TrainRun, task) -> tuple[Model, list[dict]]:
     metrics: list[dict] = []
     caches = model.empty_caches()
     for step in range(1, run.steps + 1):
-        dropout_rng = (rng_for(run.seed, "dropout", step)
-                       if run.spec.dropout > 0.0 else None)
         if task.kind == "classification":
             tokens, labels, mask = task.batch(run.seed, step, run.batch_size)
-            logits, _, _ = model.forward(tokens, key_mask=mask,
-                                         dropout_rng=dropout_rng)
+            logits, _, _ = model.forward(tokens, key_mask=mask)
             loss = cross_entropy(logits, labels)
             extra = {"accuracy": float((logits.data.argmax(-1) == labels).mean())}
         else:
             x, y, reset = task.batch(run.seed, step, run.batch_size)
             if reset:
                 caches = model.empty_caches()
-            logits, _, caches = model.forward(x, caches=caches,
-                                              dropout_rng=dropout_rng)
+            logits, _, caches = model.forward(x, caches=caches)
             loss = cross_entropy(logits, y)
             extra = {"bpc": float(loss.data) / math.log(2)}
         _check_finite(float(loss.data), step, extra)

@@ -64,7 +64,6 @@ def test_config_validation_errors():
 def test_scale_default_d_model():
     cfg = AttentionConfig(16, 2, 4)
     assert cfg.scale() == pytest.approx(1 / 4.0)
-    assert AttentionConfig(16, 2, 4, scale_by_d_head=True).scale() == pytest.approx(0.5)
 
 
 # -- softmax-row and causal invariants ------------------------------------
@@ -650,7 +649,7 @@ def _per_head_switchhead(x, params, cfg, cache):
     B, T, dm = x.shape
     H, dh, E = cfg.n_heads, cfg.d_head, cfg.n_experts
     f = cfg.expert_flags
-    sel_cfg = SelectionConfig(E, cfg.k_active, "sigmoid")
+    sel_cfg = SelectionConfig(E, cfg.k_active)
     sel_s = [select(x, params["w_s"][h], sel_cfg) for h in range(H)] if f.v or f.k else None
     sel_d = [select(x, params["w_d"][h], sel_cfg) for h in range(H)] if f.q or f.o else None
     cache_len = 0 if cache is None else cache.k.shape[2]

@@ -93,6 +93,20 @@ def _dense_checkpoint(tmp_path):
     return path
 
 
+@pytest.mark.parametrize("section, line", [
+    ("model", "tied_embeddings = False"), ("model", "dropout = 0.0"),
+    ("attention", "scale_by_d_head = False"), ("attention", "sel_activation = sigmoid"),
+])
+def test_retired_config_key_fails_to_load(tmp_path, section, line):
+    # checkpoints written while these model options existed embed them with
+    # their defaults; such a file is a config error, not a traceback
+    path = _dense_checkpoint(tmp_path)
+    header = f"[{section}]\n".encode()
+    path.write_bytes(path.read_bytes().replace(header, header + line.encode() + b"\n", 1))
+    with pytest.raises(ConfigError, match="unknown config key"):
+        load(str(path))
+
+
 @pytest.mark.parametrize("bad", [b"embed two 3", b"embed"])
 def test_malformed_index_line(tmp_path, bad):
     path = _dense_checkpoint(tmp_path)

@@ -9,7 +9,7 @@ from switchlab.attention import AttentionConfig
 from switchlab.checkpoint import load, save
 from switchlab import cli
 from switchlab.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main, parse_cost_row
-from switchlab.config import SCHEMA, dump_config, parse_config, to_model_spec
+from switchlab.config import SCHEMA, dump_config, from_model_spec, parse_config, to_model_spec
 from switchlab.costmodel import CostInputs, cost_attention
 from switchlab.model import MLPConfig, ModelSpec, build, count_params
 from switchlab.moe import ConfigError
@@ -79,6 +79,45 @@ def test_parse_config_rejects_unknowns_and_bad_types():
         parse_config("[attention]\ncausal = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("", ["model-n_layers-3"])
+
+
+def test_model_sections_round_trip_through_spec():
+    # every model, attention and mlp key set off its default comes back
+    # from the spec, so a schema key that no spec field carries fails here
+    cfg = parse_config("""
+[model]
+n_layers = 3
+d_model = 24
+vocab_size = 30
+t = 12
+n_classes = 5
+
+[attention]
+variant = switchhead
+position = none
+n_heads = 3
+d_head = 6
+n_experts = 4
+k_active = 2
+context_mult = 2
+causal = false
+expert_v = true
+expert_k = true
+expert_q = true
+expert_o = true
+
+[mlp]
+kind = sigma_moe
+d_ff = 40
+n_experts = 3
+k_active = 2
+""")
+    sections = ("model", "attention", "mlp")
+    for section in sections:
+        for key, (_, default) in SCHEMA[section].items():
+            assert cfg[section][key] != default, f"{section}.{key} is at its default"
+    back = from_model_spec(to_model_spec(cfg))
+    assert {s: back[s] for s in sections} == {s: cfg[s] for s in sections}
 
 
 def test_parse_config_overrides_apply():
@@ -408,10 +447,15 @@ def test_train_deep_or_wide_task_finishes(tmp_path, listops_cfg, capsys, cpu_tim
     capsys.readouterr()
 
 
+# keys of model options that older configs and checkpoints may still name
+RETIRED_SETTINGS = ("model.dropout=0.1", "model.tied_embeddings=true",
+                    "attention.scale_by_d_head=true", "attention.sel_activation=softmax")
+
+
 @pytest.mark.parametrize("override", [
     "train.log_every=0", "train.log_every=-1",
     "train.clip_norm=nan", "train.lr=inf", "task.valid_fraction=-inf",
-    "train.lr=-1", "train.warmup_steps=-3",
+    "train.lr=-1", "train.warmup_steps=-3", *RETIRED_SETTINGS,
 ])
 def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, override):
     # a zero log_every once died in `step % log_every`, a nan clip_norm
@@ -421,7 +465,9 @@ def test_train_bad_setting_is_usage_error(tmp_path, listops_cfg, capsys, overrid
     code = main(["train", "--config", listops_cfg, "--set", override,
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key" if override in RETIRED_SETTINGS
+                          else "error: ")
     assert not (tmp_path / "out").exists()
 
 

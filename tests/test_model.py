@@ -42,11 +42,11 @@ def wikitext_47m_template():
 def test_spec_validation_lists_problems():
     spec = dense_spec()
     spec.d_model = 17  # attention still says 16
-    spec.dropout = 1.5
+    spec.n_classes = 1
     with pytest.raises(ConfigError) as e:
         spec.validate()
     msg = str(e.value)
-    assert "d_model" in msg and "dropout" in msg
+    assert "d_model" in msg and "n_classes" in msg
 
 
 def test_mlp_config_validation():
@@ -103,8 +103,7 @@ def test_count_matches_instantiation_random_specs(seed):
         mlp = MLPConfig("sigma_moe", int(rng.integers(2, 10)), E, k)
     n_classes = None if rng.integers(2) else int(rng.integers(2, 8))
     spec = ModelSpec(int(rng.integers(0, 3)), dm, attn, mlp,
-                     int(rng.integers(5, 30)), T=8, n_classes=n_classes,
-                     tied_embeddings=(n_classes is None and bool(rng.integers(2))))
+                     int(rng.integers(5, 30)), T=8, n_classes=n_classes)
     m = build(spec, seed)
     assert count_params(spec) == sum(p.size for p in m.params.values())
     # the table checkpoint.load checks an index against, in build's order
@@ -113,7 +112,7 @@ def test_count_matches_instantiation_random_specs(seed):
 
 
 def layout_grid():
-    """Every attention variant x MLP kind x head kind, at two layers."""
+    """Every attention variant x MLP kind x head kind x one or two layers."""
     dm = 12
     attns = [
         AttentionConfig(dm, 2, 4, variant="dense", context_mult=2),
@@ -125,8 +124,9 @@ def layout_grid():
         AttentionConfig(dm, 2, 4, variant="moa", n_experts=4, k_active=2, context_mult=2),
     ]
     mlps = [MLPConfig("dense", 10), MLPConfig("sigma_moe", 5, 3, 2)]
-    heads = [dict(n_classes=4), dict(), dict(tied_embeddings=True)]
-    return [ModelSpec(2, dm, a, m, 9, T=4, **h) for a in attns for m in mlps for h in heads]
+    heads = [4, None]
+    return [ModelSpec(L, dm, a, m, 9, T=4, n_classes=h)
+            for a in attns for m in mlps for h in heads for L in (1, 2)]
 
 
 @pytest.mark.parametrize("spec", layout_grid())
@@ -172,12 +172,6 @@ def test_switchhead_params_linear_in_experts_all_flags():
     counts = [count_params(spec_for(E)) for E in (1, 2, 3, 4)]
     diffs = np.diff(counts)
     assert np.all(diffs == diffs[0]) and diffs[0] > 0
-
-
-def test_tied_embeddings_save_readout():
-    untied = dense_spec()
-    tied = dense_spec(tied_embeddings=True)
-    assert count_params(untied) - count_params(tied) == 16 * 19
 
 
 # -- forward behaviour -----------------------------------------------------

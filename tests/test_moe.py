@@ -30,15 +30,13 @@ def test_selection_config_validation():
         SelectionConfig(0, 1).validate()
     with pytest.raises(ConfigError):
         SelectionConfig(3, 4).validate()
-    with pytest.raises(ConfigError):
-        SelectionConfig(3, 2, activation="relu").validate()
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_select_topk_matches_bruteforce(seed):
     rng, x, w_sel = rand_inputs(seed)
     k = int(rng.integers(1, 6))
-    sel = select(x, w_sel, SelectionConfig(5, k, "sigmoid"))
+    sel = select(x, w_sel, SelectionConfig(5, k))
     logits = x.data @ w_sel.data
     for t in range(x.shape[0]):
         order = sorted(range(5), key=lambda e: (-logits[t, e], e))[:k]
@@ -57,7 +55,7 @@ def test_select_sigmoid_gates_match_full_sigmoid_oracle(dtype):
     w_sel = uniform_init(rng, (6, 5), 6).astype(dtype)
     w_gate = rng.uniform(-1, 1, (9, 2)).astype(dtype)
     x1, w1 = Tensor(x, requires_grad=True), Tensor(w_sel, requires_grad=True)
-    sel = select(x1, w1, SelectionConfig(5, 2, "sigmoid"))
+    sel = select(x1, w1, SelectionConfig(5, 2))
     tsum(mul(sel.weights, constant(w_gate))).backward()
     x2, w2 = Tensor(x, requires_grad=True), Tensor(w_sel, requires_grad=True)
     logits = matmul(x2, w2)
@@ -76,30 +74,19 @@ def test_select_sigmoid_noncompetitive():
     # are per-expert, never normalized across experts
     x = Tensor(np.full((1, 2), 4.0))
     w = Tensor(np.ones((2, 3)))
-    sel = select(x, w, SelectionConfig(3, 2, "sigmoid"))
+    sel = select(x, w, SelectionConfig(3, 2))
     assert np.all(sel.weights.data > 0.99)
     assert sel.weights.data.sum() > 1.5
 
 
-def test_select_softmax_weights():
-    rng, x, w_sel = rand_inputs(42)
-    sel = select(x, w_sel, SelectionConfig(5, 2, "softmax"))
-    logits = x.data @ w_sel.data
-    full = np.exp(logits - logits.max(-1, keepdims=True))
-    full /= full.sum(-1, keepdims=True)
-    got = np.take_along_axis(full, sel.indices, -1)
-    assert np.allclose(sel.weights.data, got, atol=1e-12)
-
-
-@pytest.mark.parametrize("activation", ["sigmoid", "softmax"])
 @pytest.mark.parametrize("G", [1, 2, 3])
-def test_select_bank_matches_per_router_calls(G, activation):
+def test_select_bank_matches_per_router_calls(G):
     # a bank [G, dm, E] is G routers in one GEMM and one top-k: the same
     # indices, gates and selection counts as one select per router
-    rng = rng_for(G, "moe-bank", activation)
+    rng = rng_for(G, "moe-bank", "sigmoid")
     x = Tensor(rng.uniform(-1, 1, (2, 7, 6)))
     bank = Tensor(uniform_init(rng, (G, 6, 5), 6))
-    cfg = SelectionConfig(5, 2, activation)
+    cfg = SelectionConfig(5, 2)
     c_bank, c_each = OpCounter(), OpCounter()
     sel = select(x, bank, cfg, c_bank)
     assert sel.indices.shape == sel.weights.shape == (2, 7, G, 2)
@@ -125,7 +112,7 @@ def test_mixture_project_matches_materialized_oracle(seed, gate):
     n, E, d_in = 7, 5, 6
     d_out = 4 if gate == "output" else 8
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in), requires_grad=True)
-    sel = select(x, w_sel, SelectionConfig(E, 2, "sigmoid"))
+    sel = select(x, w_sel, SelectionConfig(E, 2))
     route = one_head_route(sel)
     stored = dispatch(reshape(x, (1, 1, n, d_in)), bank, route, 1)
     unstored = dispatch(reshape(x, (1, 1, n, d_in)), bank, route, 1, store=False)
@@ -145,7 +132,7 @@ def test_mixture_project_counter():
     E, d_in, k, n = 5, 6, 2, 7
     narrow = Tensor(uniform_init(rng, (E, d_in, 4), d_in))     # gates the results
     wide = Tensor(uniform_init(rng, (E, d_in, 9), d_in))       # gates the inputs
-    sel = select(x, w_sel, SelectionConfig(E, k, "sigmoid"))
+    sel = select(x, w_sel, SelectionConfig(E, k))
     route = one_head_route(sel)
     x4 = reshape(x, (1, 1, n, d_in))
     c = OpCounter()     # stored rows, gate on the 4-wide results
@@ -167,7 +154,7 @@ def test_mixture_permutation_invariance():
     rng, x, w_sel = rand_inputs(8)
     n, E, d_in, d_out = 7, 5, 6, 4
     bank = Tensor(uniform_init(rng, (E, d_in, d_out), d_in))
-    cfg = SelectionConfig(E, 2, "sigmoid")
+    cfg = SelectionConfig(E, 2)
     x4 = reshape(x, (1, 1, n, d_in))
     y1 = dispatch(x4, bank, one_head_route(select(x, w_sel, cfg)), 1)
     perm = np.array([3, 0, 4, 1, 2])
@@ -180,7 +167,7 @@ def test_mixture_permutation_invariance():
 def test_mixture_shape_and_range_errors():
     rng, x, w_sel = rand_inputs(1)
     n = 7
-    sel = select(x, w_sel, SelectionConfig(5, 2, "sigmoid"))
+    sel = select(x, w_sel, SelectionConfig(5, 2))
     route = one_head_route(sel)
     x4 = reshape(x, (1, 1, n, 6))
     with pytest.raises(ShapeError):       # d_in 9 against inputs of width 6
@@ -282,7 +269,7 @@ def test_sigma_moe_matches_loop_oracle(seed):
     up = Tensor(uniform_init(rng, (E, dm, dx), dm), requires_grad=True)
     down = Tensor(uniform_init(rng, (E, dx, dm), dx), requires_grad=True)
     w_sel = Tensor(uniform_init(rng, (dm, E), dm), requires_grad=True)
-    cfg = SelectionConfig(E, k, "sigmoid")
+    cfg = SelectionConfig(E, k)
     y = sigma_moe_mlp(x, up, down, w_sel, cfg)
     sel = select(x, w_sel, cfg)
     for t in range(n):
@@ -300,7 +287,7 @@ def test_sigma_moe_gradients_flow_to_selector():
     up = Tensor(uniform_init(rng, (E, dm, dx), dm), requires_grad=True)
     down = Tensor(uniform_init(rng, (E, dx, dm), dx), requires_grad=True)
     w_sel = Tensor(uniform_init(rng, (dm, E), dm), requires_grad=True)
-    cfg = SelectionConfig(E, 2, "sigmoid")
+    cfg = SelectionConfig(E, 2)
     w = rng.uniform(-1, 1, (n, dm))
     tsum(mul(sigma_moe_mlp(x, up, down, w_sel, cfg), constant(w))).backward()
     for t in (x, up, down, w_sel):

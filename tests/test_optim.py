@@ -62,8 +62,8 @@ def test_single_step_matches_reference_adam():
     g = rng.uniform(-1, 1, (3,))
     params = {"w": Tensor(w0.copy(), requires_grad=True)}
     params["w"].grad = g.copy()
-    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-    opt = Adam(params, lr=lr, betas=(b1, b2), eps=eps)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
+    opt = Adam(params, lr=lr)
     opt.step()
     m = (1 - b1) * g
     v = (1 - b2) * g * g

@@ -4,6 +4,9 @@ divergence handling, and baseline metric values."""
 import hashlib
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +162,31 @@ def test_corpus_ids_pinned():
     assert corpus.data[:12].tolist() == [3, 2, 19, 15, 22, 2, 3, 2, 19, 15, 22, 2]
     assert (hashlib.sha256(corpus.data.astype(np.int64).tobytes()).hexdigest()
             == "2f34a9e25b6917a42e39e0ef1233932923dfd9eb103fabfb032d50062a77a1be")
+
+
+@pytest.mark.parametrize("raw", [
+    *(bytes(rng_for(seed, "vocab").integers(256, size=n).tolist())
+      for seed, n in ((0, 50), (1, 700), (2, 3000))),
+    b"x", bytes(range(256)),
+], ids=["random50", "random700", "random3000", "one_byte", "all_256"])
+def test_corpus_vocab_equals_unique(raw):
+    corpus = from_bytes(raw)
+    want = np.unique(np.frombuffer(raw, dtype=np.uint8))
+    assert corpus.vocab.dtype == want.dtype
+    assert np.array_equal(corpus.vocab, want)
+
+
+def test_corpus_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call, about 1 MB that a char
+    # LM run never uses
+    probe = ("import sys\n"
+             "from switchlab.corpus import from_bytes\n"
+             "from_bytes(bytes(range(256)) * 4)\n"
+             "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_char_lm_task_too_small():
