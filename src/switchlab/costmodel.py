@@ -7,6 +7,23 @@ report, so measured and closed-form reports can be compared term by term
 with exact integer equality. Costs the closed forms deliberately ignore
 (selection logic, the relative-position score interaction, rotary
 rotations) are itemized under ``extras``.
+
+The closed form reads each variant's row of one role table (``_row``), as
+``attention_forward`` reads its routes. A role (K, Q, V, O) dispatches a
+assignments per token, T a dh dm MACs plus T a min(dh, dm) if it is gated;
+a plain GEMM over h heads is a = h, ungated. K, Q and V store T dh floats
+per head, O none. Each attention matrix adds T S dh MACs to scores and as
+many to readout, S = C T. The XL position projection is per head (dense,
+head-gated) or shared (SwitchHead, MoA). With K active experts:
+
+  dense       macs = H (4 T dh dm + 2 C T^2 dh + 2 C T dh dm)
+              mem  = H (4 T dh + 2 C T^2 + 2 C T dh)
+  head-gated  (K gated heads) the dense mem, and the dense macs less (H - K) T dh dm
+  switchhead  (V+O experts) macs = H (2 T dh dm + 2 T K (dh dm + min(dh, dm))
+              + 2 C T^2 dh) + 2 C T dh dm, mem = H (4 T dh + 2 C T^2) + 2 C T dh
+  moa         (H = K heads on one K/V head)
+              macs = (2H + 2) T dh dm + 2 H C T^2 dh + 2 C T dh dm
+              mem  = (2H + 2) T dh + 2 H C T^2 + 2 C T dh
 """
 
 from __future__ import annotations
@@ -25,31 +42,26 @@ MEASURE_SEED = 0     # the counts do not depend on the drawn values
 
 @dataclass
 class CostInputs:
-    variant: str                 # dense | switchhead | moa
+    variant: str                 # dense | head_gated | switchhead | moa
     H: int                       # heads = computed attention matrices (moa: active heads)
     T: int
     d_head: int
     d_model: int
     C: int = 2
     E: int = 1
-    k_active: int = 1
+    k_active: int = 1            # experts per token (head_gated: gated heads)
     expert_flags: ExpertFlags = field(default_factory=ExpertFlags.value_output)
     position: str = "xl_relative"
 
     def validate(self) -> None:
-        if self.variant not in ("dense", "switchhead", "moa"):
+        """Checks on the row's own fields; the attention config checks the rest."""
+        if self.variant not in ("dense", "head_gated", "switchhead", "moa"):
             raise ConfigError(f"no closed-form cost for variant '{self.variant}'")
-        if self.position not in ("xl_relative", "rope", "none"):
-            raise ConfigError(f"unknown position mode '{self.position}'")
         if min(self.H, self.T, self.d_head, self.d_model, self.C, self.E, self.k_active) < 1:
             raise ConfigError("all cost inputs must be positive")
-        if self.variant != "dense" and self.k_active > self.E:
-            raise ConfigError(f"{self.variant} routes K={self.k_active} of E={self.E} "
-                              "experts; K must not exceed E")
         if self.variant == "moa" and self.H != self.k_active:
             raise ConfigError("moa computes K attention matrices; H must equal K")
-        if self.position == "rope" and self.C != 1:
-            raise ConfigError("rope has no context cache; C must be 1")
+        config_for(self).validate()
 
 
 @dataclass
@@ -65,132 +77,75 @@ class CostReport:
         assert self.mem_floats == sum(v for _, v in self.terms.values())
 
 
-def _finish(terms: dict, extras: dict, score_matrices: int) -> CostReport:
-    # the instrumented counter never creates all-zero buckets
-    terms = {k: v for k, v in terms.items() if v != (0, 0)}
-    extras = {k: v for k, v in extras.items() if v != (0, 0)}
-    rep = CostReport(
-        macs=sum(m for m, _ in terms.values()),
-        mem_floats=sum(v for _, v in terms.values()),
-        terms=terms, extras=extras, score_matrices=score_matrices)
+def _report(counter: OpCounter) -> CostReport:
+    """The counter's buckets as a report, all-zero buckets left out."""
+    snap = counter.snapshot()
+    terms, extras = ({k: v for k, v in snap[d].items() if v != (0, 0)} for d in ("terms", "extras"))
+    rep = CostReport(snap["macs"], snap["mem_floats"], terms, extras, snap["score_matrices"])
     rep.check()
     return rep
 
 
-def cost_xl(ci: CostInputs) -> CostReport:
-    """Dense Transformer-XL attention layer cost.
-
-    macs = H (4 T dh dm + 2 C T^2 dh + 2 C T dh dm)
-    mem  = H (4 T dh + 2 C T^2 + 2 C T dh)
-    """
-    ci.validate()
-    H, T, dh, dm, C = ci.H, ci.T, ci.d_head, ci.d_model, ci.C
-    terms = {
-        "projections": (4 * T * dh * dm * H, 3 * T * dh * H),
-        "scores": (C * T * T * dh * H, 2 * C * T * T * H),
-        "readout": (C * T * T * dh * H, T * dh * H),
-    }
-    extras = {}
-    if ci.position == "xl_relative":
-        terms["position"] = (2 * C * T * dh * dm * H, 2 * C * T * dh * H)
-        extras["pos_scores"] = (2 * C * T * T * dh * H, 2 * C * T * T * H)
-    elif ci.position == "rope":
-        extras["rotary"] = (4 * T * dh * H, 0)
-    return _finish(terms, extras, H)
+@dataclass(frozen=True)
+class _Role:
+    """``a`` assignments per token into (or out of) ``heads`` head rows, its
+    gate, if it has one, under ``gate_term``; a plain GEMM has a = heads."""
+    heads: int
+    a: int
+    term: str = "projections"
+    gate_term: str | None = None
 
 
-def cost_switchhead(ci: CostInputs) -> CostReport:
-    """SwitchHead attention layer cost for any expert-flag combination.
-
-    With the default V+O flags the MAC total reduces to
-    H (2 T dh dm + 2 T K (dh dm + min(dh, dm)) + 2 C T^2 dh + 2 C T dh dm),
-    with the position term counted once (the single position projection
-    all heads share). A routed role's gate multiply scales the narrower of
-    its dh-wide and dm-wide sides. Memory follows the dense formula (not
-    affected by K), with the same shared-position adjustment.
-    """
-    ci.validate()
-    H, T, dh, dm, C, K = ci.H, ci.T, ci.d_head, ci.d_model, ci.C, ci.k_active
-    f = ci.expert_flags
-    proj_macs = mix_macs = 0
-    for role_expert in (f.k, f.q, f.v, f.o):
-        if role_expert:
-            mix_macs += T * K * dh * dm + T * K * min(dh, dm)
-        else:
-            proj_macs += T * dh * dm
-    # K, Q, V stores are one T*dh block each no matter how they are produced;
-    # the O output is consumed by the residual sum and never stored.
-    dense_kqv = sum(1 for e in (f.k, f.q, f.v) if not e)
-    terms = {
-        "projections": (proj_macs * H, dense_kqv * T * dh * H),
-        "mixing": (mix_macs * H, (3 - dense_kqv) * T * dh * H),
-        "scores": (C * T * T * dh * H, 2 * C * T * T * H),
-        "readout": (C * T * T * dh * H, T * dh * H),
-    }
-    extras = {}
-    n_sides = (1 if (f.v or f.k) else 0) + (1 if (f.q or f.o) else 0)
-    if n_sides:
-        extras["selection"] = (n_sides * T * dm * ci.E * H, n_sides * T * ci.E * H)
-    if ci.position == "xl_relative":
-        terms["position"] = (2 * C * T * dh * dm, 2 * C * T * dh)
-        extras["pos_scores"] = (2 * C * T * T * dh * H, 2 * C * T * T * H)
-    elif ci.position == "rope":
-        extras["rotary"] = (4 * T * dh * H, 0)
-    return _finish(terms, extras, H)
-
-
-def cost_moa(ci: CostInputs) -> CostReport:
-    """MoA attention layer cost; ``ci.H`` counts the *active* heads.
-
-    macs = (2H + 2) T dh dm + 2 H C T^2 dh + 2 C T dh dm
-    mem  = (2H + 2) T dh + 2 H C T^2 + 2 C T dh
-
-    The router and the output gates, H T min(dh, dm) multiplies on the
-    narrower side of the output experts, are the ``selection`` extra.
-    """
-    ci.validate()
-    H, T, dh, dm, C = ci.H, ci.T, ci.d_head, ci.d_model, ci.C
-    terms = {
-        "projections": ((2 * H + 2) * T * dh * dm, (2 + H) * T * dh),
-        "scores": (H * C * T * T * dh, 2 * H * C * T * T),
-        "readout": (H * C * T * T * dh, H * T * dh),
-    }
-    extras = {
-        "selection": (T * dm * ci.E + H * T * min(dh, dm), T * ci.E),
-    }
-    if ci.position == "xl_relative":
-        terms["position"] = (2 * C * T * dh * dm, 2 * C * T * dh)
-        extras["pos_scores"] = (2 * H * C * T * T * dh, 2 * H * C * T * T)
-    elif ci.position == "rope":
-        extras["rotary"] = (2 * T * dh * (H + 1), 0)
-    return _finish(terms, extras, H)
+def _row(ci: CostInputs) -> tuple[dict[str, _Role], tuple[int, int], bool]:
+    """The variant's row of the role table: its roles, the (macs, mem) of
+    its routers' logits, and whether its XL position projection is per head."""
+    H, T, dm, E, k = ci.H, ci.T, ci.d_model, ci.E, ci.k_active
+    if ci.variant == "moa":
+        return ({"k": _Role(1, 1), "q": _Role(H, H), "v": _Role(1, 1),
+                 "o": _Role(H, H, gate_term="selection")}, (T * dm * E, T * E), False)
+    if ci.variant == "switchhead":
+        f = ci.expert_flags
+        roles = {r: _Role(H, H * k, "mixing", "mixing") if getattr(f, r) else _Role(H, H)
+                 for r in "kqvo"}
+        sides = (f.k or f.v) + (f.q or f.o)
+        return roles, (sides * T * dm * H * E, sides * T * H * E), False
+    roles = dict.fromkeys("kqvo", _Role(H, H))
+    if ci.variant == "dense":
+        return roles, (0, 0), True
+    roles["o"] = _Role(H, k, gate_term="selection")          # head_gated
+    return roles, (T * dm * H, T * H), True
 
 
 def cost_attention(ci: CostInputs) -> CostReport:
-    if ci.variant == "dense":
-        return cost_xl(ci)
-    if ci.variant == "switchhead":
-        return cost_switchhead(ci)
-    if ci.variant == "moa":
-        return cost_moa(ci)
-    raise ConfigError(f"no closed-form cost for variant '{ci.variant}'")
+    """Closed-form cost of one attention layer of any variant."""
+    ci.validate()
+    H, T, dh, dm, S = ci.H, ci.T, ci.d_head, ci.d_model, ci.C * ci.T
+    roles, selection, per_head_pos = _row(ci)
+    c = OpCounter()
+    for name, r in roles.items():
+        c.add(r.term, macs=T * r.a * dh * dm, mem=0 if name == "o" else T * dh * r.heads)
+        if r.gate_term:
+            c.add(r.gate_term, macs=T * r.a * min(dh, dm))
+    c.add("selection", *selection)
+    c.add("scores", macs=T * S * dh * H, mem=2 * T * S * H)
+    c.add("readout", macs=T * S * dh * H, mem=T * dh * H)
+    if ci.position == "xl_relative":
+        pos_heads = H if per_head_pos else 1
+        c.add("position", macs=2 * S * dh * dm * pos_heads, mem=2 * S * dh * pos_heads)
+        c.add("pos_scores", macs=2 * T * S * dh * H, mem=2 * T * S * H)
+    elif ci.position == "rope":
+        c.add("rotary", macs=2 * T * dh * (H + roles["k"].heads))
+    c.count_score_matrices(H)
+    return _report(c)
 
 
 def config_for(ci: CostInputs) -> AttentionConfig:
-    """Attention config matching a cost-input row."""
-    if ci.variant == "dense":
-        return AttentionConfig(ci.d_model, ci.H, ci.d_head, variant="dense",
-                               position=ci.position, context_mult=ci.C)
-    if ci.variant == "switchhead":
-        return AttentionConfig(ci.d_model, ci.H, ci.d_head, variant="switchhead",
-                               position=ci.position, context_mult=ci.C,
-                               n_experts=ci.E, k_active=ci.k_active,
-                               expert_flags=ci.expert_flags)
-    if ci.variant == "moa":
-        return AttentionConfig(ci.d_model, ci.k_active, ci.d_head, variant="moa",
-                               position=ci.position, context_mult=ci.C,
-                               n_experts=ci.E, k_active=ci.k_active)
-    raise ConfigError(f"unknown variant '{ci.variant}'")
+    """Attention config matching a cost-input row (of a known variant)."""
+    experts = dict(n_experts=ci.E, k_active=ci.k_active)
+    routing = {"dense": {}, "head_gated": dict(k_active=ci.k_active), "moa": experts,
+               "switchhead": dict(experts, expert_flags=ci.expert_flags)}[ci.variant]
+    return AttentionConfig(ci.d_model, ci.H, ci.d_head, variant=ci.variant,
+                           position=ci.position, context_mult=ci.C, **routing)
 
 
 def measure(ci: CostInputs) -> CostReport:
@@ -210,12 +165,7 @@ def measure(ci: CostInputs) -> CostReport:
         cache = LayerCache(k=rng.uniform(-1, 1, shape), v=rng.uniform(-1, 1, shape))
     counter = OpCounter()
     attention_forward(x, params, cfg, counter, cache=cache)
-    snap = counter.snapshot()
-    rep = CostReport(macs=snap["macs"], mem_floats=snap["mem_floats"],
-                     terms=snap["terms"], extras=snap["extras"],
-                     score_matrices=snap["score_matrices"])
-    rep.check()
-    return rep
+    return _report(counter)
 
 
 def human(n: int) -> str:

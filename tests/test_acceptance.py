@@ -17,8 +17,7 @@ import numpy as np
 
 from switchlab.attention import (AttentionConfig, ExpertFlags,
                                  attention_forward, init_attention_params)
-from switchlab.costmodel import (CostInputs, cost_attention, cost_switchhead,
-                                 cost_xl, human, measure)
+from switchlab.costmodel import CostInputs, cost_attention, human, measure
 from switchlab.counter import OpCounter
 from switchlab.gradcheck import run_suite
 from switchlab.model import (MLPConfig, ModelSpec, count_params, match_params,
@@ -49,7 +48,7 @@ def test_memory_column_reproduction():
     ]
     ok = True
     for (H, T, dh), want, disp in xl_cells:
-        rep = cost_xl(CostInputs("dense", H, T, dh, 412, C=2))
+        rep = cost_attention(CostInputs("dense", H, T, dh, 412, C=2))
         ok = ok and rep.mem_floats == want and human(rep.mem_floats) == disp
     sh_cells = [
         ((256, 76), 757_760, "0.8M"),
@@ -57,8 +56,8 @@ def test_memory_column_reproduction():
         ((512, 132), 2_908_160, "2.9M"),
     ]
     for (T, dh), want, disp in sh_cells:
-        rep = cost_switchhead(CostInputs("switchhead", 2, T, dh, 412, C=2,
-                                         E=5, k_active=2))
+        rep = cost_attention(CostInputs("switchhead", 2, T, dh, 412, C=2,
+                                        E=5, k_active=2))
         ok = ok and rep.mem_floats == want and human(rep.mem_floats) == disp
     _report("memory columns reproduce exactly (6 cells incl. display)", ok)
 
@@ -95,6 +94,14 @@ def _tiny_cases():
         # dh > dm: every routed role gates its dm-wide side
         cases.append(CostInputs("switchhead", 2, 4, 8, 4, C=2, E=3, k_active=2,
                                 expert_flags=f))
+    for _ in range(6):  # head-gated: k of H heads gated into O
+        T = int(rng.integers(1, 9))
+        dh = 2 * int(rng.integers(1, 5))
+        pos = str(rng.choice(["xl_relative", "none", "rope"]))
+        C = 1 if pos == "rope" else int(rng.integers(1, 4))
+        H = int(rng.integers(1, 5))
+        cases.append(CostInputs("head_gated", H, T, dh, int(rng.integers(2, 17)), C=C,
+                                k_active=int(rng.integers(1, H + 1)), position=pos))
     return cases
 
 

@@ -140,7 +140,8 @@ def test_cost_table_matches_closed_form(tmp_path, capsys):
     rows.write_text(
         "dense H=10 T=256 d_head=41 d_model=412 C=2   # 47M-scale row\n"
         "switchhead H=2 T=256 d_head=76 d_model=412 C=2 E=5 K=2 experts=vo\n"
-        "moa H=8 T=256 d_head=64 d_model=412 C=2 E=10 K=8\n")
+        "moa H=8 T=256 d_head=64 d_model=412 C=2 E=10 K=8\n"
+        "head_gated H=8 T=256 d_head=64 d_model=412 C=2 K=2\n")
     out = tmp_path / "out"
     assert main(["cost", "--config", str(rows), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
@@ -152,7 +153,9 @@ def test_cost_table_matches_closed_form(tmp_path, capsys):
                                   k_active=2)),
         cost_attention(CostInputs("moa", 8, 256, 64, 412, C=2, E=10,
                                   k_active=8)),
+        cost_attention(CostInputs("head_gated", 8, 256, 64, 412, C=2, k_active=2)),
     ]
+    assert len(lines) == 1 + len(want)
     for line, rep in zip(lines[1:], want):
         _, _, macs, mem = line.split()
         assert (int(macs), int(mem)) == (rep.macs, rep.mem_floats)
@@ -165,7 +168,8 @@ def test_cost_bad_row_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row", ["dense H=x", "dense position=foo", "moa H=2 K=3 E=2",
-                                 "switchhead H=2 E=2 K=3 experts=vo", "moa H=3 K=2 E=4"])
+                                 "switchhead H=2 E=2 K=3 experts=vo", "moa H=3 K=2 E=4",
+                                 "dense H=2 T=4 d_head=3 d_model=8 position=rope"])
 def test_cost_malformed_rows_are_usage_errors(tmp_path, capsys, row):
     rows = tmp_path / "rows.txt"
     rows.write_text("dense H=2\n" + row + "\n")

@@ -5,10 +5,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchlab.attention import ExpertFlags
-from switchlab.costmodel import (CostInputs, cost_attention, cost_moa,
-                                 cost_switchhead, cost_xl, human, measure)
+from switchlab.costmodel import CostInputs, cost_attention, human, measure
 from switchlab.moe import ConfigError
 
 
@@ -28,7 +29,7 @@ def reports_equal(want, got):
     (8, 512, 64, 10_485_760, "10.5M"),
 ])
 def test_xl_memory_cells(H, T, dh, want, disp):
-    rep = cost_xl(CostInputs("dense", H, T, dh, 412, C=2))
+    rep = cost_attention(CostInputs("dense", H, T, dh, 412, C=2))
     assert rep.mem_floats == want
     assert human(rep.mem_floats) == disp
 
@@ -40,14 +41,14 @@ def test_xl_memory_cells(H, T, dh, want, disp):
 ])
 def test_switchhead_memory_cells_shared_pos(T, dh, want, disp):
     ci = CostInputs("switchhead", 2, T, dh, 412, C=2, E=5, k_active=2)
-    rep = cost_switchhead(ci)
+    rep = cost_attention(ci)
     assert rep.mem_floats == want
     assert human(rep.mem_floats) == disp
 
 
 def test_xl_mac_formula_cells():
     # 47M-scale compute cells round to the published 453.4M
-    rep = cost_xl(CostInputs("dense", 10, 256, 41, 412, C=2))
+    rep = cost_attention(CostInputs("dense", 10, 256, 41, 412, C=2))
     H, T, dh, dm, C = 10, 256, 41, 412, 2
     assert rep.macs == H * (4 * T * dh * dm + 2 * C * T * T * dh + 2 * C * T * dh * dm)
     assert human(rep.macs) == "453.4M"
@@ -55,7 +56,7 @@ def test_xl_mac_formula_cells():
 
 def test_switchhead_mac_formula_vo_flags():
     ci = CostInputs("switchhead", 2, 256, 76, 412, C=2, E=5, k_active=2)
-    rep = cost_switchhead(ci)
+    rep = cost_attention(ci)
     H, T, dh, dm, C, K = 2, 256, 76, 412, 2, 2
     shared_pos_macs = 2 * C * T * dh * dm
     per_head = (2 * T * dh * dm + 2 * T * K * dh * (dm + 1)
@@ -65,7 +66,7 @@ def test_switchhead_mac_formula_vo_flags():
 
 def test_moa_formulas_and_attention_matrix_term():
     ci = CostInputs("moa", 8, 256, 64, 412, C=2, E=10, k_active=8)
-    rep = cost_moa(ci)
+    rep = cost_attention(ci)
     H, T, dh, dm, C = 8, 256, 64, 412, 2
     assert rep.macs == ((2 * H + 2) * T * dh * dm + 2 * H * C * T * T * dh
                         + 2 * C * T * dh * dm)
@@ -76,7 +77,7 @@ def test_moa_formulas_and_attention_matrix_term():
 
 def test_moa_memory_affine_in_heads():
     T, dh, dm, C = 64, 8, 32, 2
-    mems = [cost_moa(CostInputs("moa", H, T, dh, dm, C=C, E=8, k_active=H)).mem_floats
+    mems = [cost_attention(CostInputs("moa", H, T, dh, dm, C=C, E=8, k_active=H)).mem_floats
             for H in (1, 2, 3)]
     slope = 2 * T * dh + 2 * C * T * T
     assert mems[1] - mems[0] == slope
@@ -89,9 +90,9 @@ def test_switchhead_cheaper_than_matched_dense():
     for H_sh, E, dh_sh, H_d, dh_d, T in [(2, 5, 76, 10, 41, 256),
                                          (2, 8, 112, 16, 64, 512),
                                          (2, 4, 132, 8, 64, 512)]:
-        sh = cost_switchhead(CostInputs("switchhead", H_sh, T, dh_sh, 412,
-                                        C=2, E=E, k_active=2))
-        xl = cost_xl(CostInputs("dense", H_d, T, dh_d, 412, C=2))
+        sh = cost_attention(CostInputs("switchhead", H_sh, T, dh_sh, 412,
+                                       C=2, E=E, k_active=2))
+        xl = cost_attention(CostInputs("dense", H_d, T, dh_d, 412, C=2))
         assert sh.macs < xl.macs
         assert sh.mem_floats < xl.mem_floats
 
@@ -129,6 +130,15 @@ def _random_cases():
             # dh > dm: every routed role gates its dm-wide side
             cases.append(CostInputs("switchhead", 2, 3, 8, 4, C=C, E=3, k_active=2,
                                     expert_flags=f, position=pos))
+    for _ in range(8):  # head-gated: k of H heads gated into O
+        T = int(rng.integers(1, 9))
+        dh = 2 * int(rng.integers(1, 5))
+        dm = int(rng.integers(2, 17))
+        pos = str(rng.choice(["xl_relative", "none", "rope"]))
+        C = 1 if pos == "rope" else int(rng.integers(1, 4))
+        H = int(rng.integers(1, 5))
+        cases.append(CostInputs("head_gated", H, T, dh, dm, C=C,
+                                k_active=int(rng.integers(1, H + 1)), position=pos))
     return cases
 
 
@@ -139,6 +149,29 @@ def test_measure_equals_closed_form_on_random_configs():
         want = cost_attention(ci)
         got = measure(ci)
         assert reports_equal(want, got), ci
+
+
+@settings(max_examples=200, deadline=None)
+@given(variant=st.sampled_from(["dense", "head_gated", "switchhead", "moa"]),
+       position=st.sampled_from(["xl_relative", "rope", "none"]),
+       H=st.integers(0, 3), T=st.integers(1, 4), dh=st.integers(1, 5), dm=st.integers(1, 8),
+       C=st.integers(1, 3), E=st.integers(1, 4), k=st.integers(1, 4),
+       flags=st.tuples(*[st.booleans()] * 4))
+def test_closed_form_fails_exactly_where_measure_does(variant, position, H, T, dh, dm, C,
+                                                      E, k, flags):
+    # one validator: an invalid row (zero heads, rope with a cache or an
+    # odd d_head, K > E, K > H, ...) is a ConfigError on both paths
+    ci = CostInputs(variant, H, T, dh, dm, C=C, E=E, k_active=k,
+                    expert_flags=ExpertFlags(*flags), position=position)
+    reports = []
+    for cost in (cost_attention, measure):
+        try:
+            reports.append(cost(ci))
+        except ConfigError:
+            reports.append(None)
+    want, got = reports
+    assert (want is None) == (got is None), ci
+    assert want is None or reports_equal(want, got), ci
 
 
 def test_terms_sum_to_headline():
